@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -49,8 +50,11 @@ def _build_parser():
                        help="directory for artifacts (overrides config)")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides config)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker process cap for path batches")
+        p.add_argument("--jobs", type=int,
+                       default=len(os.sched_getaffinity(0)),
+                       help="worker processes for simulate path batches "
+                            "(default: the CPUs this process may use; "
+                            "results do not depend on it)")
         p.add_argument("--eps", type=float, default=None,
                        help="single ambiguity level (overrides config)")
 

@@ -8,6 +8,17 @@ with the adverse kernel psi(x) = -eps sigma(x) v'(x), and the payoff adds
 the divergence penalty psi^2 / (2 eps) per unit time.  The long-run average
 of harvest plus penalty estimates the solved yield.
 
+Since psi does not depend on time, the worst-case step is tabulated once
+per run: the per-step drift (x mu(x) + sigma(x) psi(x)) dt and the KL
+increment psi^2 / (2 eps) dt sit on nodes equally spaced in log x from the
+potential grid floor to beta, and each step looks its cell up in O(1) and
+interpolates linearly in log x.  The spacing is logarithmic because the
+kernel varies on the scale of x itself near zero (psi moves from -0.195 to
+-0.234 between x = 1e-7 and 1e-5 at eps = 1), where the worst-case
+population spends a sizable share of its time; a uniform table over
+[0, beta] would smear that whole range into its first cell.  The solved
+cubic slope stays the reference the table is built from and tested against.
+
 Paths are independent units of work with their own counter-based random
 streams (Philox keyed by master seed and path index), so results are
 bit-identical regardless of how paths are batched or scheduled.
@@ -121,6 +132,65 @@ def worst_case_kernel(problem: AmbiguityProblem, sol: ThresholdSolution, x):
     return out if np.ndim(x) else float(out)
 
 
+# Nodes of the worst-case step table: at 4096 log-spaced nodes the
+# interpolated kernel stays within 1e-5 eps sigma(beta) of the solved cubic
+# for eps from 0.5 to 20 (tests/test_simulate.py).
+_TABLE_NODES = 4096
+
+
+class _WorstCaseStep:
+    """Worst-case per-step drift and KL increment, tabulated in log x.
+
+    Node k sits at x_k = lo (beta / lo)^(k / (N - 1)), where lo is the floor
+    of the solved potential grid; between nodes both quantities are linear
+    in log x.  Each is stored as node values plus forward differences (the
+    last difference is zero), so a lookup is one index and one fraction.
+    """
+
+    def __init__(self, problem: AmbiguityProblem, sol: ThresholdSolution,
+                 beta: float, dt: float):
+        self.lo = float(sol.grid.nodes_x[0])
+        self.s0 = math.log(self.lo)
+        self.top = _TABLE_NODES - 1
+        self.inv_ds = self.top / (math.log(beta) - self.s0)
+        xs = np.exp(np.linspace(self.s0, math.log(beta), _TABLE_NODES))
+        xs[0], xs[-1] = self.lo, beta
+        self.xs = xs
+        psi = worst_case_kernel(problem, sol, xs)
+        model = problem.model
+        self.drift = (xs * model.mu(xs) + model.sigma(xs) * psi) * dt
+        self.drift_diff = np.append(np.diff(self.drift), 0.0)
+        self.kl = psi * psi * (dt / (2.0 * problem.epsilon))
+        self.kl_diff = np.append(np.diff(self.kl), 0.0)
+
+    def lookup(self, x):
+        """Cell index, fraction in the cell and floor-clamp mask of each x.
+
+        States below the floor use the floor node, so t >= 0 up to rounding
+        (which the cast truncates to node 0); t is capped at the last node,
+        whose difference is zero.  The index is clamped again after the cast
+        because a NaN state casts to INT64_MIN; its fraction stays NaN, so
+        the path is still quarantined at the end of its block.
+        """
+        t = np.log(np.maximum(x, self.lo))
+        t -= self.s0
+        t *= self.inv_ds
+        np.minimum(t, self.top, out=t)
+        idx = t.astype(np.int64)
+        np.maximum(idx, 0, out=idx)
+        return idx, t - idx, x < self.lo
+
+    def drift_at(self, idx, frac):
+        out = self.drift.take(idx)
+        out += frac * self.drift_diff.take(idx)
+        return out
+
+    def kl_at(self, idx, frac):
+        out = self.kl.take(idx)
+        out += frac * self.kl_diff.take(idx)
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Monte Carlo configuration for one threshold policy.
@@ -145,7 +215,7 @@ class SimConfig:
     seed: int = 0
     n_bins: int = 50
     occupation_stride: int = 8
-    block_steps: int = 16384
+    block_steps: int = 4096
 
     def __post_init__(self):
         if not self.beta > 0.0:
@@ -197,18 +267,9 @@ class PathStats:
 
 
 def _kernel_fn(cfg: SimConfig):
-    """Vectorized psi(x) for the configured measure, or None for reference."""
-    eps = cfg.problem.epsilon
-    if cfg.measure == "reference" or (cfg.measure == "worstcase" and eps == 0.0):
+    """Vectorized psi(x) of the custom measure, or None for the others."""
+    if cfg.measure != "custom":
         return None
-    if cfg.measure == "worstcase":
-        table = _solution_slope_table(cfg.solution)
-        sigma = cfg.problem.model.sigma
-        floor = table.lo
-
-        def psi(x):
-            return -eps * sigma(x) * table(x), x < floor
-        return psi
     kxs = np.asarray(cfg.kernel_xs, dtype=float)
     kvs = np.asarray(cfg.kernel_values, dtype=float)
 
@@ -230,6 +291,8 @@ def _run_paths(cfg: SimConfig, path_ids) -> list[PathStats]:
     burn = cfg.burn_steps
     retained = n_steps - burn
     mid = burn + retained // 2
+    table = (_WorstCaseStep(problem, cfg.solution, beta, dt)
+             if cfg.measure == "worstcase" and eps > 0.0 else None)
     psi_fn = _kernel_fn(cfg)
     kl_scale = dt / (2.0 * eps) if (psi_fn is not None and eps > 0.0) else 0.0
 
@@ -260,10 +323,17 @@ def _run_paths(cfg: SimConfig, path_ids) -> list[PathStats]:
             m = min(block, n_steps - done)
             for j, gen in enumerate(gens):
                 noise[:m, j] = gen.standard_normal(m)
+            noise[:m] *= sqdt
             for i in range(m):
                 k = done + i
                 sig = sigma(x)
-                if psi_fn is None:
+                if table is not None:
+                    idx, frac, low = table.lookup(x)
+                    drift = table.drift_at(idx, frac)
+                    if k >= burn:
+                        KL += table.kl_at(idx, frac)
+                        clamps += low
+                elif psi_fn is None:
                     drift = x * mu(x) * dt
                 else:
                     psi, low = psi_fn(x)
@@ -271,7 +341,7 @@ def _run_paths(cfg: SimConfig, path_ids) -> list[PathStats]:
                     if k >= burn:
                         KL += psi * psi * kl_scale
                         clamps += low
-                proposed = x + drift + sig * (sqdt * noise[i])
+                proposed = x + drift + sig * noise[i]
                 over = proposed - beta
                 np.maximum(over, 0.0, out=over)
                 if k >= burn:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from ergharvest import (AmbiguityProblem, InputDomainError, SimConfig,
                         SimulationAbortError, estimate_payoff, path_rng,
-                        reflect_step, simulate_path, worst_case_kernel,
-                        x0_independence_check)
+                        reflect_step, simulate_path, solve_threshold,
+                        worst_case_kernel, x0_independence_check)
+from ergharvest import simulate
 
 
 class TestReflectStep:
@@ -72,6 +73,87 @@ class TestWorstCaseKernel:
         psi = worst_case_kernel(problem1, sol1, xs)
         bound = problem1.epsilon * problem1.model.sigma(sol1.threshold)
         assert np.max(np.abs(psi)) <= bound * (1.0 + 1e-8)
+
+
+def _interp(values, idx, frac):
+    return values[idx] + frac * np.append(np.diff(values), 0.0)[idx]
+
+
+class TestWorstCaseTable:
+    @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 5.0, 20.0])
+    def test_table_tracks_cubic_kernel(self, eps, vp_model, solutions_by_eps):
+        if eps in solutions_by_eps:
+            problem, sol = solutions_by_eps[eps]
+        else:
+            problem = AmbiguityProblem.build(vp_model, eps)
+            sol = solve_threshold(problem)
+        beta, dt = sol.threshold, 1e-3
+        model = problem.model
+        table = simulate._WorstCaseStep(problem, sol, beta, dt)
+        assert table.xs[0] == sol.grid.nodes_x[0] and table.xs[-1] == beta
+
+        xs = np.geomspace(table.lo, beta, 200001)
+        exact = worst_case_kernel(problem, sol, xs)
+        idx, frac, low = table.lookup(xs)
+        assert not np.any(low)
+        scale = eps * model.sigma(beta)
+        psi = _interp(worst_case_kernel(problem, sol, table.xs), idx, frac)
+        assert np.max(np.abs(psi - exact)) <= 1e-5 * scale
+
+        # The drift also interpolates x mu(x), whose curvature in log x adds
+        # an error of the same order; the KL increment is quadratic in psi.
+        drift = table.drift_at(idx, frac)
+        psi_eff = (drift / dt - xs * model.mu(xs)) / model.sigma(xs)
+        assert np.max(np.abs(psi_eff - exact)) <= 5e-5 * scale
+        kl_exact = exact * exact * (dt / (2.0 * eps))
+        assert (np.max(np.abs(table.kl_at(idx, frac) - kl_exact))
+                <= 5e-5 * scale * scale * dt / (2.0 * eps))
+
+        # The node at beta holds the pasted kernel exactly.
+        psi_beta = worst_case_kernel(problem, sol, beta)
+        assert psi_beta == -eps * model.sigma(beta)
+        assert table.drift[-1] == (beta * model.mu(beta)
+                                   + model.sigma(beta) * psi_beta) * dt
+        assert table.kl[-1] == psi_beta * psi_beta * (dt / (2.0 * eps))
+
+    def test_lookup_edge_cases(self, problem1, sol1):
+        table = simulate._WorstCaseStep(problem1, sol1, sol1.threshold, 1e-3)
+        lo, beta = table.lo, sol1.threshold
+        x = np.array([np.nan, 0.0, lo / 2.0, lo, beta])
+        with np.errstate(invalid="ignore"):
+            idx, frac, low = table.lookup(x)
+            drift = table.drift_at(idx, frac)
+            kl = table.kl_at(idx, frac)
+        assert np.all((idx >= 0) & (idx <= table.top))
+        assert low.tolist() == [False, True, True, False, False]
+        assert np.isnan(frac[0]) and np.isnan(drift[0]) and np.isnan(kl[0])
+        assert np.all(idx[1:4] == 0) and np.all(frac[1:4] == 0.0)
+        assert np.all(drift[1:4] == table.drift[0])
+        assert drift[4] == pytest.approx(table.drift[-1], rel=1e-12)
+        assert kl[4] == pytest.approx(table.kl[-1], rel=1e-12)
+
+    def test_nan_path_quarantined(self, problem1, sol1, monkeypatch):
+        cfg = _small_cfg(problem1, sol1, n_paths=12, horizon=1.0,
+                         measure="worstcase", solution=sol1)
+        clean = estimate_payoff(cfg)
+
+        class _NanStream:
+            def standard_normal(self, m):
+                return np.full(m, np.nan)
+
+        real_rng = simulate.path_rng
+        monkeypatch.setattr(
+            simulate, "path_rng",
+            lambda seed, pid: _NanStream() if pid == 0 else real_rng(seed,
+                                                                     pid))
+        est = estimate_payoff(cfg)
+        assert est.n_aborted == 1
+        assert est.per_path[0].aborted
+        assert not any(s.aborted for s in est.per_path[1:])
+        for a, b in zip(clean.per_path[1:], est.per_path[1:]):
+            assert a.payoff_estimate == b.payoff_estimate
+        rest = np.array([s.payoff_estimate for s in est.per_path[1:]])
+        assert est.mean == float(np.mean(rest))
 
 
 @dataclasses.dataclass(frozen=True)
