@@ -43,6 +43,9 @@ def _build_parser():
         description="Robust ergodic harvesting: solve, verify, simulate.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # sched_getaffinity exists on Linux only.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
@@ -50,8 +53,7 @@ def _build_parser():
                        help="directory for artifacts (overrides config)")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides config)")
-        p.add_argument("--jobs", type=int,
-                       default=len(os.sched_getaffinity(0)),
+        p.add_argument("--jobs", type=int, default=cpus,
                        help="worker processes for simulate path batches "
                             "(default: the CPUs this process may use; "
                             "results do not depend on it)")

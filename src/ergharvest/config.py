@@ -75,14 +75,7 @@ class RunConfig:
     resolved: dict
 
     def solver_kwargs(self):
-        s = self.solver
-        return {
-            "beta_rtol": s["beta_rtol"], "dip_floor": s["dip_floor"],
-            "rtol": s["rtol"], "atol": s["atol"],
-            "dip_tolerance": s["dip_tolerance"],
-            "overflow_guard": s["overflow_guard"],
-            "n_left": s["n_grid_left"], "n_right": s["n_grid_right"],
-        }
+        return dict(self.solver)
 
 
 def parse_config(raw: dict) -> RunConfig:

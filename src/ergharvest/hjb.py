@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ivp
 from .errors import InputDomainError
 from .model import AmbiguityProblem
 from .shooting import (DIP_FLOOR, ShootingGrid, ThresholdSolution,
-                       _hermite_vec, integrate_slope)
+                       _slope_rhs, integrate_slope)
 
 __all__ = [
     "HjbReport",
@@ -210,14 +211,9 @@ class TruncatedPotential:
         out[lin] = self.slope_at_dip * (arr[lin] - self.dip_x) + 1.0
         upper = ~lin
         if np.any(upper):
-            xs = self.grid.xs[::-1]
-            gs = self.grid.slopes[::-1]
-            ds = self.grid.slope_derivs[::-1]
-            xb = np.clip(arr[upper], xs[0], xs[-1])
-            idx = np.clip(np.searchsorted(xs, xb, side="right") - 1,
-                          0, xs.size - 2)
-            out[upper] = _hermite_vec(xb, xs[idx], xs[idx + 1], gs[idx],
-                                      ds[idx], gs[idx + 1], ds[idx + 1])
+            g = self.grid
+            out[upper] = ivp.hermite_interp(g.xs[::-1], g.slopes[::-1],
+                                            g.slope_derivs[::-1], arr[upper])
         return out if np.ndim(x) else float(out[0])
 
     def vsecond(self, problem: AmbiguityProblem, x):
@@ -227,13 +223,8 @@ class TruncatedPotential:
         upper = arr >= self.dip_x
         if np.any(upper):
             xb = arr[upper]
-            gp = np.atleast_1d(np.asarray(self.vprime(xb), dtype=float))
-            sig = np.asarray(problem.model.sigma(xb), dtype=float)
-            s2 = sig * sig
-            mu = np.asarray(problem.model.mu(xb), dtype=float)
-            level = problem.drift(self.boundary)
-            out[upper] = 2.0 * (level - xb * mu * gp
-                                + 0.5 * problem.epsilon * s2 * gp * gp) / s2
+            rhs = _slope_rhs(problem, self.boundary, 0.0)
+            out[upper] = rhs(xb, self.vprime(xb))
         return out if np.ndim(x) else float(out[0])
 
 
@@ -283,11 +274,8 @@ def violation_delta(problem: AmbiguityProblem, tp: TruncatedPotential, *,
     alpha = tp.dip_x
     s = tp.slope_at_dip
     xs = np.geomspace(grid_floor * alpha, alpha, n_grid)
-    sig = np.asarray(problem.model.sigma(xs), dtype=float)
-    s2 = sig * sig
-    mu = np.asarray(problem.model.mu(xs), dtype=float)
-    fp = s * (xs - alpha) + 1.0
-    lv = 0.5 * s2 * s + xs * mu * fp - 0.5 * problem.epsilon * s2 * fp * fp
+    lv = apply_operator(problem, lambda x: s * (x - alpha) + 1.0,
+                        lambda x: np.full_like(x, s), xs)
     delta = float(np.max(lv) - tp.yield_ref)
     tp.violation = delta
     return delta

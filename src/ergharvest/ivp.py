@@ -74,11 +74,21 @@ def hermite_eval(x, x0, y0, d0, x1, y1, d1):
     """Cubic Hermite value at x for the segment (x0,y0,d0)-(x1,y1,d1)."""
     h = x1 - x0
     t = (x - x0) / h
-    h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-    h10 = t * (1.0 - t) ** 2
-    h01 = t * t * (3.0 - 2.0 * t)
-    h11 = t * t * (t - 1.0)
-    return h00 * y0 + h * h10 * d0 + h01 * y1 + h * h11 * d1
+    u = 1.0 - t
+    return (y0 * (1.0 + 2.0 * t) * u * u + d0 * h * t * u * u
+            + y1 * t * t * (3.0 - 2.0 * t) + d1 * h * t * t * (t - 1.0))
+
+
+def hermite_interp(xs, ys, dys, x):
+    """Piecewise cubic Hermite interpolant on ascending nodes xs.
+
+    x is clamped to [xs[0], xs[-1]], so values outside the span are the end
+    nodes' values.
+    """
+    x = np.clip(x, xs[0], xs[-1])
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    return hermite_eval(x, xs[i], ys[i], dys[i],
+                        xs[i + 1], ys[i + 1], dys[i + 1])
 
 
 def _hermite_crossing(level, x0, y0, d0, x1, y1, d1):

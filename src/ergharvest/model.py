@@ -83,9 +83,6 @@ class VerhulstPearl:
     def sigma(self, x):
         return self.sigma_bar * x
 
-    def mu_prime(self, x):
-        return -self.mu_bar * self.gamma_bar * (x * 0.0 + 1.0)
-
     def sigma_prime(self, x):
         return self.sigma_bar * (x * 0.0 + 1.0)
 
@@ -141,10 +138,6 @@ class GeneralLogistic:
 
     def sigma(self, x):
         return self.sigma_bar * x
-
-    def mu_prime(self, x):
-        return (-self.mu_bar * self.theta * self.gamma_bar
-                * (self.gamma_bar * x) ** (self.theta - 1.0))
 
     def sigma_prime(self, x):
         return self.sigma_bar * (x * 0.0 + 1.0)
@@ -219,9 +212,6 @@ class TabulatedModel:
     def sigma(self, x):
         return self._sigma_interp(x)
 
-    def mu_prime(self, x):
-        return self._mu_interp.derivative()(x)
-
     def sigma_prime(self, x):
         return self._sigma_interp.derivative()(x)
 
@@ -273,15 +263,10 @@ def model_from_config(family: str, params: dict, x_max: float | None = None):
     return cls(x_max=x_max, **params)
 
 
-def _raw_drift(model, epsilon):
-    """Unvalidated adjusted drift as a fast callable."""
-    mu, sigma = model.mu, model.sigma
-
-    def lam(x):
-        s = sigma(x)
-        return x * mu(x) - 0.5 * epsilon * s * s
-
-    return lam
+def _drift(model, epsilon, x):
+    """Adjusted drift x mu(x) - (epsilon/2) sigma(x)^2, unvalidated."""
+    s = model.sigma(x)
+    return x * model.mu(x) - 0.5 * epsilon * s * s
 
 
 @dataclass(frozen=True)
@@ -315,8 +300,7 @@ class AmbiguityProblem:
 
     def drift(self, x):
         """Adjusted drift without domain validation (internal hot paths)."""
-        s = self.model.sigma(x)
-        return x * self.model.mu(x) - 0.5 * self.epsilon * s * s
+        return _drift(self.model, self.epsilon, x)
 
     def validate_x(self, x):
         arr = np.asarray(x, dtype=float)
@@ -382,7 +366,9 @@ def bracket_points(model, epsilon, *, peak_rtol=1e-10, zero_rtol=1e-12):
     if analytic is not None:
         return analytic
 
-    lam = _raw_drift(model, epsilon)
+    def lam(x):
+        return _drift(model, epsilon, x)
+
     scale = model.length_scale()
     # Expand right until lam decreases; the peak then lies inside [lo, hi].
     hi = scale

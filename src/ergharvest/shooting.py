@@ -314,25 +314,14 @@ class PotentialGrid:
     fd_slope_plus: np.ndarray
     truncated_at: float | None  # > x_min when integration stopped early
 
-    def _hermite_segments(self, x):
-        xs = self.nodes_x
-        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
-        x0 = xs[idx]
-        x1 = xs[idx + 1]
-        return idx, x0, x1
-
     def slope_at(self, x):
         """Potential slope; one above the threshold, Hermite below."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.ones_like(arr)
         below = arr < self.threshold
         if np.any(below):
-            xb = np.clip(arr[below], self.nodes_x[0], self.threshold)
-            idx, x0, x1 = self._hermite_segments(xb)
-            out[below] = _hermite_vec(
-                xb, x0, x1,
-                self.nodes_slope[idx], self.nodes_slope_deriv[idx],
-                self.nodes_slope[idx + 1], self.nodes_slope_deriv[idx + 1])
+            out[below] = ivp.hermite_interp(self.nodes_x, self.nodes_slope,
+                                            self.nodes_slope_deriv, arr[below])
         return out if np.ndim(x) else float(out[0])
 
     def value_at(self, x):
@@ -341,26 +330,14 @@ class PotentialGrid:
         out = arr - self.threshold
         below = arr < self.threshold
         if np.any(below):
-            xb = np.clip(arr[below], self.nodes_x[0], self.threshold)
-            idx, x0, x1 = self._hermite_segments(xb)
-            out[below] = _hermite_vec(
-                xb, x0, x1,
-                self.nodes_value[idx], self.nodes_slope[idx],
-                self.nodes_value[idx + 1], self.nodes_slope[idx + 1])
+            out[below] = ivp.hermite_interp(self.nodes_x, self.nodes_value,
+                                            self.nodes_slope, arr[below])
         return out if np.ndim(x) else float(out[0])
 
 
-def _hermite_vec(x, x0, x1, y0, d0, y1, d1):
-    h = x1 - x0
-    t = (x - x0) / h
-    u = 1.0 - t
-    return (y0 * (1.0 + 2.0 * t) * u * u + d0 * h * t * u * u
-            + y1 * t * t * (3.0 - 2.0 * t) + d1 * h * t * t * (t - 1.0))
-
-
 def build_potential(problem: AmbiguityProblem, threshold: float, *,
-                    x_min: float | None = None, n_left=N_GRID_LEFT,
-                    n_right=N_GRID_RIGHT, x_plot_max=None,
+                    x_min: float | None = None, n_grid_left=N_GRID_LEFT,
+                    n_grid_right=N_GRID_RIGHT, x_plot_max=None,
                     fd_step_abs=FD_STEP_ABS, fd_step_rel=FD_STEP_REL,
                     rtol=RTOL, atol=ATOL, dip_tolerance=DIP_TOLERANCE,
                     overflow_guard=OVERFLOW_GUARD) -> PotentialGrid:
@@ -379,7 +356,7 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
         x_min = DIP_FLOOR * problem.drift_peak
     if x_plot_max is None:
         x_plot_max = min(2.0 * problem.drift_zero, problem.x_max)
-    grid_left = np.geomspace(x_min, threshold, n_left)
+    grid_left = np.geomspace(x_min, threshold, n_grid_left)
     h = np.minimum(fd_step_abs * threshold, fd_step_rel * grid_left)
     interior = (grid_left - h > x_min) & (grid_left + h < threshold)
     fd_x = grid_left[interior]
@@ -422,7 +399,7 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
     fd_minus = nodes_g[minus_pos]
     fd_plus = nodes_g[plus_pos]
 
-    right = np.linspace(threshold, x_plot_max, n_right + 1)[1:]
+    right = np.linspace(threshold, x_plot_max, n_grid_right + 1)[1:]
     return PotentialGrid(
         threshold=threshold, x_min=x_min, nodes_x=nodes_x,
         nodes_slope=nodes_g, nodes_slope_deriv=nodes_dg, nodes_value=value,
@@ -457,21 +434,17 @@ class ThresholdSolution:
         below = arr <= self.threshold
         if np.any(below):
             xb = arr[below]
-            gp = self.grid.slope_at(xb)
-            s = np.asarray(self.problem.model.sigma(xb), dtype=float)
-            s2 = s * s
-            level = self.problem.drift(self.threshold)
-            mu = np.asarray(self.problem.model.mu(xb), dtype=float)
-            out[below] = 2.0 * (level - xb * mu * gp
-                                + 0.5 * self.problem.epsilon * s2 * gp * gp) / s2
+            rhs = _slope_rhs(self.problem, self.threshold, 0.0)
+            out[below] = rhs(xb, self.grid.slope_at(xb))
         return out if np.ndim(x) else float(out[0])
 
 
 def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
                     dip_floor=DIP_FLOOR, rtol=RTOL, atol=ATOL,
                     dip_tolerance=DIP_TOLERANCE, overflow_guard=OVERFLOW_GUARD,
-                    n_left=N_GRID_LEFT, n_right=N_GRID_RIGHT, x_plot_max=None,
-                    verify_assumptions=True, assume_ok=False) -> ThresholdSolution:
+                    n_grid_left=N_GRID_LEFT, n_grid_right=N_GRID_RIGHT,
+                    x_plot_max=None, verify_assumptions=True,
+                    assume_ok=False) -> ThresholdSolution:
     """Bisect for the optimal threshold and assemble its potential.
 
     The lower end starts at the drift peak (never admissible), the upper end
@@ -529,9 +502,10 @@ def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
             f"{max(outs)!r} above admissible {min(ins)!r}")
 
     threshold = hi
-    grid = build_potential(problem, threshold, x_min=x_min, n_left=n_left,
-                           n_right=n_right, x_plot_max=x_plot_max, rtol=rtol,
-                           atol=atol, dip_tolerance=dip_tolerance,
+    grid = build_potential(problem, threshold, x_min=x_min,
+                           n_grid_left=n_grid_left, n_grid_right=n_grid_right,
+                           x_plot_max=x_plot_max, rtol=rtol, atol=atol,
+                           dip_tolerance=dip_tolerance,
                            overflow_guard=overflow_guard)
     return ThresholdSolution(
         problem=problem, threshold=threshold,

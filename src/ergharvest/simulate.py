@@ -16,8 +16,10 @@ interpolates linearly in log x.  The spacing is logarithmic because the
 kernel varies on the scale of x itself near zero (psi moves from -0.195 to
 -0.234 between x = 1e-7 and 1e-5 at eps = 1), where the worst-case
 population spends a sizable share of its time; a uniform table over
-[0, beta] would smear that whole range into its first cell.  The solved
-cubic slope stays the reference the table is built from and tested against.
+[0, beta] would smear that whole range into its first cell.  The kernel
+at the nodes is ``hjb.minimizing_kernel`` of the solved slope ``sol.vprime``,
+which stays the reference the table is tested against.  The only measures
+are the reference dynamics and this worst case.
 
 Paths are independent units of work with their own counter-based random
 streams (Philox keyed by master seed and path index), so results are
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputDomainError, SimulationAbortError
+from .hjb import minimizing_kernel
 from .model import AmbiguityProblem
 from .shooting import ThresholdSolution
 
@@ -51,7 +54,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-MEASURES = ("reference", "worstcase", "custom")
+MEASURES = ("reference", "worstcase")
 
 
 def path_rng(seed: int, path_id: int) -> np.random.Generator:
@@ -80,56 +83,14 @@ def reflect_step(x, drift, noise, beta):
     return x_next, dZ
 
 
-class _CubicTable:
-    """Piecewise-cubic slope evaluator (standard-form Hermite coefficients)."""
-
-    def __init__(self, xs, ys, dys):
-        self.xs = xs.copy()
-        self.x0 = xs[:-1]
-        h = np.diff(xs)
-        y0, y1 = ys[:-1], ys[1:]
-        d0, d1 = dys[:-1], dys[1:]
-        self.c0 = y0.copy()
-        self.c1 = d0.copy()
-        self.c2 = (3.0 * (y1 - y0) / h - 2.0 * d0 - d1) / h
-        self.c3 = (d0 + d1 - 2.0 * (y1 - y0) / h) / (h * h)
-        self.lo = float(xs[0])
-        self.hi = float(xs[-1])
-
-    def __call__(self, x):
-        xc = np.clip(x, self.lo, self.hi)
-        idx = np.clip(np.searchsorted(self.xs, xc, side="right") - 1,
-                      0, self.x0.size - 1)
-        u = xc - self.x0[idx]
-        return self.c0[idx] + u * (self.c1[idx] + u * (self.c2[idx]
-                                                       + u * self.c3[idx]))
-
-
-def _solution_slope_table(sol: ThresholdSolution) -> _CubicTable:
-    g = sol.grid
-    xs = np.concatenate((g.nodes_x, [sol.threshold + 1.0]))
-    ys = np.concatenate((g.nodes_slope, [1.0]))
-    ds = np.concatenate((g.nodes_slope_deriv, [0.0]))
-    # Make the last tabulated node paste exactly into the unit branch.
-    ys[len(g.nodes_x) - 1] = 1.0
-    ds[len(g.nodes_x) - 1] = 0.0
-    return _CubicTable(xs, ys, ds)
-
-
 def worst_case_kernel(problem: AmbiguityProblem, sol: ThresholdSolution, x):
-    """Adverse Girsanov kernel -eps sigma(x) v'(x); zero when eps is zero.
+    """Adverse Girsanov kernel -eps sigma(x) v'(x) of a solved potential.
 
     Below the tabulated grid floor the slope is clamped to its floor value
     (the reflected process spends vanishing time there); the simulation
     engine counts clamped evaluations.
     """
-    eps = problem.epsilon
-    if eps == 0.0:
-        return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-    table = _solution_slope_table(sol)
-    xv = np.asarray(x, dtype=float)
-    out = -eps * np.asarray(problem.model.sigma(xv), dtype=float) * table(xv)
-    return out if np.ndim(x) else float(out)
+    return minimizing_kernel(problem, sol.vprime, x)
 
 
 # Nodes of the worst-case step table: at 4096 log-spaced nodes the
@@ -156,7 +117,7 @@ class _WorstCaseStep:
         xs = np.exp(np.linspace(self.s0, math.log(beta), _TABLE_NODES))
         xs[0], xs[-1] = self.lo, beta
         self.xs = xs
-        psi = worst_case_kernel(problem, sol, xs)
+        psi = minimizing_kernel(problem, sol.vprime, xs)
         model = problem.model
         self.drift = (xs * model.mu(xs) + model.sigma(xs) * psi) * dt
         self.drift_diff = np.append(np.diff(self.drift), 0.0)
@@ -195,10 +156,10 @@ class _WorstCaseStep:
 class SimConfig:
     """Monte Carlo configuration for one threshold policy.
 
-    ``measure`` selects the simulated drift: the reference dynamics, the
-    worst-case change of measure built from a solved potential slope, or a
-    custom tabulated kernel theta(x) (linearly interpolated).  ``burn_in``
-    is the fraction of the horizon discarded before time averaging.
+    ``measure`` selects the simulated drift: the reference dynamics or the
+    worst-case change of measure, whose step table is built from the solved
+    slope ``solution.vprime``.  ``burn_in`` is the fraction of the horizon
+    discarded before time averaging.
     """
 
     problem: AmbiguityProblem
@@ -210,8 +171,6 @@ class SimConfig:
     burn_in: float = 0.1
     measure: str = "reference"
     solution: ThresholdSolution | None = None
-    kernel_xs: np.ndarray | None = None
-    kernel_values: np.ndarray | None = None
     seed: int = 0
     n_bins: int = 50
     occupation_stride: int = 8
@@ -236,9 +195,6 @@ class SimConfig:
                 f"measure must be one of {MEASURES}, got {self.measure!r}")
         if self.measure == "worstcase" and self.solution is None:
             raise InputDomainError("worstcase measure needs a solved potential")
-        if self.measure == "custom" and (self.kernel_xs is None
-                                         or self.kernel_values is None):
-            raise InputDomainError("custom measure needs a tabulated kernel")
 
     @property
     def n_steps(self):
@@ -266,18 +222,6 @@ class PathStats:
     aborted: bool
 
 
-def _kernel_fn(cfg: SimConfig):
-    """Vectorized psi(x) of the custom measure, or None for the others."""
-    if cfg.measure != "custom":
-        return None
-    kxs = np.asarray(cfg.kernel_xs, dtype=float)
-    kvs = np.asarray(cfg.kernel_values, dtype=float)
-
-    def psi(x):
-        return np.interp(x, kxs, kvs), x < kxs[0]
-    return psi
-
-
 def _run_paths(cfg: SimConfig, path_ids) -> list[PathStats]:
     problem = cfg.problem
     mu = problem.model.mu
@@ -293,8 +237,6 @@ def _run_paths(cfg: SimConfig, path_ids) -> list[PathStats]:
     mid = burn + retained // 2
     table = (_WorstCaseStep(problem, cfg.solution, beta, dt)
              if cfg.measure == "worstcase" and eps > 0.0 else None)
-    psi_fn = _kernel_fn(cfg)
-    kl_scale = dt / (2.0 * eps) if (psi_fn is not None and eps > 0.0) else 0.0
 
     x = np.full(n, min(cfg.x0, beta), dtype=float)
     Z = np.full(n, max(cfg.x0 - beta, 0.0), dtype=float)  # instant harvest
@@ -333,14 +275,8 @@ def _run_paths(cfg: SimConfig, path_ids) -> list[PathStats]:
                     if k >= burn:
                         KL += table.kl_at(idx, frac)
                         clamps += low
-                elif psi_fn is None:
-                    drift = x * mu(x) * dt
                 else:
-                    psi, low = psi_fn(x)
-                    drift = (x * mu(x) + sig * psi) * dt
-                    if k >= burn:
-                        KL += psi * psi * kl_scale
-                        clamps += low
+                    drift = x * mu(x) * dt
                 proposed = x + drift + sig * noise[i]
                 over = proposed - beta
                 np.maximum(over, 0.0, out=over)
@@ -419,6 +355,11 @@ class PayoffEstimate:
     per_path: tuple[PathStats, ...] = field(repr=False)
 
 
+def _std_error(values):
+    """Standard error of the mean of at least two values."""
+    return float(np.std(values, ddof=1) / math.sqrt(values.size))
+
+
 def estimate_payoff(cfg: SimConfig, *, jobs: int = 1) -> PayoffEstimate:
     """Run all configured paths and aggregate their payoff estimates.
 
@@ -443,21 +384,17 @@ def estimate_payoff(cfg: SimConfig, *, jobs: int = 1) -> PayoffEstimate:
         raise SimulationAbortError(
             f"{n_aborted} of {len(stats)} paths aborted (NaN/overflow)")
     payoffs = np.array([s.payoff_estimate for s in good])
-    mean = float(np.mean(payoffs))
-    if payoffs.size >= 2:
-        se = float(np.std(payoffs, ddof=1) / math.sqrt(payoffs.size))
-        se_defined = True
-    else:
-        se, se_defined = 0.0, False
     firsts = np.array([s.first_half_payoff for s in good])
     seconds = np.array([s.second_half_payoff for s in good])
+    mean = float(np.mean(payoffs))
     fm, sm = float(np.mean(firsts)), float(np.mean(seconds))
-    if payoffs.size >= 2:
-        se_f = float(np.std(firsts, ddof=1) / math.sqrt(firsts.size))
-        se_s = float(np.std(seconds, ddof=1) / math.sqrt(seconds.size))
-        split_ok = abs(fm - sm) <= 3.0 * math.hypot(se_f, se_s)
+    se_defined = payoffs.size >= 2
+    if se_defined:
+        se = _std_error(payoffs)
+        split_ok = abs(fm - sm) <= 3.0 * math.hypot(_std_error(firsts),
+                                                    _std_error(seconds))
     else:
-        split_ok = True
+        se, split_ok = 0.0, True
     return PayoffEstimate(
         mean=mean, std_error=se, se_defined=se_defined, n_paths=len(stats),
         n_aborted=n_aborted, first_half_mean=fm, second_half_mean=sm,
@@ -483,8 +420,8 @@ class X0IndependenceReport:
         return max(gaps) if gaps else 0.0
 
 
-def x0_independence_check(cfg: SimConfig, x0_list, *, jobs: int = 1,
-                          ci_multiple: float = 3.0) -> X0IndependenceReport:
+def x0_independence_check(cfg: SimConfig, x0_list, *,
+                          jobs: int = 1) -> X0IndependenceReport:
     """Ergodic start-insensitivity: estimates across x0 agree pairwise.
 
     Each starting point reuses the same seed, so the comparison is between
@@ -498,8 +435,7 @@ def x0_independence_check(cfg: SimConfig, x0_list, *, jobs: int = 1,
     consistent = True
     for i in range(len(means)):
         for j in range(i + 1, len(means)):
-            bound = ci_multiple * math.hypot(ses[i], ses[j])
-            if abs(means[i] - means[j]) > bound:
+            if abs(means[i] - means[j]) > 3.0 * math.hypot(ses[i], ses[j]):
                 consistent = False
     return X0IndependenceReport(
         x0_values=tuple(float(v) for v in x0_list), means=tuple(means),

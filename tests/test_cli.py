@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ergharvest import cli
 from ergharvest.cli import main
 
 VP_BLOCK = {"family": "verhulst_pearl",
@@ -54,6 +56,20 @@ class TestCheck:
     def test_negative_epsilon_rejected(self, tmp_path):
         rc = main(["check", "--config", str(write_cfg(tmp_path, epsilon=-1.0))])
         assert rc == 64
+
+
+class TestJobsDefault:
+    def test_works_without_sched_getaffinity(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        args = cli._build_parser().parse_args(
+            ["simulate", "--config", "cfg.json"])
+        assert args.jobs == (os.cpu_count() or 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert main(["solve", "--config", str(write_cfg(tmp_path))]) == 0
+        assert "verdict        pass" in capsys.readouterr().out
 
 
 class TestSolve:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergharvest.errors import SingularIntegrationError
-from ergharvest.ivp import integrate
+from ergharvest.ivp import hermite_interp, integrate
 
 
 def test_gaussian_decay_both_directions():
@@ -58,3 +58,16 @@ def test_records_start_state():
     assert res.xs[0] == 1.0
     assert res.ys[0] == 5.0
     assert np.all(np.diff(res.xs) > 0.0)
+
+
+def test_hermite_interp_reproduces_a_cubic_and_clamps():
+    cubic = lambda x: 2.0 * x ** 3 - x ** 2 + 0.5 * x - 3.0
+    dcubic = lambda x: 6.0 * x ** 2 - 2.0 * x + 0.5
+    xs = np.array([-1.0, -0.3, 0.2, 1.1, 2.0])
+    ys, dys = cubic(xs), dcubic(xs)
+    x = np.linspace(-1.0, 2.0, 301)
+    assert np.allclose(hermite_interp(xs, ys, dys, x), cubic(x),
+                       rtol=0.0, atol=1e-13)
+    assert np.array_equal(hermite_interp(xs, ys, dys, xs), ys)
+    outside = hermite_interp(xs, ys, dys, np.array([-5.0, -1.0001, 2.5]))
+    assert outside.tolist() == [ys[0], ys[0], ys[-1]]

@@ -276,12 +276,18 @@ class TestEstimate:
         for a, b in zip(seq.per_path, par.per_path):
             assert a.payoff_estimate == b.payoff_estimate
 
-    def test_abort_detection_raises_on_poisoned_kernel(self, problem1, sol1):
+    def test_abort_detection_raises_on_poisoned_kernel(self, problem1, sol1,
+                                                       monkeypatch):
         cfg = SimConfig(problem=problem1, beta=sol1.threshold,
                         x0=sol1.threshold, dt=1e-3, horizon=1.0, n_paths=4,
-                        seed=9, measure="custom",
-                        kernel_xs=np.array([0.0, sol1.threshold]),
-                        kernel_values=np.array([float("nan"), float("nan")]))
+                        seed=9, measure="worstcase", solution=sol1)
+
+        class _NanStream:
+            def standard_normal(self, m):
+                return np.full(m, np.nan)
+
+        monkeypatch.setattr(simulate, "path_rng",
+                            lambda seed, pid: _NanStream())
         with pytest.raises(SimulationAbortError):
             estimate_payoff(cfg)
 
@@ -340,6 +346,8 @@ class TestConfigValidation:
             SimConfig(problem=problem0, beta=1.0, x0=0.5, burn_in=0.7)
         with pytest.raises(InputDomainError):
             SimConfig(problem=problem0, beta=1.0, x0=0.5, measure="optimist")
+        with pytest.raises(InputDomainError):
+            SimConfig(problem=problem0, beta=1.0, x0=0.5, measure="custom")
         with pytest.raises(InputDomainError):
             SimConfig(problem=problem0, beta=1.0, x0=0.5, measure="worstcase")
 
