@@ -30,27 +30,28 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_solution_csv(path, sol: ThresholdSolution):
     """Columns: x, v, vprime; ascending x across both sides of the threshold."""
     xs = np.concatenate((sol.grid.grid_x, sol.grid.grid_right_x))
-    vs = sol.v(xs)
-    vps = sol.vprime(xs)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "v", "vprime"])
-        for x, v, vp in zip(xs, vs, vps):
-            w.writerow([fmt(x), fmt(v), fmt(vp)])
+    _write_csv(path, ["x", "v", "vprime"],
+               ([fmt(x), fmt(v), fmt(vp)]
+                for x, v, vp in zip(xs, sol.v(xs), sol.vprime(xs))))
 
 
 def write_fd_csv(path, sol: ThresholdSolution):
     """Finite-difference companion slopes recorded during the solve."""
     g = sol.grid
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "h", "vprime_minus", "vprime_plus"])
-        for x, h, lo, hi in zip(g.fd_x, g.fd_h, g.fd_slope_minus,
-                                g.fd_slope_plus):
-            w.writerow([fmt(x), fmt(h), fmt(lo), fmt(hi)])
+    _write_csv(path, ["x", "h", "vprime_minus", "vprime_plus"],
+               ([fmt(x), fmt(h), fmt(lo), fmt(hi)]
+                for x, h, lo, hi in zip(g.fd_x, g.fd_h, g.fd_slope_minus,
+                                        g.fd_slope_plus)))
 
 
 def _read_csv(path, columns):
@@ -91,8 +92,7 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     nodes_x = xs[left]
     nodes_slope = vps[left]
     nodes_value = vs[left]
-    rhs = _slope_rhs(problem, threshold, 0.0)
-    nodes_deriv = np.array([rhs(x, g) for x, g in zip(nodes_x, nodes_slope)])
+    nodes_deriv = _slope_rhs(problem, threshold, 0.0)(nodes_x, nodes_slope)
 
     fd_path = run / FD_CSV
     if fd_path.exists():
@@ -114,13 +114,10 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
 
 
 def write_paths_csv(path, per_path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path_id", "harvest_total", "kl_penalty",
-                    "payoff_estimate", "aborted_flag"])
-        for s in per_path:
-            w.writerow([s.path_id, fmt(s.harvest_total), fmt(s.kl_penalty),
-                        fmt(s.payoff_estimate), int(s.aborted)])
+    _write_csv(path, ["path_id", "harvest_total", "kl_penalty",
+                      "payoff_estimate", "aborted_flag"],
+               ([s.path_id, fmt(s.harvest_total), fmt(s.kl_penalty),
+                 fmt(s.payoff_estimate), int(s.aborted)] for s in per_path))
 
 
 def write_histogram_csv(path, beta, n_bins, per_path):
@@ -128,25 +125,20 @@ def write_histogram_csv(path, beta, n_bins, per_path):
     for s in per_path:
         counts += s.occupation_histogram
     edges = np.linspace(0.0, beta, n_bins + 1)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "count"])
-        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-            w.writerow([fmt(lo), fmt(hi), int(c)])
+    _write_csv(path, ["bin_lo", "bin_hi", "count"],
+               ([fmt(lo), fmt(hi), int(c)]
+                for lo, hi, c in zip(edges[:-1], edges[1:], counts)))
 
 
 def write_sweep_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "x_eps", "x_bar_eps", "beta_eps", "ell_eps",
-                    "iterations", "wall_ms"])
-        for r in rows:
-            w.writerow([fmt(r.epsilon), fmt(r.x_eps), fmt(r.x_bar_eps),
-                        fmt(r.beta_eps), fmt(r.ell_eps), r.iterations,
-                        fmt(r.wall_ms)])
+    _write_csv(path, ["epsilon", "x_eps", "x_bar_eps", "beta_eps", "ell_eps",
+                      "iterations", "wall_ms"],
+               ([fmt(r.epsilon), fmt(r.x_eps), fmt(r.x_bar_eps),
+                 fmt(r.beta_eps), fmt(r.ell_eps), r.iterations,
+                 fmt(r.wall_ms)] for r in rows))
 
 
-def write_plot_script(path, csv_name=SWEEP_CSV):
+def write_plot_script(path):
     """Gnuplot commands referencing the sweep CSV by relative path."""
     text = f"""\
 set datafile separator ','
@@ -157,11 +149,11 @@ set grid
 set terminal pngcairo size 900,600
 set output 'threshold_vs_ambiguity.png'
 set ylabel 'optimal threshold'
-plot '{csv_name}' using 1:4 with linespoints title 'threshold'
+plot '{SWEEP_CSV}' using 1:4 with linespoints title 'threshold'
 
 set output 'yield_vs_ambiguity.png'
 set ylabel 'optimal long-run yield'
-plot '{csv_name}' using 1:5 with linespoints title 'yield'
+plot '{SWEEP_CSV}' using 1:5 with linespoints title 'yield'
 unset output
 """
     Path(path).write_text(text)

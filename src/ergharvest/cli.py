@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__, artifacts
 from .config import RunConfig, load_config
 from .errors import (AssumptionViolationError, ConfigError, ErgharvestError,
-                     InputDomainError, MissingInputError, NumericsError)
+                     InputDomainError, NumericsError)
 from .hjb import verify_solution
 from .model import AmbiguityProblem, check_assumptions
 from .simulate import SimConfig, estimate_payoff
@@ -91,32 +91,21 @@ def _build_parser():
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
-    resolved = dict(cfg.resolved)
     updates = {}
     if args.eps is not None:
         if args.eps < 0:
             raise ConfigError("--eps must be >= 0")
         updates["epsilon"] = float(args.eps)
         updates["eps_grid"] = None
-        resolved["epsilon"] = float(args.eps)
-        resolved["eps_grid"] = None
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("--seed must be >= 0")
         updates["seed"] = args.seed
-        resolved["seed"] = args.seed
     if args.output_dir is not None:
         updates["output_dir"] = args.output_dir
-        resolved["output_dir"] = args.output_dir
     if getattr(args, "measure", None) is not None:
-        sim = dict(cfg.sim)
-        sim["measure"] = args.measure
-        updates["sim"] = sim
-        resolved["sim"] = dict(sim)
-    if updates:
-        updates["resolved"] = resolved
-        cfg = dataclasses.replace(cfg, **updates)
-    return cfg
+        updates["sim"] = dict(cfg.sim, measure=args.measure)
+    return dataclasses.replace(cfg, **updates)
 
 
 def _epsilon(cfg: RunConfig) -> float:
@@ -172,10 +161,6 @@ def cmd_check(args) -> int:
     return EXIT_ASSUMPTION
 
 
-def _solve(cfg: RunConfig, problem: AmbiguityProblem):
-    return solve_threshold(problem, **cfg.solver_kwargs())
-
-
 def _solution_summary(sol) -> dict:
     return {
         "beta_eps": sol.threshold,
@@ -186,25 +171,10 @@ def _solution_summary(sol) -> dict:
     }
 
 
-def _hjb_summary(report) -> dict:
-    return {
-        "max_abs_residual_left": report.max_abs_residual_left,
-        "max_excess_right": report.max_excess_right,
-        "min_vprime_left": report.min_vprime_left,
-        "pasting_slope_gap": report.pasting_slope_gap,
-        "pasting_curvature": report.pasting_curvature,
-        "fd_max_disagreement": report.fd_max_disagreement,
-        "fd_points": report.fd_points,
-        "truncated_at": report.truncated_at,
-        "verdict": report.verdict,
-        "tolerances": report.tolerances,
-    }
-
-
 def cmd_solve(args) -> int:
     cfg = _load(args)
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
-    sol = _solve(cfg, problem)
+    sol = solve_threshold(problem, **cfg.solver)
     report = verify_solution(problem, sol)
     out = _outdir(cfg)
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
@@ -212,7 +182,7 @@ def cmd_solve(args) -> int:
     artifacts.write_fd_csv(out / artifacts.FD_CSV, sol)
     summary = _base_summary(cfg, problem)
     summary["solution"] = _solution_summary(sol)
-    summary["hjb"] = _hjb_summary(report)
+    summary["hjb"] = dataclasses.asdict(report)
     artifacts.write_json(out / artifacts.SUMMARY_JSON, summary)
     print(f"beta = {sol.threshold!r}   (bracket: {problem.drift_peak!r} .. "
           f"{problem.drift_zero!r})")
@@ -230,7 +200,7 @@ def cmd_simulate(args) -> int:
     if args.no_inline_solve:
         sol = artifacts.load_solution(out, problem)
     else:
-        sol = _solve(cfg, problem)
+        sol = solve_threshold(problem, **cfg.solver)
         artifacts.write_solution_csv(out / artifacts.SOLUTION_CSV, sol)
         artifacts.write_fd_csv(out / artifacts.FD_CSV, sol)
     sim = cfg.sim
@@ -290,7 +260,7 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     grid = cfg.eps_grid if cfg.eps_grid is not None else (_epsilon(cfg),)
-    rows = sweep(cfg.model, grid, **cfg.solver_kwargs())
+    rows = sweep(cfg.model, grid, **cfg.solver)
     report = monotonicity_report(rows)
     out = _outdir(cfg)
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
@@ -348,10 +318,7 @@ def main(argv=None) -> int:
     except AssumptionViolationError as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return EXIT_ASSUMPTION
-    except MissingInputError as exc:
-        print(f"missing input: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except FileNotFoundError as exc:
+    except FileNotFoundError as exc:  # MissingInputError included
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except NumericsError as exc:

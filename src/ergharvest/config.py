@@ -63,19 +63,30 @@ def _require(condition, message):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and fully resolved run configuration."""
+    """Parsed run configuration; ``model_block`` is the model section as given."""
 
     model: CoefficientModel
+    model_block: dict
     epsilon: float | None
     eps_grid: tuple | None
     solver: dict
     sim: dict
     seed: int
     output_dir: str | None
-    resolved: dict
 
-    def solver_kwargs(self):
-        return dict(self.solver)
+    @property
+    def resolved(self) -> dict:
+        """The configuration with defaults filled in, echoed beside outputs."""
+        eps_grid = self.eps_grid
+        return {
+            "model": self.model_block,
+            "epsilon": self.epsilon,
+            "eps_grid": list(eps_grid) if eps_grid is not None else None,
+            "solver": dict(self.solver),
+            "sim": dict(self.sim),
+            "seed": self.seed,
+            "output_dir": self.output_dir,
+        }
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -164,18 +175,11 @@ def parse_config(raw: dict) -> RunConfig:
     _require(output_dir is None or isinstance(output_dir, str),
              "'output_dir' must be a string")
 
-    resolved = {
-        "model": {"family": family, "params": dict(params), "x_max": x_max},
-        "epsilon": epsilon,
-        "eps_grid": list(eps_grid) if eps_grid is not None else None,
-        "solver": dict(solver),
-        "sim": dict(sim),
-        "seed": seed,
-        "output_dir": output_dir,
-    }
-    return RunConfig(model=model, epsilon=epsilon, eps_grid=eps_grid,
-                     solver=solver, sim=sim, seed=seed, output_dir=output_dir,
-                     resolved=resolved)
+    return RunConfig(
+        model=model,
+        model_block={"family": family, "params": dict(params), "x_max": x_max},
+        epsilon=epsilon, eps_grid=eps_grid, solver=solver, sim=sim, seed=seed,
+        output_dir=output_dir)
 
 
 def load_config(path) -> RunConfig:

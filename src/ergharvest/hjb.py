@@ -33,7 +33,7 @@ from . import ivp
 from .errors import InputDomainError
 from .model import AmbiguityProblem
 from .shooting import (DIP_FLOOR, ShootingGrid, ThresholdSolution,
-                       _slope_rhs, integrate_slope)
+                       _piecewise, _slope_rhs, integrate_slope)
 
 __all__ = [
     "HjbReport",
@@ -45,12 +45,14 @@ __all__ = [
     "violation_delta",
 ]
 
-TOL_RESIDUAL_LEFT = 1e-6
-TOL_EXCESS_RIGHT = 1e-8
-TOL_VPRIME = 1e-8
-TOL_PASTING_SLOPE = 1e-10
-TOL_PASTING_CURVATURE = 1e-6
-TOL_FD_AGREEMENT = 1e-4
+TOLERANCES = {
+    "residual_left": 1e-6,
+    "excess_right": 1e-8,
+    "vprime": 1e-8,           # v' >= 1 - tol below the threshold
+    "pasting_slope": 1e-10,
+    "pasting_curvature": 1e-6,
+    "fd_agreement": 1e-4,
+}
 
 
 def apply_operator(problem: AmbiguityProblem, vprime, vsecond, x):
@@ -96,8 +98,6 @@ class HjbReport:
     pasting_curvature: float
     fd_max_disagreement: float
     fd_points: int
-    n_left: int
-    n_right: int
     truncated_at: float | None
     verdict: bool
     tolerances: dict
@@ -121,13 +121,8 @@ class HjbReport:
         ]
 
 
-def verify_solution(problem: AmbiguityProblem, sol: ThresholdSolution, *,
-                    tol_residual_left=TOL_RESIDUAL_LEFT,
-                    tol_excess_right=TOL_EXCESS_RIGHT,
-                    tol_vprime=TOL_VPRIME,
-                    tol_pasting_slope=TOL_PASTING_SLOPE,
-                    tol_pasting_curvature=TOL_PASTING_CURVATURE,
-                    tol_fd=TOL_FD_AGREEMENT) -> HjbReport:
+def verify_solution(problem: AmbiguityProblem,
+                    sol: ThresholdSolution) -> HjbReport:
     """Audit a threshold solution against the free-boundary system.
 
     Residuals are evaluated on the solution's own grid (log-spaced below the
@@ -158,27 +153,19 @@ def verify_solution(problem: AmbiguityProblem, sol: ThresholdSolution, *,
     else:
         fd_gap = float("nan")
 
-    tolerances = {
-        "residual_left": tol_residual_left,
-        "excess_right": tol_excess_right,
-        "vprime": tol_vprime,
-        "pasting_slope": tol_pasting_slope,
-        "pasting_curvature": tol_pasting_curvature,
-        "fd_agreement": tol_fd,
-    }
-    verdict = (residual_left <= tol_residual_left
-               and excess_right <= tol_excess_right
-               and min_vprime >= 1.0 - tol_vprime
-               and pasting_slope <= tol_pasting_slope
-               and pasting_curv <= tol_pasting_curvature
-               and (not np.isfinite(fd_gap) or fd_gap <= tol_fd))
+    t = TOLERANCES
+    verdict = (residual_left <= t["residual_left"]
+               and excess_right <= t["excess_right"]
+               and min_vprime >= 1.0 - t["vprime"]
+               and pasting_slope <= t["pasting_slope"]
+               and pasting_curv <= t["pasting_curvature"]
+               and (not np.isfinite(fd_gap) or fd_gap <= t["fd_agreement"]))
     return HjbReport(
         max_abs_residual_left=residual_left, max_excess_right=excess_right,
         min_vprime_left=min_vprime, pasting_slope_gap=pasting_slope,
         pasting_curvature=pasting_curv, fd_max_disagreement=fd_gap,
-        fd_points=int(grid.fd_x.size), n_left=int(xs_left.size),
-        n_right=int(xs_right.size), truncated_at=grid.truncated_at,
-        verdict=bool(verdict), tolerances=tolerances)
+        fd_points=int(grid.fd_x.size), truncated_at=grid.truncated_at,
+        verdict=bool(verdict), tolerances=dict(t))
 
 
 @dataclass
@@ -205,31 +192,22 @@ class TruncatedPotential:
     violation: float | None = None
 
     def vprime(self, x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(arr)
-        lin = arr < self.dip_x
-        out[lin] = self.slope_at_dip * (arr[lin] - self.dip_x) + 1.0
-        upper = ~lin
-        if np.any(upper):
-            g = self.grid
-            out[upper] = ivp.hermite_interp(g.xs[::-1], g.slopes[::-1],
-                                            g.slope_derivs[::-1], arr[upper])
-        return out if np.ndim(x) else float(out[0])
+        g = self.grid
+        return _piecewise(
+            x, self.dip_x,
+            lambda xb: self.slope_at_dip * (xb - self.dip_x) + 1.0,
+            lambda xa: ivp.hermite_interp(g.xs[::-1], g.slopes[::-1],
+                                          g.slope_derivs[::-1], xa))
 
     def vsecond(self, problem: AmbiguityProblem, x):
         """Constant under the dip, ODE identity at the boundary's level above."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.full_like(arr, self.slope_at_dip)
-        upper = arr >= self.dip_x
-        if np.any(upper):
-            xb = arr[upper]
-            rhs = _slope_rhs(problem, self.boundary, 0.0)
-            out[upper] = rhs(xb, self.vprime(xb))
-        return out if np.ndim(x) else float(out[0])
+        rhs = _slope_rhs(problem, self.boundary, 0.0)
+        return _piecewise(x, self.dip_x, lambda xb: self.slope_at_dip,
+                          lambda xa: rhs(xa, self.vprime(xa)))
 
 
 def build_truncated(problem: AmbiguityProblem, boundary: float,
-                    yield_ref: float, *, x_min: float | None = None,
+                    yield_ref: float,
                     **integrate_kwargs) -> TruncatedPotential:
     """Locate the dip of an inadmissible boundary and linearize under it.
 
@@ -242,24 +220,21 @@ def build_truncated(problem: AmbiguityProblem, boundary: float,
         raise InputDomainError(
             f"boundary {boundary!r} must exceed the drift peak "
             f"{problem.drift_peak!r}")
-    if x_min is None:
-        x_min = DIP_FLOOR * problem.drift_peak
+    x_min = DIP_FLOOR * problem.drift_peak
     grid = integrate_slope(problem, boundary, 0.0, x_min, **integrate_kwargs)
     if not grid.terminated_early or grid.dip_crossing is None:
         raise InputDomainError(
             f"boundary {boundary!r} shows no dip above {x_min!r}; it is "
             "admissible and has no truncated potential")
     alpha = float(grid.dip_crossing)
-    s_alpha = float(problem.model.sigma(alpha))
-    slope = 2.0 * (problem.drift(boundary) - problem.drift(alpha)) / (s_alpha
-                                                                      * s_alpha)
+    slope = float(_slope_rhs(problem, boundary, 0.0)(alpha, 1.0))
     return TruncatedPotential(
         boundary=boundary, dip_x=alpha, slope_at_dip=slope,
         yield_ref=yield_ref, grid=grid, dips_below_one=slope > 0.0)
 
 
 def violation_delta(problem: AmbiguityProblem, tp: TruncatedPotential, *,
-                    n_grid=2000, grid_floor=1e-6) -> float:
+                    grid_floor=1e-6) -> float:
     """Supremum of L v - yield_ref over the linear piece under the dip.
 
     The linear piece has slope ``slope_at_dip`` and constant curvature, so
@@ -273,7 +248,7 @@ def violation_delta(problem: AmbiguityProblem, tp: TruncatedPotential, *,
     """
     alpha = tp.dip_x
     s = tp.slope_at_dip
-    xs = np.geomspace(grid_floor * alpha, alpha, n_grid)
+    xs = np.geomspace(grid_floor * alpha, alpha, 2000)
     lv = apply_operator(problem, lambda x: s * (x - alpha) + 1.0,
                         lambda x: np.full_like(x, s), xs)
     delta = float(np.max(lv) - tp.yield_ref)

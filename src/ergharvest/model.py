@@ -51,60 +51,6 @@ def _require_positive(**kwargs):
 
 
 @dataclass(frozen=True)
-class VerhulstPearl:
-    """Logistic diffusion: mu(x) = mu_bar (1 - gamma_bar x), sigma(x) = sigma_bar x.
-
-    ``mu_bar`` is the per-capita growth rate, ``1/gamma_bar`` the carrying
-    capacity and ``sigma_bar`` the volatility scale.
-    """
-
-    mu_bar: float = 1.0
-    gamma_bar: float = 1.0
-    sigma_bar: float = 1.0
-    x_max: float | None = None
-
-    family = "verhulst_pearl"
-    assumptions_verified = True
-
-    def __post_init__(self):
-        _require_positive(mu_bar=self.mu_bar, gamma_bar=self.gamma_bar,
-                          sigma_bar=self.sigma_bar)
-        if self.x_max is not None:
-            _require_positive(x_max=self.x_max)
-
-    @property
-    def params(self):
-        return {"mu_bar": self.mu_bar, "gamma_bar": self.gamma_bar,
-                "sigma_bar": self.sigma_bar}
-
-    def mu(self, x):
-        return self.mu_bar * (1.0 - self.gamma_bar * x)
-
-    def sigma(self, x):
-        return self.sigma_bar * x
-
-    def sigma_prime(self, x):
-        return self.sigma_bar * (x * 0.0 + 1.0)
-
-    def near_zero_constants(self):
-        # |sigma - sigma_bar x| = 0 and |mu - mu_bar| = mu_bar gamma_bar x.
-        return self.mu_bar, self.sigma_bar, self.mu_bar * self.gamma_bar
-
-    def length_scale(self):
-        return 1.0 / self.gamma_bar
-
-    def analytic_bracket(self, epsilon):
-        peak = self.mu_bar / (2.0 * self.mu_bar * self.gamma_bar
-                              + epsilon * self.sigma_bar ** 2)
-        return peak, 2.0 * peak
-
-    def analytic_zero_boundary_divergent(self):
-        # S'(x) ~ x^(-2 mu_bar / sigma_bar^2) near 0; non-integrable iff
-        # the exponent is >= 1.  The +infinity side always diverges here.
-        return 2.0 * self.mu_bar >= self.sigma_bar ** 2
-
-
-@dataclass(frozen=True)
 class GeneralLogistic:
     """Crowding with exponent theta: mu(x) = mu_bar (1 - (gamma_bar x)^theta).
 
@@ -157,7 +103,34 @@ class GeneralLogistic:
         return None
 
     def analytic_zero_boundary_divergent(self):
+        # S'(x) ~ x^(-2 mu_bar / sigma_bar^2) near 0; non-integrable iff
+        # the exponent is >= 1.  The +infinity side always diverges here.
         return 2.0 * self.mu_bar >= self.sigma_bar ** 2
+
+
+@dataclass(frozen=True)
+class VerhulstPearl(GeneralLogistic):
+    """Logistic diffusion: mu(x) = mu_bar (1 - gamma_bar x), sigma(x) = sigma_bar x.
+
+    ``mu_bar`` is the per-capita growth rate, ``1/gamma_bar`` the carrying
+    capacity and ``sigma_bar`` the volatility scale.  This is
+    ``GeneralLogistic`` with theta fixed at one ((g x)**1.0 is exact), plus
+    the closed-form bracket at every ambiguity level.
+    """
+
+    theta: float = field(default=1.0, init=False, repr=False)
+
+    family = "verhulst_pearl"
+
+    @property
+    def params(self):
+        return {"mu_bar": self.mu_bar, "gamma_bar": self.gamma_bar,
+                "sigma_bar": self.sigma_bar}
+
+    def analytic_bracket(self, epsilon):
+        peak = self.mu_bar / (2.0 * self.mu_bar * self.gamma_bar
+                              + epsilon * self.sigma_bar ** 2)
+        return peak, 2.0 * peak
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,11 +259,10 @@ class AmbiguityProblem:
     x_max: float
 
     @classmethod
-    def build(cls, model, epsilon, *, peak_rtol=1e-10, zero_rtol=1e-12):
+    def build(cls, model, epsilon):
         if epsilon < 0.0:
             raise InputDomainError(f"epsilon must be >= 0, got {epsilon!r}")
-        peak, zero = bracket_points(model, epsilon, peak_rtol=peak_rtol,
-                                    zero_rtol=zero_rtol)
+        peak, zero = bracket_points(model, epsilon)
         x_max = model.x_max if model.x_max is not None else 10.0 * zero
         if x_max <= zero:
             raise InputDomainError(
@@ -354,7 +326,7 @@ def _bisect_root(f, lo, hi, rtol):
     return 0.5 * (lo + hi)
 
 
-def bracket_points(model, epsilon, *, peak_rtol=1e-10, zero_rtol=1e-12):
+def bracket_points(model, epsilon):
     """Locate the maximizer of the adjusted drift and its first zero beyond it.
 
     Uses the family's closed forms when available, otherwise golden-section
@@ -380,7 +352,7 @@ def bracket_points(model, epsilon, *, peak_rtol=1e-10, zero_rtol=1e-12):
     else:
         raise AssumptionViolationError(
             "adjusted drift never starts decreasing; (A2) violated")
-    peak = _golden_max(lam, lo, hi, peak_rtol)
+    peak = _golden_max(lam, lo, hi, 1e-10)
 
     cap = model.x_max if model.x_max is not None else 1e6 * peak
     hi = 2.0 * peak
@@ -390,7 +362,7 @@ def bracket_points(model, epsilon, *, peak_rtol=1e-10, zero_rtol=1e-12):
             raise AssumptionViolationError(
                 f"adjusted drift has no zero in ({peak}, {cap}]; "
                 "(A2) violated or x_max too small")
-    zero = _bisect_root(lam, peak, hi, zero_rtol)
+    zero = _bisect_root(lam, peak, hi, 1e-12)
     return peak, zero
 
 
@@ -482,7 +454,7 @@ def _boundary_divergence_heuristic(problem, anchor, n_grid=8192):
     return left_ok and right_ok, left[-1], right[-1]
 
 
-def check_assumptions(problem: AmbiguityProblem, *, n_grid=256) -> AssumptionReport:
+def check_assumptions(problem: AmbiguityProblem) -> AssumptionReport:
     """Grid-and-heuristic verification of (A0)-(A2).
 
     Failures land in the report rather than raising.  For parametric families
@@ -516,6 +488,7 @@ def check_assumptions(problem: AmbiguityProblem, *, n_grid=256) -> AssumptionRep
 
     # (A1) grid checks on a log-spaced sample of the working domain.
     lo = max(1e-6 * problem.drift_peak, 1e-300)
+    n_grid = 256
     xs = np.geomspace(lo, problem.x_max, n_grid)
     sig = np.asarray(model.sigma(xs), dtype=float)
     mu = np.asarray(model.mu(xs), dtype=float)

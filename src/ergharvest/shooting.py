@@ -132,9 +132,9 @@ def integrate_slope(problem: AmbiguityProblem, boundary: float, gamma: float = 0
     except SingularIntegrationError:
         if problem.epsilon <= 0.0:
             raise
-        res = _cole_hopf_rescue(problem, boundary, gamma, x_min, rtol=rtol,
-                                atol=atol, dip_level=dip_level,
-                                guard=overflow_guard, forced_nodes=forced_nodes)
+        res = _cole_hopf_rescue(problem, boundary, gamma, x_min,
+                                dip_level=dip_level, guard=overflow_guard,
+                                forced_nodes=forced_nodes)
     return ShootingGrid(
         boundary=boundary, gamma=gamma, xs=res.xs, slopes=res.ys,
         slope_derivs=res.dys, terminated_early=res.status == "dip",
@@ -142,8 +142,7 @@ def integrate_slope(problem: AmbiguityProblem, boundary: float, gamma: float = 0
 
 
 def slope_above_boundary(problem: AmbiguityProblem, boundary: float,
-                         x_top: float, gamma: float = 0.0, *,
-                         rtol=RTOL, atol=ATOL, forced_nodes=None):
+                         x_top: float, *, forced_nodes=None):
     """Forward extension of the slope on (boundary, x_top]; ascending arrays.
 
     Used by the property checks on the region above the boundary, where the
@@ -152,37 +151,33 @@ def slope_above_boundary(problem: AmbiguityProblem, boundary: float,
     if not boundary < x_top <= problem.x_max:
         raise InputDomainError(
             f"need boundary < x_top <= x_max, got {boundary!r}, {x_top!r}")
-    rhs = _slope_rhs(problem, boundary, gamma)
-    res = ivp.integrate(rhs, boundary, 1.0, x_top, rtol=rtol, atol=atol,
+    rhs = _slope_rhs(problem, boundary, 0.0)
+    res = ivp.integrate(rhs, boundary, 1.0, x_top, rtol=RTOL, atol=ATOL,
                         forced_nodes=forced_nodes,
                         min_step=1e-14 * x_top, first_step=1e-6 * boundary)
     return res.xs, res.ys, res.dys
 
 
-def _cole_hopf_rescue(problem, boundary, gamma, x_min, *, rtol, atol,
-                      dip_level, guard, forced_nodes):
+def _cole_hopf_rescue(problem, boundary, gamma, x_min, *, dip_level, guard,
+                      forced_nodes):
     """Full-interval fallback through the linear form (positive ambiguity)."""
     grid = cole_hopf_slope(problem, boundary, x_min, gamma=gamma,
                            eval_xs=forced_nodes)
-    status = "reached"
-    crossing = None
     ys = grid.slopes
     if dip_level is not None and np.any(ys < dip_level):
         cut = int(np.argmax(ys < dip_level))
         grid_xs, ys, dys = grid.xs[:cut + 1], ys[:cut + 1], grid.slope_derivs[:cut + 1]
-        status = "dip"
         crossing = ivp._refine_crossing(grid_xs, ys, dys, 1.0)
-        return ivp.IntegrationResult(grid_xs, ys, dys, status, crossing)
+        return ivp.IntegrationResult(grid_xs, ys, dys, "dip", crossing)
     if np.any(np.abs(ys) > guard):
         cut = int(np.argmax(np.abs(ys) > guard))
         return ivp.IntegrationResult(grid.xs[:cut + 1], ys[:cut + 1],
                                      grid.slope_derivs[:cut + 1], "guard")
-    return ivp.IntegrationResult(grid.xs, ys, grid.slope_derivs, status, crossing)
+    return ivp.IntegrationResult(grid.xs, ys, grid.slope_derivs, "reached")
 
 
 def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
-                    gamma: float = 0.0, *, rtol=1e-12, atol=1e-14,
-                    eval_xs=None, n_eval=400) -> ShootingGrid:
+                    gamma: float = 0.0, *, eval_xs=None) -> ShootingGrid:
     """Slope via the linear second-order form; independent cross-check.
 
     Substituting f = -ln(phi)/eps turns the quadratic slope ODE into
@@ -215,7 +210,7 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
     phi_zero.terminal = True
 
     if eval_xs is None:
-        eval_xs = np.geomspace(boundary, x_min, n_eval)
+        eval_xs = np.geomspace(boundary, x_min, 400)
     else:
         eval_xs = np.asarray(eval_xs, dtype=float)
         eval_xs = eval_xs[(eval_xs <= boundary) & (eval_xs >= x_min)]
@@ -224,7 +219,7 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
         if eval_xs[-1] != x_min:
             eval_xs = np.concatenate((eval_xs, [x_min]))
     sol = solve_ivp(rhs, (boundary, x_min), (1.0, -eps), method="DOP853",
-                    t_eval=eval_xs, events=phi_zero, rtol=rtol, atol=atol,
+                    t_eval=eval_xs, events=phi_zero, rtol=1e-12, atol=1e-14,
                     dense_output=False)
     if sol.status == 1 and len(sol.t_events[0]):
         x_cross = float(sol.t_events[0][0])
@@ -239,8 +234,7 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
             last_x=float(sol.t[-1]) if sol.t.size else boundary)
     phi, dphi = sol.y
     slopes = -dphi / (eps * phi)
-    rhs_slope = _slope_rhs(problem, boundary, gamma)
-    derivs = np.array([rhs_slope(x, g) for x, g in zip(sol.t, slopes)])
+    derivs = _slope_rhs(problem, boundary, gamma)(sol.t, slopes)
     return ShootingGrid(
         boundary=boundary, gamma=gamma, xs=sol.t.copy(), slopes=slopes,
         slope_derivs=derivs, terminated_early=False, blew_up=False,
@@ -286,6 +280,20 @@ def classify_boundary(problem: AmbiguityProblem, boundary: float,
         grid=grid)
 
 
+def _piecewise(x, split, below, above, *, closed=False):
+    """``below`` where x < split (<= when closed), ``above`` elsewhere.
+
+    Each callable gets its part of x as an array; a scalar x gives a float.
+    """
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(arr)
+    low = arr <= split if closed else arr < split
+    for part, fn in ((low, below), (~low, above)):
+        if np.any(part):
+            out[part] = fn(arr[part])
+    return out if np.ndim(x) else float(out[0])
+
+
 @dataclass(frozen=True)
 class PotentialGrid:
     """Tabulated potential: slope and value on nodes straddling the threshold.
@@ -316,30 +324,25 @@ class PotentialGrid:
 
     def slope_at(self, x):
         """Potential slope; one above the threshold, Hermite below."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.ones_like(arr)
-        below = arr < self.threshold
-        if np.any(below):
-            out[below] = ivp.hermite_interp(self.nodes_x, self.nodes_slope,
-                                            self.nodes_slope_deriv, arr[below])
-        return out if np.ndim(x) else float(out[0])
+        return _piecewise(
+            x, self.threshold,
+            lambda xb: ivp.hermite_interp(self.nodes_x, self.nodes_slope,
+                                          self.nodes_slope_deriv, xb),
+            lambda xa: 1.0)
 
     def value_at(self, x):
         """Potential value, anchored to zero at the threshold."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = arr - self.threshold
-        below = arr < self.threshold
-        if np.any(below):
-            out[below] = ivp.hermite_interp(self.nodes_x, self.nodes_value,
-                                            self.nodes_slope, arr[below])
-        return out if np.ndim(x) else float(out[0])
+        return _piecewise(
+            x, self.threshold,
+            lambda xb: ivp.hermite_interp(self.nodes_x, self.nodes_value,
+                                          self.nodes_slope, xb),
+            lambda xa: xa - self.threshold)
 
 
 def build_potential(problem: AmbiguityProblem, threshold: float, *,
                     x_min: float | None = None, n_grid_left=N_GRID_LEFT,
-                    n_grid_right=N_GRID_RIGHT, x_plot_max=None,
-                    fd_step_abs=FD_STEP_ABS, fd_step_rel=FD_STEP_REL,
-                    rtol=RTOL, atol=ATOL, dip_tolerance=DIP_TOLERANCE,
+                    n_grid_right=N_GRID_RIGHT, rtol=RTOL, atol=ATOL,
+                    dip_tolerance=DIP_TOLERANCE,
                     overflow_guard=OVERFLOW_GUARD) -> PotentialGrid:
     """Tabulate the potential for an admissible threshold.
 
@@ -354,10 +357,8 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
     """
     if x_min is None:
         x_min = DIP_FLOOR * problem.drift_peak
-    if x_plot_max is None:
-        x_plot_max = min(2.0 * problem.drift_zero, problem.x_max)
     grid_left = np.geomspace(x_min, threshold, n_grid_left)
-    h = np.minimum(fd_step_abs * threshold, fd_step_rel * grid_left)
+    h = np.minimum(FD_STEP_ABS * threshold, FD_STEP_REL * grid_left)
     interior = (grid_left - h > x_min) & (grid_left + h < threshold)
     fd_x = grid_left[interior]
     fd_h = h[interior]
@@ -399,6 +400,7 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
     fd_minus = nodes_g[minus_pos]
     fd_plus = nodes_g[plus_pos]
 
+    x_plot_max = min(2.0 * problem.drift_zero, problem.x_max)
     right = np.linspace(threshold, x_plot_max, n_grid_right + 1)[1:]
     return PotentialGrid(
         threshold=threshold, x_min=x_min, nodes_x=nodes_x,
@@ -429,22 +431,17 @@ class ThresholdSolution:
 
     def vsecond(self, x):
         """Curvature through the ODE identity (zero above the threshold)."""
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(arr)
-        below = arr <= self.threshold
-        if np.any(below):
-            xb = arr[below]
-            rhs = _slope_rhs(self.problem, self.threshold, 0.0)
-            out[below] = rhs(xb, self.grid.slope_at(xb))
-        return out if np.ndim(x) else float(out[0])
+        rhs = _slope_rhs(self.problem, self.threshold, 0.0)
+        return _piecewise(x, self.threshold,
+                          lambda xb: rhs(xb, self.grid.slope_at(xb)),
+                          lambda xa: 0.0, closed=True)
 
 
 def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
                     dip_floor=DIP_FLOOR, rtol=RTOL, atol=ATOL,
                     dip_tolerance=DIP_TOLERANCE, overflow_guard=OVERFLOW_GUARD,
-                    n_grid_left=N_GRID_LEFT, n_grid_right=N_GRID_RIGHT,
-                    x_plot_max=None, verify_assumptions=True,
-                    assume_ok=False) -> ThresholdSolution:
+                    n_grid_left=N_GRID_LEFT,
+                    n_grid_right=N_GRID_RIGHT) -> ThresholdSolution:
     """Bisect for the optimal threshold and assemble its potential.
 
     The lower end starts at the drift peak (never admissible), the upper end
@@ -454,42 +451,41 @@ def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
     bisection relies on: every admissible probe must exceed every
     inadmissible one.
 
-    The classification floor is ``dip_floor * drift_peak``.  Lowering the
-    floor moves the threshold by an amount proportional to the floor, so the
-    default keeps that bias well inside the bisection tolerance.
+    A failed assumption check raises ``AssumptionViolationError`` first.
+
+    The classification floor is ``dip_floor * drift_peak``.  At epsilon = 0
+    the threshold moves in proportion to the floor, and the default keeps
+    that bias well inside the bisection tolerance.  Not so at positive
+    ambiguity: at epsilon = 1, floors 2e-8 and 2e-10 give thresholds about
+    1500 bisection tolerances apart.
     """
-    if verify_assumptions and not assume_ok:
-        report = check_assumptions(problem)
-        if not report.all_passed:
-            failure = report.first_failure()
-            raise AssumptionViolationError(
-                f"assumption check failed: ({failure.assumption}) "
-                f"{failure.name}; pass assume_ok=True to override")
+    report = check_assumptions(problem)
+    if not report.all_passed:
+        failure = report.first_failure()
+        raise AssumptionViolationError(
+            f"assumption check failed: ({failure.assumption}) "
+            f"{failure.name}")
     x_min = dip_floor * problem.drift_peak
     beta_tol = beta_rtol * problem.drift_zero
     lo = problem.drift_peak
     hi = problem.drift_zero
     trace = []
-    iterations = 0
 
-    top = classify_boundary(problem, hi, x_min, rtol=rtol, atol=atol,
-                            dip_tolerance=dip_tolerance,
-                            overflow_guard=overflow_guard)
-    iterations += 1
-    trace.append((hi, "in" if top.in_set else "out"))
-    if not top.in_set:
+    def admissible(boundary):
+        verdict = classify_boundary(problem, boundary, x_min, rtol=rtol,
+                                    atol=atol, dip_tolerance=dip_tolerance,
+                                    overflow_guard=overflow_guard)
+        trace.append((boundary, "in" if verdict.in_set else "out"))
+        return verdict.in_set
+
+    if not admissible(hi):
         raise MonotonicityViolationError(
             f"drift zero {hi!r} classified inadmissible; assumption failure "
             "or tolerances too loose")
 
     while hi - lo > beta_tol:
         mid = 0.5 * (lo + hi)
-        verdict = classify_boundary(problem, mid, x_min, rtol=rtol, atol=atol,
-                                    dip_tolerance=dip_tolerance,
-                                    overflow_guard=overflow_guard)
-        iterations += 1
-        trace.append((mid, "in" if verdict.in_set else "out"))
-        if verdict.in_set:
+        if admissible(mid):
             hi = mid
         else:
             lo = mid
@@ -504,13 +500,12 @@ def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
     threshold = hi
     grid = build_potential(problem, threshold, x_min=x_min,
                            n_grid_left=n_grid_left, n_grid_right=n_grid_right,
-                           x_plot_max=x_plot_max, rtol=rtol, atol=atol,
-                           dip_tolerance=dip_tolerance,
+                           rtol=rtol, atol=atol, dip_tolerance=dip_tolerance,
                            overflow_guard=overflow_guard)
     return ThresholdSolution(
         problem=problem, threshold=threshold,
         long_run_yield=float(problem.drift(threshold)), grid=grid,
-        bisection_trace=tuple(trace), iterations=iterations, x_min=x_min,
+        bisection_trace=tuple(trace), iterations=len(trace), x_min=x_min,
         beta_tolerance=beta_tol)
 
 

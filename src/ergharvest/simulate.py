@@ -93,6 +93,10 @@ def worst_case_kernel(problem: AmbiguityProblem, sol: ThresholdSolution, x):
     return minimizing_kernel(problem, sol.vprime, x)
 
 
+# Steps per block: noise is drawn, and non-finite paths are quarantined,
+# once per block of this many steps.
+_BLOCK_STEPS = 4096
+
 # Nodes of the worst-case step table: at 4096 log-spaced nodes the
 # interpolated kernel stays within 1e-5 eps sigma(beta) of the solved cubic
 # for eps from 0.5 to 20 (tests/test_simulate.py).
@@ -174,7 +178,6 @@ class SimConfig:
     seed: int = 0
     n_bins: int = 50
     occupation_stride: int = 8
-    block_steps: int = 4096
 
     def __post_init__(self):
         if not self.beta > 0.0:
@@ -188,8 +191,9 @@ class SimConfig:
         if not 0.0 <= self.burn_in <= 0.5:
             raise InputDomainError(
                 f"burn_in must be in [0, 0.5], got {self.burn_in!r}")
-        if self.n_paths < 1:
-            raise InputDomainError("n_paths must be at least 1")
+        for name in ("n_paths", "n_bins", "occupation_stride"):
+            if getattr(self, name) < 1:
+                raise InputDomainError(f"{name} must be at least 1")
         if self.measure not in MEASURES:
             raise InputDomainError(
                 f"measure must be one of {MEASURES}, got {self.measure!r}")
@@ -255,7 +259,7 @@ def _run_paths(cfg: SimConfig, path_ids) -> list[PathStats]:
         Z_burn, KL_burn = np.zeros(n), np.zeros(n)
 
     gens = [path_rng(cfg.seed, int(pid)) for pid in path_ids]
-    block = cfg.block_steps
+    block = _BLOCK_STEPS
     noise = np.empty((block, n))
     done = 0
     # NaN/inf paths are quarantined at block boundaries; silence the float
@@ -411,13 +415,16 @@ class X0IndependenceReport:
     consistent: bool
 
     def worst_pair_gap(self):
-        gaps = []
-        for i in range(len(self.means)):
-            for j in range(i + 1, len(self.means)):
-                sigma = math.hypot(self.std_errors[i], self.std_errors[j])
-                gaps.append(abs(self.means[i] - self.means[j])
-                            / (3.0 * sigma if sigma > 0.0 else 1.0))
+        """Largest |mean gap| over three combined SEs (over 1 at zero SE)."""
+        gaps = [gap / (limit if limit > 0.0 else 1.0)
+                for gap, limit in _pair_gaps(self.means, self.std_errors)]
         return max(gaps) if gaps else 0.0
+
+
+def _pair_gaps(means, ses):
+    """|mean_i - mean_j| and three combined standard errors, for i < j."""
+    return [(abs(means[i] - means[j]), 3.0 * math.hypot(ses[i], ses[j]))
+            for i in range(len(means)) for j in range(i + 1, len(means))]
 
 
 def x0_independence_check(cfg: SimConfig, x0_list, *,
@@ -432,11 +439,7 @@ def x0_independence_check(cfg: SimConfig, x0_list, *,
         est = estimate_payoff(replace(cfg, x0=float(x0)), jobs=jobs)
         means.append(est.mean)
         ses.append(est.std_error)
-    consistent = True
-    for i in range(len(means)):
-        for j in range(i + 1, len(means)):
-            if abs(means[i] - means[j]) > 3.0 * math.hypot(ses[i], ses[j]):
-                consistent = False
+    consistent = not any(gap > limit for gap, limit in _pair_gaps(means, ses))
     return X0IndependenceReport(
         x0_values=tuple(float(v) for v in x0_list), means=tuple(means),
         std_errors=tuple(ses), consistent=bool(consistent))

@@ -91,19 +91,18 @@ class MonotonicityReport:
         return out
 
 
-def monotonicity_report(rows, *, slack: float | None = None) -> MonotonicityReport:
+def monotonicity_report(rows) -> MonotonicityReport:
     """Check that threshold and yield never increase along ascending levels.
 
-    ``slack`` defaults to ten times the solver's relative bisection width
-    scaled by the largest bracket in the sweep: monotonicity is exact for
-    the true quantities, but the solver resolves thresholds only to its
-    tolerance, so adjacent values closer than that must not fail the check.
-    Failed rows are skipped pairwise.
+    The slack is ten times the solver's relative bisection width scaled by
+    the largest bracket in the sweep: monotonicity is exact for the true
+    quantities, but the solver resolves thresholds only to its tolerance,
+    so adjacent values closer than that must not fail the check.  Failed
+    rows are skipped pairwise.
     """
     ok = [r for r in rows if not r.failed]
-    if slack is None:
-        widest = max((r.x_bar_eps for r in ok), default=1.0)
-        slack = 10.0 * BETA_RTOL * widest
+    widest = max((r.x_bar_eps for r in ok), default=1.0)
+    slack = 10.0 * BETA_RTOL * widest
     beta_bad = []
     ell_bad = []
     pairs = 0

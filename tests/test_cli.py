@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergharvest import cli
+from ergharvest import cli, config, solve_threshold
 from ergharvest.cli import main
 
 VP_BLOCK = {"family": "verhulst_pearl",
@@ -56,6 +57,21 @@ class TestCheck:
     def test_negative_epsilon_rejected(self, tmp_path):
         rc = main(["check", "--config", str(write_cfg(tmp_path, epsilon=-1.0))])
         assert rc == 64
+
+    def test_theta_rejected_for_verhulst_pearl(self, tmp_path, capsys):
+        model = {"family": "verhulst_pearl", "params": {"theta": 1.0}}
+        rc = main(["check", "--config",
+                   str(write_cfg(tmp_path, model=model))])
+        assert rc == 64
+        assert "theta" in capsys.readouterr().err
+
+
+class TestSolverKeys:
+    def test_config_keys_are_the_solver_keywords(self):
+        params = inspect.signature(solve_threshold).parameters.values()
+        keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        assert keywords == config._SOLVER_KEYS
+        assert set(config._SOLVER_DEFAULTS) == config._SOLVER_KEYS
 
 
 class TestJobsDefault:
@@ -112,6 +128,50 @@ class TestSolve:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["problem"]["epsilon"] == 1.0
         assert summary["config"]["epsilon"] == 1.0
+
+
+def _echoed(run):
+    """resolved_config.json and the config block of summary.json."""
+    resolved = json.loads((run / "resolved_config.json").read_text())
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["config"] == resolved
+    return resolved
+
+
+class TestOverrides:
+    def test_seed_and_output_dir(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "elsewhere"
+        assert main(["solve", "--config", str(cfg), "--seed", "11",
+                     "--output-dir", str(out)]) == 0
+        resolved = _echoed(out)
+        assert resolved["seed"] == 11
+        assert resolved["output_dir"] == str(out)
+        assert not (tmp_path / "run").exists()
+
+    def test_eps_replaces_grid(self, tmp_path):
+        cfg = write_cfg(tmp_path, epsilon=None, eps_grid=[0.0, 1.0])
+        assert main(["solve", "--config", str(cfg), "--eps", "1.0"]) == 0
+        resolved = _echoed(tmp_path / "run")
+        assert resolved["epsilon"] == 1.0
+        assert resolved["eps_grid"] is None
+
+    def test_measure(self, tmp_path):
+        cfg = write_cfg(tmp_path, epsilon=1.0)
+        assert main(["simulate", "--config", str(cfg), "--measure",
+                     "worstcase"]) == 0
+        resolved = _echoed(tmp_path / "run")
+        assert resolved["sim"]["measure"] == "worstcase"
+        assert resolved["sim"]["n_paths"] == 8
+
+    def test_no_override_echoes_the_file(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        resolved = _echoed(tmp_path / "run")
+        assert resolved["seed"] == 5
+        assert resolved["epsilon"] == 0.0
+        assert resolved["model"] == VP_BLOCK | {"x_max": None}
+        assert resolved["sim"]["measure"] == "reference"
 
 
 class TestSimulate:

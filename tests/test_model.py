@@ -176,6 +176,27 @@ class TestModelFactory:
             TabulatedModel(xs=np.array([0.0, 0.5, 1.0, 2.0]),
                            mu_values=np.zeros(4), sigma_values=np.ones(4))
 
+    def test_verhulst_pearl_is_unit_theta_general_logistic(self):
+        vp = VerhulstPearl(mu_bar=1.3, gamma_bar=0.7, sigma_bar=0.9)
+        gl = GeneralLogistic(mu_bar=1.3, gamma_bar=0.7, sigma_bar=0.9,
+                             theta=1.0)
+        xs = np.geomspace(1e-12, 1e3, 4001)
+        for name in ("mu", "sigma", "sigma_prime"):
+            assert np.array_equal(getattr(vp, name)(xs),
+                                  getattr(gl, name)(xs)), name
+            assert all(getattr(vp, name)(x) == getattr(gl, name)(x)
+                       for x in xs[::50].tolist()), name
+        assert vp.near_zero_constants() == gl.near_zero_constants()
+        assert np.array_equal(vp.mu(xs), 1.3 * (1.0 - 0.7 * xs))
+        # Only the subclass has the bracket in closed form at eps > 0.
+        peak = 1.3 / (2.0 * 1.3 * 0.7 + 2.0 * 0.9 ** 2)
+        assert vp.analytic_bracket(2.0) == (peak, 2.0 * peak)
+        assert gl.analytic_bracket(2.0) is None
+        assert vp.params == {"mu_bar": 1.3, "gamma_bar": 0.7,
+                             "sigma_bar": 0.9}
+        with pytest.raises(TypeError):
+            VerhulstPearl(theta=1.0)
+
     def test_parameter_positivity(self):
         with pytest.raises(InputDomainError):
             VerhulstPearl(mu_bar=-1.0)

@@ -329,6 +329,19 @@ class TestX0Independence:
         assert report.consistent
         assert report.worst_pair_gap() <= 1.0
 
+    def test_zero_standard_errors_compare_raw_gaps(self, problem0, sol0):
+        # One path per start: no SE, so any gap is inconsistent and the
+        # worst gap is reported unscaled.
+        cfg = _small_cfg(problem0, sol0, n_paths=1, horizon=2.0)
+        beta = sol0.threshold
+        report = x0_independence_check(cfg, [0.1 * beta, beta, 2.0 * beta])
+        assert report.std_errors == (0.0, 0.0, 0.0)
+        m = report.means
+        gaps = [abs(m[0] - m[1]), abs(m[0] - m[2]), abs(m[1] - m[2])]
+        assert max(gaps) > 0.0
+        assert not report.consistent
+        assert report.worst_pair_gap() == max(gaps)
+
     def test_start_above_boundary_projects_immediately(self, problem0, sol0):
         cfg = _small_cfg(problem0, sol0, n_paths=2, horizon=2.0,
                          x0=2.0 * sol0.threshold)
@@ -350,6 +363,10 @@ class TestConfigValidation:
             SimConfig(problem=problem0, beta=1.0, x0=0.5, measure="custom")
         with pytest.raises(InputDomainError):
             SimConfig(problem=problem0, beta=1.0, x0=0.5, measure="worstcase")
+        with pytest.raises(InputDomainError):
+            SimConfig(problem=problem0, beta=1.0, x0=0.5, n_bins=0)
+        with pytest.raises(InputDomainError):
+            SimConfig(problem=problem0, beta=1.0, x0=0.5, occupation_stride=0)
 
     def test_path_rng_streams_are_distinct(self):
         a = path_rng(1, 0).standard_normal(4)
