@@ -107,7 +107,7 @@ def parse_config(raw: dict) -> RunConfig:
              "'model.x_max' must be a positive number")
     try:
         model = model_from_config(family, params, x_max)
-    except (TypeError, KeyError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"bad model parameters for family {family!r}: {exc}")
     except Exception as exc:
         raise ConfigError(f"bad model block: {exc}")

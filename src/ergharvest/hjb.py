@@ -207,8 +207,7 @@ class TruncatedPotential:
 
 
 def build_truncated(problem: AmbiguityProblem, boundary: float,
-                    yield_ref: float,
-                    **integrate_kwargs) -> TruncatedPotential:
+                    yield_ref: float) -> TruncatedPotential:
     """Locate the dip of an inadmissible boundary and linearize under it.
 
     ``yield_ref`` is the long-run yield of the solved threshold; the
@@ -221,7 +220,7 @@ def build_truncated(problem: AmbiguityProblem, boundary: float,
             f"boundary {boundary!r} must exceed the drift peak "
             f"{problem.drift_peak!r}")
     x_min = DIP_FLOOR * problem.drift_peak
-    grid = integrate_slope(problem, boundary, 0.0, x_min, **integrate_kwargs)
+    grid = integrate_slope(problem, boundary, 0.0, x_min)
     if not grid.terminated_early or grid.dip_crossing is None:
         raise InputDomainError(
             f"boundary {boundary!r} shows no dip above {x_min!r}; it is "

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import NumericsError, SingularIntegrationError
 
@@ -89,22 +90,6 @@ def hermite_interp(xs, ys, dys, x):
     i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
     return hermite_eval(x, xs[i], ys[i], dys[i],
                         xs[i + 1], ys[i + 1], dys[i + 1])
-
-
-def _hermite_crossing(level, x0, y0, d0, x1, y1, d1):
-    """Abscissa in [x0, x1] (by value order) where the Hermite cubic hits level."""
-    lo, hi = x0, x1
-    flo = y0 - level
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = hermite_eval(mid, x0, y0, d0, x1, y1, d1) - level
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def integrate(f, x0, y0, x_end, *, rtol=1e-10, atol=1e-12,
@@ -233,5 +218,10 @@ def _refine_crossing(xs, ys, dys, level):
     if idx.size == 0:
         return float(xs[-1])
     i = int(idx[0])
-    return float(_hermite_crossing(level, xs[i], ys[i], dys[i],
-                                   xs[i + 1], ys[i + 1], dys[i + 1]))
+    # Shift the node values by the level (the value basis sums to one): that
+    # is exact near the level, where subtracting after evaluation leaves
+    # rounding sign changes ~1e-13 wide.  brentq accepts x0 > x1.
+    seg = (xs[i], ys[i] - level, dys[i], xs[i + 1], ys[i + 1] - level,
+           dys[i + 1])
+    return float(brentq(hermite_eval, xs[i], xs[i + 1], args=seg,
+                        xtol=1e-300, rtol=4.0 * np.finfo(float).eps))

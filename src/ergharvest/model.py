@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq, minimize_scalar
 
 from .errors import AssumptionViolationError, InputDomainError, QuadratureError
 
@@ -40,9 +41,6 @@ __all__ = [
     "check_assumptions",
     "model_from_config",
 ]
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
@@ -80,7 +78,11 @@ class GeneralLogistic:
                 "sigma_bar": self.sigma_bar, "theta": self.theta}
 
     def mu(self, x):
-        return self.mu_bar * (1.0 - (self.gamma_bar * x) ** self.theta)
+        y = self.gamma_bar * x
+        # y ** 1.0 is exactly y: the logistic skips the power on hot paths.
+        if self.theta != 1.0:
+            y = y ** self.theta
+        return self.mu_bar * (1.0 - y)
 
     def sigma(self, x):
         return self.sigma_bar * x
@@ -226,13 +228,6 @@ def model_from_config(family: str, params: dict, x_max: float | None = None):
     except KeyError:
         known = ", ".join(sorted(_FAMILIES))
         raise InputDomainError(f"unknown model family {family!r}; known: {known}")
-    if cls is TabulatedModel:
-        return TabulatedModel(
-            xs=np.asarray(params["xs"], dtype=float),
-            mu_values=np.asarray(params["mu_values"], dtype=float),
-            sigma_values=np.asarray(params["sigma_values"], dtype=float),
-            x_max=x_max,
-        )
     return cls(x_max=x_max, **params)
 
 
@@ -291,47 +286,13 @@ def adjusted_drift(problem: AmbiguityProblem, x):
     return problem.drift(x)
 
 
-def _golden_max(f, lo, hi, rtol):
-    """Golden-section maximizer for a unimodal f on [lo, hi]."""
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rtol * max(abs(a), abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _bisect_root(f, lo, hi, rtol):
-    """Bisection for f(lo) > 0 > f(hi), to relative tolerance rtol."""
-    flo = f(lo)
-    for _ in range(4096):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= rtol * max(abs(lo), abs(hi)):
-            return hi if f(hi) == 0.0 else mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def bracket_points(model, epsilon):
     """Locate the maximizer of the adjusted drift and its first zero beyond it.
 
-    Uses the family's closed forms when available, otherwise golden-section
-    for the peak and bisection for the zero.  Raises
-    ``AssumptionViolationError`` when no sign change is found up to the
+    Uses the family's closed forms when available, otherwise Brent's bounded
+    minimizer on the negated drift for the peak and Brent's root finder for
+    the zero.  Raises ``AssumptionViolationError`` when the drift is not
+    positive at its peak, or when no sign change is found up to the
     working-domain cap (unimodality (A2) fails or the cap is too small).
     """
     analytic = model.analytic_bracket(epsilon)
@@ -352,7 +313,15 @@ def bracket_points(model, epsilon):
     else:
         raise AssumptionViolationError(
             "adjusted drift never starts decreasing; (A2) violated")
-    peak = _golden_max(lam, lo, hi, 1e-10)
+    peak = float(minimize_scalar(lambda x: -lam(x), bounds=(lo, hi),
+                                 method="bounded",
+                                 options={"xatol": 1e-10 * hi}).x)
+    # brentq needs a sign change on [peak, hi]; a drift that never turns
+    # positive has no threshold to bracket.
+    if not lam(peak) > 0.0:
+        raise AssumptionViolationError(
+            f"adjusted drift is not positive at its peak {peak}; "
+            "(A2) violated")
 
     cap = model.x_max if model.x_max is not None else 1e6 * peak
     hi = 2.0 * peak
@@ -362,7 +331,7 @@ def bracket_points(model, epsilon):
             raise AssumptionViolationError(
                 f"adjusted drift has no zero in ({peak}, {cap}]; "
                 "(A2) violated or x_max too small")
-    zero = _bisect_root(lam, peak, hi, 1e-12)
+    zero = brentq(lam, peak, hi, xtol=1e-12 * peak, rtol=1e-12)
     return peak, zero
 
 

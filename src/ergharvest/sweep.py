@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InputDomainError
 from .model import AmbiguityProblem
-from .shooting import BETA_RTOL, solve_threshold
+from .shooting import solve_threshold
 
 __all__ = ["SweepRow", "MonotonicityReport", "sweep", "monotonicity_report"]
 
@@ -31,6 +31,7 @@ class SweepRow:
     ell_eps: float
     iterations: int
     wall_ms: float
+    beta_tolerance: float
     failed: bool = False
     failure: str = ""
 
@@ -58,13 +59,13 @@ def sweep(model, eps_grid, **solver_kwargs) -> list[SweepRow]:
                 epsilon=eps, x_eps=problem.drift_peak,
                 x_bar_eps=problem.drift_zero, beta_eps=sol.threshold,
                 ell_eps=sol.long_run_yield, iterations=sol.iterations,
-                wall_ms=wall_ms))
+                wall_ms=wall_ms, beta_tolerance=sol.beta_tolerance))
         except Exception as exc:  # noqa: BLE001 - row-level isolation is the contract
             wall_ms = 1000.0 * (time.perf_counter() - t0)
             rows.append(SweepRow(
                 epsilon=eps, x_eps=float("nan"), x_bar_eps=float("nan"),
                 beta_eps=float("nan"), ell_eps=float("nan"), iterations=0,
-                wall_ms=wall_ms, failed=True,
+                wall_ms=wall_ms, beta_tolerance=float("nan"), failed=True,
                 failure=f"{type(exc).__name__}: {exc}"))
     return rows
 
@@ -94,15 +95,14 @@ class MonotonicityReport:
 def monotonicity_report(rows) -> MonotonicityReport:
     """Check that threshold and yield never increase along ascending levels.
 
-    The slack is ten times the solver's relative bisection width scaled by
-    the largest bracket in the sweep: monotonicity is exact for the true
-    quantities, but the solver resolves thresholds only to its tolerance,
-    so adjacent values closer than that must not fail the check.  Failed
-    rows are skipped pairwise.
+    The slack is ten times the widest bisection tolerance among the solved
+    rows, whatever ``beta_rtol`` the solves ran with: monotonicity is exact
+    for the true quantities, but the solver resolves thresholds only to its
+    tolerance, so adjacent values closer than that must not fail the check.
+    Failed rows are skipped pairwise.
     """
     ok = [r for r in rows if not r.failed]
-    widest = max((r.x_bar_eps for r in ok), default=1.0)
-    slack = 10.0 * BETA_RTOL * widest
+    slack = 10.0 * max((r.beta_tolerance for r in ok), default=0.0)
     beta_bad = []
     ell_bad = []
     pairs = 0

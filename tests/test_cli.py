@@ -65,6 +65,37 @@ class TestCheck:
         assert rc == 64
         assert "theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [{"bogus": 1}, {"sigma_values": None}],
+                             ids=["unknown", "missing"])
+    def test_tabulated_params_checked_like_other_families(self, tmp_path,
+                                                          capsys, edit):
+        xs = list(np.geomspace(1e-4, 3.0, 64))
+        params = {"xs": xs, "mu_values": [1.0 - x for x in xs],
+                  "sigma_values": xs, **edit}
+        params = {k: v for k, v in params.items() if v is not None}
+        model = {"family": "tabulated", "params": params}
+        rc = main(["check", "--config",
+                   str(write_cfg(tmp_path, model=model))])
+        assert rc == 64
+        assert next(iter(edit)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_never_positive_drift_is_an_assumption_failure(
+            self, tmp_path, capsys, command):
+        # mu = -1 - x makes the adjusted drift negative everywhere: there is
+        # no bracket, and the root finder must not be handed one.
+        xs = list(np.geomspace(1e-3, 3.0, 64))
+        model = {"family": "tabulated",
+                 "params": {"xs": xs, "mu_values": [-1.0 - x for x in xs],
+                            "sigma_values": xs}}
+        rc = main([command, "--config",
+                   str(write_cfg(tmp_path, model=model, epsilon=1.0))])
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert rc == 2
+        assert "violated" in text
+        assert "ValueError" not in text and "Traceback" not in text
+
 
 class TestSolverKeys:
     def test_config_keys_are_the_solver_keywords(self):

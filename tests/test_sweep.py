@@ -100,3 +100,11 @@ class TestMonotonicityReport:
         assert not report.passed
         assert report.beta_violations and report.ell_violations
         assert any("increased" in line for line in report.lines())
+
+    def test_slack_follows_the_configured_tolerance(self, vp_model):
+        # A coarse beta_rtol leaves adjacent thresholds 2e-5 apart on a grid
+        # this fine; the module default's slack would be 3e-8.
+        rows = sweep(vp_model, [1.0, 1.0001, 1.0002, 1.0003], beta_rtol=1e-4)
+        report = monotonicity_report(rows)
+        assert report.slack == 10.0 * max(r.beta_tolerance for r in rows)
+        assert report.passed
