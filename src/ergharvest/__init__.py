@@ -21,8 +21,8 @@ from .model import (AmbiguityProblem, AssumptionCheck, AssumptionReport,
                     model_from_config, scale_density)
 from .shooting import (BoundaryClass, PotentialGrid, ShootingGrid,
                        ThresholdSolution, build_potential, classify_boundary,
-                       cole_hopf_slope, floor_sensitivity, integrate_slope,
-                       slope_above_boundary, solve_threshold)
+                       cole_hopf_slope, integrate_slope, slope_above_boundary,
+                       solve_threshold, tail_coefficient)
 from .simulate import (PathStats, PayoffEstimate, SimConfig,
                        X0IndependenceReport, estimate_payoff, path_rng,
                        reflect_step, simulate_path, worst_case_kernel,

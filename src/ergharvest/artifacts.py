@@ -84,6 +84,7 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     try:
         threshold = float(summary["solution"]["beta_eps"])
         long_run_yield = float(summary["solution"]["ell_eps"])
+        regime = summary["solution"]["regime"]
     except KeyError as exc:
         raise MissingInputError(f"{summary_path} lacks a solution block: {exc}")
 
@@ -110,7 +111,7 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     return ThresholdSolution(
         problem=problem, threshold=threshold, long_run_yield=long_run_yield,
         grid=grid, bisection_trace=(), iterations=0,
-        x_min=float(nodes_x[0]), beta_tolerance=float("nan"))
+        x_min=float(nodes_x[0]), beta_tolerance=float("nan"), regime=regime)
 
 
 def write_paths_csv(path, per_path):

@@ -168,6 +168,7 @@ def _solution_summary(sol) -> dict:
         "iterations": sol.iterations,
         "beta_tolerance": sol.beta_tolerance,
         "x_min": sol.x_min,
+        "regime": sol.regime,
     }
 
 
@@ -187,6 +188,9 @@ def cmd_solve(args) -> int:
     print(f"beta = {sol.threshold!r}   (bracket: {problem.drift_peak!r} .. "
           f"{problem.drift_zero!r})")
     print(f"ell  = {sol.long_run_yield!r}   iterations = {sol.iterations}")
+    if sol.regime == "extinction_bound":
+        print("regime = extinction_bound   (ell is c*, the KL cost of holding "
+              "the population null-recurrent at zero)")
     for line in report.summary_lines():
         print(line)
     print(f"artifacts in {out}")
@@ -273,6 +277,7 @@ def cmd_sweep(args) -> int:
         "rows": [dataclasses.asdict(r) for r in rows],
         "monotone": report.passed,
         "slack": report.slack,
+        "ell_slack": report.ell_slack,
     }
     artifacts.write_json(out / artifacts.SUMMARY_JSON, summary)
     print(f"{'epsilon':>10} {'x_eps':>12} {'x_bar_eps':>12} {'beta_eps':>12} "

@@ -64,7 +64,7 @@ class TransformBreakdownError(NumericsError):
 
 
 class MonotonicityViolationError(NumericsError):
-    """The bisection trace is inconsistent (a member below a non-member)."""
+    """The probe trace is inconsistent (a member below a non-member)."""
 
 
 class MissingInputError(ErgharvestError, FileNotFoundError):

@@ -33,7 +33,8 @@ from . import ivp
 from .errors import InputDomainError
 from .model import AmbiguityProblem
 from .shooting import (DIP_FLOOR, ShootingGrid, ThresholdSolution,
-                       _piecewise, _slope_rhs, integrate_slope)
+                       _piecewise, _slope_rhs, integrate_slope,
+                       tail_coefficient)
 
 __all__ = [
     "HjbReport",
@@ -211,20 +212,25 @@ def build_truncated(problem: AmbiguityProblem, boundary: float,
     """Locate the dip of an inadmissible boundary and linearize under it.
 
     ``yield_ref`` is the long-run yield of the solved threshold; the
-    truncated potential's violation is measured against it.  Raises
-    ``InputDomainError`` when no dip is found (the boundary is already
-    admissible, so truncation does not apply).
+    truncated potential's violation is measured against it.  Admissibility
+    is decided by ``tail_coefficient``.  Raises ``InputDomainError`` when the
+    boundary is admissible (truncation does not apply), and when it is
+    inadmissible but its dip lies below the shooting grid floor.
     """
     if boundary <= problem.drift_peak:
         raise InputDomainError(
             f"boundary {boundary!r} must exceed the drift peak "
             f"{problem.drift_peak!r}")
+    if tail_coefficient(problem, boundary) <= 0.0:
+        raise InputDomainError(
+            f"boundary {boundary!r} is admissible and has no truncated "
+            "potential")
     x_min = DIP_FLOOR * problem.drift_peak
     grid = integrate_slope(problem, boundary, 0.0, x_min)
     if not grid.terminated_early or grid.dip_crossing is None:
         raise InputDomainError(
-            f"boundary {boundary!r} shows no dip above {x_min!r}; it is "
-            "admissible and has no truncated potential")
+            f"boundary {boundary!r} is inadmissible, but its dip lies below "
+            f"the grid floor {x_min!r}")
     alpha = float(grid.dip_crossing)
     slope = float(_slope_rhs(problem, boundary, 0.0)(alpha, 1.0))
     return TruncatedPotential(

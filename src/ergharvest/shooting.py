@@ -1,4 +1,4 @@
-"""Threshold solver: backward shooting on the potential-slope ODE.
+"""Threshold solver: the root of the potential slope's tail coefficient.
 
 For a candidate boundary ``b`` the slope ``g`` of the candidate potential
 solves the Riccati-type equation
@@ -8,23 +8,40 @@ solves the Riccati-type equation
 
 where ``lam`` is the ambiguity-adjusted drift and ``gamma`` a diagnostic
 perturbation of the right-hand side.  A boundary is *admissible* when the
-slope stays at or above one all the way down; the optimal threshold is the
-smallest admissible boundary.  Since admissibility is monotone in ``b``
-(larger boundaries dominate), a bisection between the drift peak (never
-admissible) and the drift zero (always admissible) pins it down.
+slope stays at or above one all the way down to zero; the optimal threshold
+is the smallest admissible boundary.  Admissibility is a statement about the
+x -> 0 tail.  With psi = (1 - phi)/eps, phi the Cole-Hopf base function of
+``cole_hopf_slope``, the slope equation turns into the linear
 
-Blow-up of the slope near zero is expected for admissible boundaries (the
-potential's derivative genuinely diverges there), so growth past the
-overflow guard classifies as admissible with a warning, while a dip below
-one classifies as inadmissible.
+    (1/2) sigma^2 psi'' + x mu psi' + eps lam(b) psi = lam(b),
+    psi(b) = 0,  psi'(b) = 1,
+
+which holds at every eps >= 0 (at eps = 0, psi' is the slope itself).  Near
+zero its coefficients are constant in s = log x, with modes e^{r+ s} and the
+dominant e^{r- s}.  ``tail_coefficient`` integrates it down to
+``TAIL_FLOOR * drift_peak`` and projects onto the dominant mode: a boundary
+is admissible exactly when that coefficient F(b) is not positive, and
+``solve_threshold`` finds the threshold as the ``brentq`` root of F between
+the drift peak (never admissible) and the drift zero (always admissible).
+Where lam(b) exceeds c* = a^2 / (2 eps sigma_bar^2), a = mu_bar -
+sigma_bar^2/2, the modes are complex and no boundary is admissible; when F
+is already negative where lam = c*, that point is the threshold and the
+yield is c* (the ``extinction_bound`` regime).
+
+``classify_boundary`` keeps the dip-shooting verdict on the quadratic
+equation down to a fixed floor, as a cross-check: a dip below one is
+inadmissible, and growth past the overflow guard counts as admissible with
+a warning.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from . import ivp
 from .errors import (AssumptionViolationError, InputDomainError,
@@ -40,18 +57,19 @@ __all__ = [
     "integrate_slope",
     "slope_above_boundary",
     "classify_boundary",
+    "tail_coefficient",
     "solve_threshold",
     "build_potential",
     "cole_hopf_slope",
-    "floor_sensitivity",
 ]
 
-DIP_FLOOR = 2e-8           # x_min = DIP_FLOOR * drift_peak; see solve docstring
+DIP_FLOOR = 2e-8           # shooting and potential-grid floor, times drift_peak
+TAIL_FLOOR = 1e-6          # tail-coefficient floor, times drift_peak
 DIP_TOLERANCE = 1e-8       # below integrator accuracy a dip is noise
 OVERFLOW_GUARD = 1e8
 RTOL = 1e-10
 ATOL = 1e-12
-BETA_RTOL = 5e-9           # bisection width relative to the drift zero
+BETA_RTOL = 5e-9           # threshold tolerance relative to the drift zero
 N_GRID_LEFT = 2000
 N_GRID_RIGHT = 500
 FD_STEP_ABS = 1e-6         # companion offset, relative to the threshold
@@ -102,12 +120,11 @@ def _slope_rhs(problem: AmbiguityProblem, boundary: float, gamma: float):
 
 def integrate_slope(problem: AmbiguityProblem, boundary: float, gamma: float = 0.0,
                     x_min: float | None = None, *, rtol=RTOL, atol=ATOL,
-                    dip_tolerance=DIP_TOLERANCE, overflow_guard=OVERFLOW_GUARD,
                     forced_nodes=None, stop_on_dip=True,
                     min_step: float | None = None) -> ShootingGrid:
     """Integrate the slope ODE from the boundary down to x_min.
 
-    Stops early once the slope drops below ``1 - dip_tolerance`` (recording
+    Stops early once the slope drops below ``1 - DIP_TOLERANCE`` (recording
     the refined unit crossing) or exceeds the overflow guard.  When the step
     size underflows near a blow-up and the ambiguity level is positive, the
     integration switches to the linear Cole-Hopf form, which stays finite
@@ -120,21 +137,20 @@ def integrate_slope(problem: AmbiguityProblem, boundary: float, gamma: float = 0
             f"need 0 < x_min < boundary <= x_max, got x_min={x_min!r}, "
             f"boundary={boundary!r}, x_max={problem.x_max!r}")
     rhs = _slope_rhs(problem, boundary, gamma)
-    dip_level = (1.0 - dip_tolerance) if stop_on_dip else None
+    dip_level = (1.0 - DIP_TOLERANCE) if stop_on_dip else None
     if min_step is None:
         min_step = 1e-14 * boundary
     try:
         res = ivp.integrate(
             rhs, boundary, 1.0, x_min, rtol=rtol, atol=atol,
             forced_nodes=forced_nodes, dip_level=dip_level, crossing_level=1.0,
-            guard=overflow_guard, min_step=min_step,
+            guard=OVERFLOW_GUARD, min_step=min_step,
             first_step=1e-6 * boundary)
     except SingularIntegrationError:
         if problem.epsilon <= 0.0:
             raise
         res = _cole_hopf_rescue(problem, boundary, gamma, x_min,
-                                dip_level=dip_level, guard=overflow_guard,
-                                forced_nodes=forced_nodes)
+                                dip_level=dip_level, forced_nodes=forced_nodes)
     return ShootingGrid(
         boundary=boundary, gamma=gamma, xs=res.xs, slopes=res.ys,
         slope_derivs=res.dys, terminated_early=res.status == "dip",
@@ -158,7 +174,7 @@ def slope_above_boundary(problem: AmbiguityProblem, boundary: float,
     return res.xs, res.ys, res.dys
 
 
-def _cole_hopf_rescue(problem, boundary, gamma, x_min, *, dip_level, guard,
+def _cole_hopf_rescue(problem, boundary, gamma, x_min, *, dip_level,
                       forced_nodes):
     """Full-interval fallback through the linear form (positive ambiguity)."""
     grid = cole_hopf_slope(problem, boundary, x_min, gamma=gamma,
@@ -169,8 +185,8 @@ def _cole_hopf_rescue(problem, boundary, gamma, x_min, *, dip_level, guard,
         grid_xs, ys, dys = grid.xs[:cut + 1], ys[:cut + 1], grid.slope_derivs[:cut + 1]
         crossing = ivp._refine_crossing(grid_xs, ys, dys, 1.0)
         return ivp.IntegrationResult(grid_xs, ys, dys, "dip", crossing)
-    if np.any(np.abs(ys) > guard):
-        cut = int(np.argmax(np.abs(ys) > guard))
+    if np.any(np.abs(ys) > OVERFLOW_GUARD):
+        cut = int(np.argmax(np.abs(ys) > OVERFLOW_GUARD))
         return ivp.IntegrationResult(grid.xs[:cut + 1], ys[:cut + 1],
                                      grid.slope_derivs[:cut + 1], "guard")
     return ivp.IntegrationResult(grid.xs, ys, grid.slope_derivs, "reached")
@@ -253,15 +269,17 @@ class BoundaryClass:
 
 
 def classify_boundary(problem: AmbiguityProblem, boundary: float,
-                      x_min: float | None = None, *, rtol=RTOL, atol=ATOL,
-                      dip_tolerance=DIP_TOLERANCE,
-                      overflow_guard=OVERFLOW_GUARD) -> BoundaryClass:
-    """Decide whether the slope stays >= 1 - dip_tolerance down to x_min.
+                      x_min: float | None = None) -> BoundaryClass:
+    """Decide whether the slope stays >= 1 - DIP_TOLERANCE down to x_min.
 
     Boundaries at or below the drift peak are rejected outright: no boundary
-    there is admissible, and the bisection never needs to probe them.
-    Blow-up through the overflow guard without a prior dip is the expected
-    admissible behaviour near zero and classifies as in-set with a warning.
+    there is admissible.  Blow-up through the overflow guard without a prior
+    dip classifies as in-set with a warning.
+
+    The verdict depends on the floor near the threshold: an inadmissible
+    boundary whose dip lies below x_min reads as in-set.  At eps = 2 that
+    happens up to 1e-4 below the threshold with the default floor;
+    ``tail_coefficient`` decides admissibility without a floor bias.
     """
     if boundary <= problem.drift_peak:
         raise InputDomainError(
@@ -271,13 +289,83 @@ def classify_boundary(problem: AmbiguityProblem, boundary: float,
         raise InputDomainError(
             f"boundary {boundary!r} exceeds the drift zero "
             f"{problem.drift_zero!r}")
-    grid = integrate_slope(problem, boundary, 0.0, x_min, rtol=rtol, atol=atol,
-                           dip_tolerance=dip_tolerance,
-                           overflow_guard=overflow_guard)
+    grid = integrate_slope(problem, boundary, 0.0, x_min)
     return BoundaryClass(
         boundary=boundary, in_set=not grid.terminated_early,
         dip_crossing=grid.dip_crossing, blowup_warning=grid.blew_up,
         grid=grid)
+
+
+def _tail_modes(problem: AmbiguityProblem, level: float):
+    """Near-zero constants (a, sigma_bar) and discriminant D at a drift level.
+
+    Near zero mu -> mu_bar and sigma(x)/x -> sigma_bar, so the linear form
+    has modes e^{r s} with sigma_bar^2 r^2 + 2 a r + 2 eps level = 0,
+    a = mu_bar - sigma_bar^2/2 and D = a^2 - 2 sigma_bar^2 eps level.
+    """
+    mu_bar, sigma_bar, _ = problem.model.near_zero_constants()
+    a = mu_bar - 0.5 * sigma_bar * sigma_bar
+    if not a > 0.0:
+        raise AssumptionViolationError(
+            f"near-zero log-drift mu_bar - sigma_bar^2/2 = {a!r} is not "
+            "positive; the population does not grow away from zero and no "
+            "tail coefficient separates admissible boundaries")
+    disc = a * a - 2.0 * sigma_bar * sigma_bar * problem.epsilon * level
+    return a, sigma_bar, disc
+
+
+def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
+    """F(b); a negative D is +inf, or 0 with ``clamp`` (rounding at lam = c*)."""
+    level = float(problem.drift(boundary))
+    a, sigma_bar, disc = _tail_modes(problem, level)
+    if disc < 0.0:
+        if not clamp:
+            return math.inf
+        disc = 0.0
+    mu = problem.model.mu
+    sigma = problem.model.sigma
+    eps_level = problem.epsilon * level
+    s2 = sigma_bar * sigma_bar
+    root = math.sqrt(disc)
+    r_plus = (-a + root) / s2
+    r_minus = (-a - root) / s2
+
+    def rhs(s, y):
+        x = math.exp(s)
+        q = sigma(x) / x
+        return (y[1], y[1] + 2.0 * (level - eps_level * y[0] - mu(x) * y[1])
+                / (q * q))
+
+    s_min = math.log(TAIL_FLOOR * problem.drift_peak)
+    sol = solve_ivp(rhs, (math.log(boundary), s_min), (0.0, boundary),
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise SingularIntegrationError(
+            f"tail-coefficient integration failed: {sol.message}",
+            last_x=math.exp(sol.t[-1]) if sol.t.size else boundary)
+    psi, dpsi = sol.y[:, -1]
+    ddpsi = rhs(s_min, (psi, dpsi))[1]
+    return float((ddpsi - r_plus * dpsi) * math.exp(-r_minus * s_min))
+
+
+def tail_coefficient(problem: AmbiguityProblem, boundary: float) -> float:
+    """Dominant-mode coefficient F(b); admissible exactly when F(b) <= 0.
+
+    Integrates the linear form of the slope equation for psi = (1 - phi)/eps
+    in s = log x,
+
+        psi_ss = psi_s + 2 (lam - eps lam psi - mu psi_s) / q^2,
+        q = sigma(x)/x,  psi(b) = 0,  psi_s(b) = b,
+
+    from log b down to s_min = log(TAIL_FLOOR * drift_peak), and returns
+    F = (psi_ss - r+ psi_s) e^{-r- s_min}, which removes the subdominant mode
+    and the particular solution and leaves a positive multiple of the
+    e^{r- s} coefficient.  F is continuous through D = 0, where the modes
+    merge.  When D < 0 (lam(b) > c*) the base function oscillates, the
+    boundary is inadmissible, and F is +inf without an integration.  Raises
+    ``AssumptionViolationError`` when a <= 0.
+    """
+    return _tail(problem, boundary, clamp=False)
 
 
 def _piecewise(x, split, below, above, *, closed=False):
@@ -340,10 +428,8 @@ class PotentialGrid:
 
 
 def build_potential(problem: AmbiguityProblem, threshold: float, *,
-                    x_min: float | None = None, n_grid_left=N_GRID_LEFT,
-                    n_grid_right=N_GRID_RIGHT, rtol=RTOL, atol=ATOL,
-                    dip_tolerance=DIP_TOLERANCE,
-                    overflow_guard=OVERFLOW_GUARD) -> PotentialGrid:
+                    n_grid_left=N_GRID_LEFT, n_grid_right=N_GRID_RIGHT,
+                    rtol=RTOL, atol=ATOL) -> PotentialGrid:
     """Tabulate the potential for an admissible threshold.
 
     The slope is the shooting ODE solution left of the threshold (forced
@@ -351,12 +437,12 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
     identically one to the right; the value integrates the slope with the
     normalization value(threshold) = 0 and extends linearly above.
 
-    Raises ``InputDomainError`` when the threshold is inadmissible (the
-    integration dips); an overflow-guard stop truncates the grid above
-    ``x_min`` and records the truncation point instead of failing.
+    The grid floor is ``DIP_FLOOR * drift_peak``.  Raises
+    ``InputDomainError`` when the threshold is inadmissible (the integration
+    dips); an overflow-guard stop truncates the grid above the floor and
+    records the truncation point instead of failing.
     """
-    if x_min is None:
-        x_min = DIP_FLOOR * problem.drift_peak
+    x_min = DIP_FLOOR * problem.drift_peak
     grid_left = np.geomspace(x_min, threshold, n_grid_left)
     h = np.minimum(FD_STEP_ABS * threshold, FD_STEP_REL * grid_left)
     interior = (grid_left - h > x_min) & (grid_left + h < threshold)
@@ -367,8 +453,7 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
     forced = forced[(forced < threshold) & (forced > x_min)]
 
     grid = integrate_slope(problem, threshold, 0.0, x_min, rtol=rtol,
-                           atol=atol, dip_tolerance=dip_tolerance,
-                           overflow_guard=overflow_guard, forced_nodes=forced)
+                           atol=atol, forced_nodes=forced)
     if grid.terminated_early:
         raise InputDomainError(
             f"threshold {threshold!r} is not admissible: slope dipped below "
@@ -412,7 +497,12 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
 
 @dataclass(frozen=True)
 class ThresholdSolution:
-    """Optimal threshold, long-run yield, and the tabulated potential."""
+    """Optimal threshold, long-run yield, and the tabulated potential.
+
+    ``bisection_trace`` holds the search probes as (b, "in"/"out");
+    ``regime`` is ``"interior"`` or ``"extinction_bound"`` (see
+    ``solve_threshold``).
+    """
 
     problem: AmbiguityProblem
     threshold: float
@@ -422,6 +512,7 @@ class ThresholdSolution:
     iterations: int
     x_min: float
     beta_tolerance: float
+    regime: str
 
     def vprime(self, x):
         return self.grid.slope_at(x)
@@ -438,26 +529,28 @@ class ThresholdSolution:
 
 
 def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
-                    dip_floor=DIP_FLOOR, rtol=RTOL, atol=ATOL,
-                    dip_tolerance=DIP_TOLERANCE, overflow_guard=OVERFLOW_GUARD,
-                    n_grid_left=N_GRID_LEFT,
+                    rtol=RTOL, atol=ATOL, n_grid_left=N_GRID_LEFT,
                     n_grid_right=N_GRID_RIGHT) -> ThresholdSolution:
-    """Bisect for the optimal threshold and assemble its potential.
+    """Root-find the optimal threshold and assemble its potential.
 
-    The lower end starts at the drift peak (never admissible), the upper end
-    at the drift zero (validated admissible); the returned threshold is the
-    admissible end of the final interval, so the certified slope bound holds
-    at it.  The recorded trace is checked for the monotone structure the
-    bisection relies on: every admissible probe must exceed every
-    inadmissible one.
+    The threshold is the ``brentq`` root of ``tail_coefficient`` to within
+    ``beta_rtol * drift_zero``, between the drift peak (never admissible)
+    and the drift zero (validated admissible).  When the drift at the peak
+    exceeds c* = a^2 / (2 eps sigma_bar^2), boundaries up to b*, the root
+    of lam = c*, are inadmissible without an integration, and the search
+    starts at b*; if b* itself is admissible it is the threshold, its yield
+    is c*, and ``regime`` is ``"extinction_bound"`` (``"interior"``
+    otherwise).
+
+    Every probe is recorded as (b, "in"/"out") and the returned threshold is
+    the smallest admissible probe, so the slope bound holds at it (on the
+    extinction bound the trace is the final interval (b* - tol, b*)).  The
+    trace is checked for the monotone structure the search relies on:
+    every admissible probe must exceed every inadmissible one.  F does not
+    depend on the dip-shooting floor; moving ``TAIL_FLOOR`` from 1e-6 to
+    1e-12 moves the threshold by well under the tolerance.
 
     A failed assumption check raises ``AssumptionViolationError`` first.
-
-    The classification floor is ``dip_floor * drift_peak``.  At epsilon = 0
-    the threshold moves in proportion to the floor, and the default keeps
-    that bias well inside the bisection tolerance.  Not so at positive
-    ambiguity: at epsilon = 1, floors 2e-8 and 2e-10 give thresholds about
-    1500 bisection tolerances apart.
     """
     report = check_assumptions(problem)
     if not report.all_passed:
@@ -465,55 +558,47 @@ def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
         raise AssumptionViolationError(
             f"assumption check failed: ({failure.assumption}) "
             f"{failure.name}")
-    x_min = dip_floor * problem.drift_peak
     beta_tol = beta_rtol * problem.drift_zero
     lo = problem.drift_peak
     hi = problem.drift_zero
-    trace = []
+    probes = {}
 
-    def admissible(boundary):
-        verdict = classify_boundary(problem, boundary, x_min, rtol=rtol,
-                                    atol=atol, dip_tolerance=dip_tolerance,
-                                    overflow_guard=overflow_guard)
-        trace.append((boundary, "in" if verdict.in_set else "out"))
-        return verdict.in_set
+    def tail(boundary):
+        if boundary not in probes:
+            probes[boundary] = _tail(problem, boundary, clamp=True)
+        return probes[boundary]
 
-    if not admissible(hi):
-        raise MonotonicityViolationError(
-            f"drift zero {hi!r} classified inadmissible; assumption failure "
-            "or tolerances too loose")
-
-    while hi - lo > beta_tol:
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            hi = mid
-        else:
-            lo = mid
+    regime = "interior"
+    a, sigma_bar, disc = _tail_modes(problem, float(problem.drift(lo)))
+    if disc < 0.0:
+        c_star = a * a / (2.0 * problem.epsilon * sigma_bar * sigma_bar)
+        lo = brentq(lambda b: problem.drift(b) - c_star, lo, hi,
+                    xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        if tail(lo) <= 0.0:
+            regime = "extinction_bound"
+    if regime == "extinction_bound":
+        trace = [(lo - beta_tol, "out"), (lo, "in")]
+    else:
+        if tail(lo) <= 0.0 or tail(hi) > 0.0:
+            raise MonotonicityViolationError(
+                f"tail coefficient {tail(lo)!r} at the lower end {lo!r} and "
+                f"{tail(hi)!r} at the drift zero {hi!r}: need an "
+                "inadmissible lower end and an admissible drift zero")
+        brentq(tail, lo, hi, xtol=beta_tol)
+        trace = [(b, "in" if f <= 0.0 else "out") for b, f in probes.items()]
 
     ins = [b for b, kind in trace if kind == "in"]
     outs = [b for b, kind in trace if kind == "out"]
-    if ins and outs and max(outs) > min(ins):
+    if max(outs) > min(ins):
         raise MonotonicityViolationError(
-            f"bisection trace is not monotone: inadmissible boundary "
+            f"probe trace is not monotone: inadmissible boundary "
             f"{max(outs)!r} above admissible {min(ins)!r}")
 
-    threshold = hi
-    grid = build_potential(problem, threshold, x_min=x_min,
-                           n_grid_left=n_grid_left, n_grid_right=n_grid_right,
-                           rtol=rtol, atol=atol, dip_tolerance=dip_tolerance,
-                           overflow_guard=overflow_guard)
+    threshold = min(ins)
+    grid = build_potential(problem, threshold, n_grid_left=n_grid_left,
+                           n_grid_right=n_grid_right, rtol=rtol, atol=atol)
     return ThresholdSolution(
         problem=problem, threshold=threshold,
         long_run_yield=float(problem.drift(threshold)), grid=grid,
-        bisection_trace=tuple(trace), iterations=len(trace), x_min=x_min,
-        beta_tolerance=beta_tol)
-
-
-def floor_sensitivity(problem: AmbiguityProblem, *, dip_floor=DIP_FLOOR,
-                      **solver_kwargs):
-    """Threshold shift when the classification floor drops tenfold."""
-    base = solve_threshold(problem, dip_floor=dip_floor, **solver_kwargs)
-    refined = solve_threshold(problem, dip_floor=dip_floor / 10.0,
-                              **solver_kwargs)
-    return base.threshold, refined.threshold, abs(base.threshold
-                                                  - refined.threshold)
+        bisection_trace=tuple(trace), iterations=len(trace),
+        x_min=grid.x_min, beta_tolerance=beta_tol, regime=regime)

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergharvest import cli, config, solve_threshold
+from ergharvest import (AmbiguityProblem, artifacts, cli, config,
+                        solve_threshold)
 from ergharvest.cli import main
 
 VP_BLOCK = {"family": "verhulst_pearl",
@@ -53,6 +54,11 @@ class TestCheck:
         assert rc == 64
         err = capsys.readouterr().err
         assert "extra_knob" in err and "accepted keys" in err
+        for key in ("dip_floor", "dip_tolerance", "overflow_guard"):
+            path = write_cfg(tmp_path, solver={key: 1e-8})
+            assert main(["check", "--config", str(path)]) == 64
+            err = capsys.readouterr().err
+            assert key in err and "accepted keys" in err
 
     def test_negative_epsilon_rejected(self, tmp_path):
         rc = main(["check", "--config", str(write_cfg(tmp_path, epsilon=-1.0))])
@@ -125,7 +131,7 @@ class TestSolve:
         rc = main(["solve", "--config", str(cfg)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "beta = 0.79681212" in out
+        assert "beta = 0.79681213" in out
         assert "verdict        pass" in out
         run = tmp_path / "run"
         for name in ("solution.csv", "vprime_fd.csv", "summary.json",
@@ -136,6 +142,36 @@ class TestSolve:
         assert summary["solution"]["beta_eps"] == pytest.approx(0.7968121,
                                                                 abs=1e-6)
         assert summary["config"]["solver"]["rtol"] == 1e-10
+
+    def test_regime_reported_and_restored(self, tmp_path, capsys):
+        # VP at eps=5 sits on the extinction bound: stdout gains one line,
+        # summary.json records the regime and verify reads it back.
+        cfg = write_cfg(tmp_path, epsilon=5.0)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert "regime = extinction_bound" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["solution"]["regime"] == "extinction_bound"
+        assert summary["solution"]["ell_eps"] == pytest.approx(0.025,
+                                                               rel=1e-12)
+        problem = AmbiguityProblem.build(config.load_config(cfg).model, 5.0)
+        restored = artifacts.load_solution(tmp_path / "run", problem)
+        assert restored.regime == "extinction_bound"
+        assert main(["solve", "--config", str(cfg), "--eps", "1.0"]) == 0
+        assert "regime =" not in capsys.readouterr().out
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["solution"]["regime"] == "interior"
+
+    def test_nonpositive_log_drift_is_an_assumption_failure(self, tmp_path,
+                                                            capsys):
+        # mu_bar = sigma_bar^2 / 2 passes (A0) but leaves the tail modes
+        # without a dominant one: a named error, not a number or exit 70.
+        model = {"family": "verhulst_pearl",
+                 "params": {"mu_bar": 0.5, "sigma_bar": 1.0}}
+        rc = main(["solve", "--config",
+                   str(write_cfg(tmp_path, model=model, epsilon=0.5))])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "mu_bar - sigma_bar^2/2" in err and "Traceback" not in err
 
     def test_bracket_echoed_at_unit_ambiguity(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, epsilon=1.0)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from ergharvest import (InputDomainError, apply_operator, build_truncated,
-                        minimizing_kernel, verify_solution, violation_delta)
+from ergharvest import (AmbiguityProblem, InputDomainError, apply_operator,
+                        build_truncated, classify_boundary, minimizing_kernel,
+                        solve_threshold, tail_coefficient, verify_solution,
+                        violation_delta)
 
 import oracles
 
@@ -123,6 +125,19 @@ class TestTruncatedPotential:
         with pytest.raises(InputDomainError):
             build_truncated(problem1, problem1.drift_zero,
                             sol1.long_run_yield)
+
+    def test_dip_below_the_grid_floor_is_not_called_admissible(
+            self, vp_model):
+        # At eps=2, 1e-4 below the threshold the tail coefficient is positive
+        # (inadmissible) but the dip lies below the shooting floor, where the
+        # dip-shooting verdict still reads in-set.
+        problem = AmbiguityProblem.build(vp_model, 2.0)
+        sol = solve_threshold(problem)
+        b = sol.threshold - 1e-4
+        assert tail_coefficient(problem, b) > 0.0
+        assert classify_boundary(problem, b).in_set
+        with pytest.raises(InputDomainError, match="below the grid floor"):
+            build_truncated(problem, b, sol.long_run_yield)
 
     def test_ode_branch_excess_positive_and_vanishing(self, problem1, sol1):
         # On [dip, boundary] the operator value is the drift at the boundary;

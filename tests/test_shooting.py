@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from ergharvest import (AmbiguityProblem, InputDomainError,
-                        TransformBreakdownError, VerhulstPearl,
-                        classify_boundary, cole_hopf_slope, floor_sensitivity,
-                        integrate_slope, slope_above_boundary,
-                        solve_threshold)
+from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
+                        MonotonicityViolationError, TransformBreakdownError,
+                        VerhulstPearl,
+                        classify_boundary, cole_hopf_slope, integrate_slope,
+                        shooting, slope_above_boundary, solve_threshold,
+                        tail_coefficient)
 from ergharvest.shooting import BETA_RTOL
 
 import oracles
@@ -164,6 +168,11 @@ class TestThresholdSolve:
         assert max(outs) < min(ins)
         assert sol0.iterations == len(sol0.bisection_trace)
 
+    def test_inadmissible_drift_zero_raises(self, problem1, monkeypatch):
+        monkeypatch.setattr(shooting, "_tail", lambda *args, **kwargs: 1.0)
+        with pytest.raises(MonotonicityViolationError, match="drift zero"):
+            solve_threshold(problem1)
+
     def test_deterministic(self, problem0, sol0):
         again = solve_threshold(problem0)
         assert again.threshold == sol0.threshold
@@ -171,10 +180,103 @@ class TestThresholdSolve:
         assert np.array_equal(again.grid.nodes_slope, sol0.grid.nodes_slope)
         assert again.bisection_trace == sol0.bisection_trace
 
-    def test_floor_sensitivity_below_tolerance(self, problem0, sol0):
-        base, refined, delta = floor_sensitivity(problem0)
-        assert base == sol0.threshold
-        assert delta < 10.0 * sol0.beta_tolerance
+
+
+GL2 = GeneralLogistic(mu_bar=1.0, gamma_bar=1.0, sigma_bar=1.0, theta=2.0)
+
+# Thresholds from a floor-converged reference that bisects on "the Cole-Hopf
+# base function has no zero on (1e-100, b]", integrated in log x.
+REFERENCE_THRESHOLDS = [
+    ("vp", 0.5, 0.6559955710), ("vp", 1.0, 0.5585961507),
+    ("vp", 2.0, 0.4320007666), ("gl2", 0.5, 0.7570951873),
+    ("gl2", 1.0, 0.6907440141),
+]
+
+
+def _model(name):
+    return VerhulstPearl() if name == "vp" else GL2
+
+
+def _extinction_root(name, eps):
+    """b* in (peak, zero) where the drift equals c* = 1/(8 eps), from the
+    drift polynomial: VP b - (1 + eps/2) b^2, GL theta=2 b - eps b^2/2 - b^3."""
+    c_star = 1.0 / (8.0 * eps)
+    coeffs = ([-(1.0 + 0.5 * eps), 1.0, -c_star] if name == "vp"
+              else [-1.0, -0.5 * eps, 1.0, -c_star])
+    roots = np.roots(coeffs)
+    problem = AmbiguityProblem.build(_model(name), eps)
+    inside = [r.real for r in roots if abs(r.imag) < 1e-12
+              and problem.drift_peak < r.real < problem.drift_zero]
+    assert len(inside) == 1
+    return problem, inside[0], c_star
+
+
+class TestTailCoefficient:
+    @pytest.mark.parametrize("name, eps, beta_ref", REFERENCE_THRESHOLDS,
+                             ids=[f"{n}-eps{e:g}" for n, e, _ in
+                                  REFERENCE_THRESHOLDS])
+    def test_reference_thresholds(self, name, eps, beta_ref):
+        sol = solve_threshold(AmbiguityProblem.build(_model(name), eps))
+        assert abs(sol.threshold - beta_ref) <= 10.0 * sol.beta_tolerance
+        assert sol.regime == "interior"
+
+    def test_root_matches_closed_form_at_zero_ambiguity(self, problem0):
+        root = brentq(lambda b: tail_coefficient(problem0, b),
+                      problem0.drift_peak, problem0.drift_zero, xtol=1e-14)
+        assert abs(root - oracles.threshold_root(tol=1e-13)) < 1e-10
+
+    def test_threshold_converges_in_the_floor(self, monkeypatch):
+        cases = [(VerhulstPearl(), e) for e in (0.0, 0.5, 1.0, 2.0)] + \
+                [(GL2, e) for e in (0.0, 0.5, 1.0)]
+        for model, eps in cases:
+            problem = AmbiguityProblem.build(model, eps)
+            base = solve_threshold(problem)
+            assert base.regime == "interior"
+            for floor in (1e-8, 1e-12):
+                monkeypatch.setattr(shooting, "TAIL_FLOOR", floor)
+                moved = solve_threshold(problem).threshold
+                assert abs(moved - base.threshold) <= base.beta_tolerance, \
+                    (model.family, eps, floor)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name, eps", [("vp", 5.0), ("vp", 20.0),
+                                           ("gl2", 2.0), ("gl2", 5.0)],
+                             ids=["vp-eps5", "vp-eps20", "gl2-eps2",
+                                  "gl2-eps5"])
+    def test_extinction_rows(self, name, eps):
+        problem, b_star, c_star = _extinction_root(name, eps)
+        sol = solve_threshold(problem)
+        assert sol.regime == "extinction_bound"
+        assert abs(sol.threshold - b_star) <= sol.beta_tolerance
+        assert sol.long_run_yield == pytest.approx(c_star, rel=1e-12)
+        assert sol.bisection_trace == ((sol.threshold - sol.beta_tolerance,
+                                        "out"), (sol.threshold, "in"))
+
+    def test_interior_just_above_the_extinction_root(self):
+        # VP at eps=3: the drift peak exceeds c*, but b* is inadmissible,
+        # so the search starts at b* and the root lies above it.
+        problem, b_star, c_star = _extinction_root("vp", 3.0)
+        sol = solve_threshold(problem)
+        assert sol.regime == "interior"
+        assert sol.threshold > b_star + 100.0 * sol.beta_tolerance
+        assert sol.long_run_yield < c_star
+        assert tail_coefficient(problem, 0.5 * (problem.drift_peak
+                                                + b_star)) == math.inf
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_sign_agrees_with_classify_boundary(self, solutions_by_eps, eps):
+        problem, sol = solutions_by_eps[eps]
+        fracs = np.linspace(0.02, 0.98, 13)
+        boundaries = problem.drift_peak + fracs * (problem.drift_zero
+                                                   - problem.drift_peak)
+        checked = 0
+        for b in boundaries:
+            if abs(b - sol.threshold) < 1e-3:
+                continue
+            assert (tail_coefficient(problem, b) <= 0.0) == \
+                classify_boundary(problem, b).in_set, b
+            checked += 1
+        assert checked >= 12
 
 
 class TestPotential:

@@ -101,6 +101,21 @@ class TestMonotonicityReport:
         assert report.beta_violations and report.ell_violations
         assert any("increased" in line for line in report.lines())
 
+    def test_yields_judged_with_their_own_slack(self, vp_model):
+        # A yield rise of 4e-8 is under the threshold slack (5e-8, units of
+        # x) but over the yield slack (about 3e-8, units of the drift).
+        rows = sweep(vp_model, [0.0, 1.0])
+        doctored = [rows[0], dataclasses.replace(
+            rows[1], ell_eps=rows[0].ell_eps + 4e-8)]
+        report = monotonicity_report(doctored)
+        assert report.slack == pytest.approx(5e-8)
+        assert report.ell_slack == pytest.approx(
+            10.0 * max(r.ell_tolerance for r in rows))
+        assert report.ell_slack < 4e-8
+        assert not report.passed
+        assert report.ell_violations and not report.beta_violations
+        assert any("yield slack" in line for line in report.lines())
+
     def test_slack_follows_the_configured_tolerance(self, vp_model):
         # A coarse beta_rtol leaves adjacent thresholds 2e-5 apart on a grid
         # this fine; the module default's slack would be 3e-8.
