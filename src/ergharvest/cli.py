@@ -239,6 +239,9 @@ def cmd_simulate(args) -> int:
         "first_half_mean": est.first_half_mean,
         "second_half_mean": est.second_half_mean,
         "split_consistent": est.split_consistent,
+        "negative_proposals": sum(s.negative_proposals for s in est.per_path),
+        "floor_clamps": sum(s.floor_clamps for s in est.per_path),
+        "max_x": max(s.max_x for s in est.per_path if not s.aborted),
     }
     artifacts.write_json(out / artifacts.SUMMARY_JSON, summary)
     print(f"measure = {sim['measure']}   x0 = {x0!r}   paths = {est.n_paths} "

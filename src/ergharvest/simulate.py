@@ -23,7 +23,29 @@ are the reference dynamics and this worst case.
 
 Paths are independent units of work with their own counter-based random
 streams (Philox keyed by master seed and path index), so results are
-bit-identical regardless of how paths are batched or scheduled.
+bit-identical regardless of how paths are batched or scheduled.  A batch
+is a set of lanes, each a path id with its own starting point; the same
+path id may run from several starts in one batch.
+
+At a few hundred lanes per process each numpy call costs about the same
+whatever its width, so the step loop runs only the recurrence
+x_k -> x_{k+1}: sigma(x), the table lookup and drift, the proposal (written
+into the noise row it consumed) and the projection onto [0, beta].  The
+states, and under the worst case the table index and fraction, go into
+buffers of ``_CHUNK_STEPS`` rows.  Once per chunk the harvest
+max(P - beta, 0), the KL increments (from the stored index and fraction,
+with no second lookup), the negative-proposal and floor-clamp counts, the
+running maximum and the strided occupation histogram (one ``bincount``
+over lane * n_bins + bin) are computed over the whole buffer, and the
+chunk's rows are split at the burn-in and mid-window steps for the
+snapshots.
+
+The settled sums stay bit-identical to adding one step at a time: each
+sum is ``np.add.reduce(rows, axis=0)`` over C-ordered (steps, lanes) rows
+with the running total added into the first row, and a reduction along
+axis 0 over two or more lanes adds the rows in step order.  Over a single
+lane numpy sees one contiguous axis and sums it pairwise instead, which
+moves a lone path's totals in the last bits, so a lone lane is run twice.
 """
 
 from __future__ import annotations
@@ -95,7 +117,12 @@ def worst_case_kernel(problem: AmbiguityProblem, sol: ThresholdSolution, x):
 
 # Steps per block: noise is drawn, and non-finite paths are quarantined,
 # once per block of this many steps.
-_BLOCK_STEPS = 4096
+_BLOCK_STEPS = 2048
+
+# Steps per chunk: harvest, KL, counters and occupation are settled once per
+# chunk.  Chunks never cross a block end, so the quarantine there sees
+# settled totals.  128 steps settle as fast as 256 and hold less memory.
+_CHUNK_STEPS = 128
 
 # Nodes of the worst-case step table: at 4096 log-spaced nodes the
 # interpolated kernel stays within 1e-5 eps sigma(beta) of the solved cubic
@@ -128,31 +155,42 @@ class _WorstCaseStep:
         self.kl = psi * psi * (dt / (2.0 * problem.epsilon))
         self.kl_diff = np.append(np.diff(self.kl), 0.0)
 
-    def lookup(self, x):
-        """Cell index, fraction in the cell and floor-clamp mask of each x.
+    def locate(self, x, idx, frac):
+        """Write the cell index and the fraction in the cell of each x.
 
-        States below the floor use the floor node, so t >= 0 up to rounding
-        (which the cast truncates to node 0); t is capped at the last node,
-        whose difference is zero.  The index is clamped again after the cast
-        because a NaN state casts to INT64_MIN; its fraction stays NaN, so
-        the path is still quarantined at the end of its block.
+        The position t in node units goes through ``frac``.  States below
+        the floor use the floor node, so t >= 0 up to rounding (which the
+        cast truncates to node 0); t is capped at the last node, whose
+        difference is zero.  A NaN state casts to INT64_MIN, which the
+        clipped ``take`` of ``drift_at`` and ``kl_at`` reads as node 0; its
+        fraction stays NaN, so the path is still quarantined at the end of
+        its block.
         """
-        t = np.log(np.maximum(x, self.lo))
-        t -= self.s0
-        t *= self.inv_ds
-        np.minimum(t, self.top, out=t)
-        idx = t.astype(np.int64)
+        np.maximum(x, self.lo, out=frac)
+        np.log(frac, out=frac)
+        frac -= self.s0
+        frac *= self.inv_ds
+        np.minimum(frac, self.top, out=frac)
+        np.copyto(idx, frac, casting="unsafe")
+        frac -= idx
+
+    def lookup(self, x):
+        """Cell index (within the table), fraction and floor-clamp mask."""
+        x = np.asarray(x, dtype=float)
+        idx = np.empty(x.shape, dtype=np.int64)
+        frac = np.empty(x.shape)
+        self.locate(x, idx, frac)
         np.maximum(idx, 0, out=idx)
-        return idx, t - idx, x < self.lo
+        return idx, frac, x < self.lo
 
     def drift_at(self, idx, frac):
-        out = self.drift.take(idx)
-        out += frac * self.drift_diff.take(idx)
+        out = self.drift.take(idx, mode="clip")
+        out += frac * self.drift_diff.take(idx, mode="clip")
         return out
 
     def kl_at(self, idx, frac):
-        out = self.kl.take(idx)
-        out += frac * self.kl_diff.take(idx)
+        out = self.kl.take(idx, mode="clip")
+        out += frac * self.kl_diff.take(idx, mode="clip")
         return out
 
 
@@ -226,7 +264,24 @@ class PathStats:
     aborted: bool
 
 
-def _run_paths(cfg: SimConfig, path_ids) -> list[PathStats]:
+def _ordered_sum(total, rows):
+    """total + rows[0] + rows[1] + ... per lane, added in step order.
+
+    ``rows`` is C-ordered (steps, lanes) with at least two lanes, so the
+    reduction along axis 0 adds whole rows in turn; its first row is
+    overwritten.
+    """
+    if len(rows) == 0:
+        return total
+    rows[0] += total
+    return np.add.reduce(rows, axis=0)
+
+
+def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
+    """Simulate one batch of lanes; lane j runs path ``path_ids[j]``.
+
+    ``x0`` gives each lane's starting point (default ``cfg.x0`` for all).
+    """
     problem = cfg.problem
     mu = problem.model.mu
     sigma = problem.model.sigma
@@ -234,89 +289,130 @@ def _run_paths(cfg: SimConfig, path_ids) -> list[PathStats]:
     dt = cfg.dt
     sqdt = math.sqrt(dt)
     eps = problem.epsilon
-    n = len(path_ids)
+    n_out = len(path_ids)
+    ids = list(path_ids)
+    x0 = np.full(n_out, cfg.x0) if x0 is None else np.array(x0, dtype=float)
+    if n_out == 1:
+        # A lone lane would be summed pairwise (see the module docstring).
+        ids, x0 = ids * 2, np.repeat(x0, 2)
+    n = len(ids)
     n_steps = cfg.n_steps
     burn = cfg.burn_steps
     retained = n_steps - burn
     mid = burn + retained // 2
+    stride = cfg.occupation_stride
+    n_bins = cfg.n_bins
     table = (_WorstCaseStep(problem, cfg.solution, beta, dt)
              if cfg.measure == "worstcase" and eps > 0.0 else None)
 
-    x = np.full(n, min(cfg.x0, beta), dtype=float)
-    Z = np.full(n, max(cfg.x0 - beta, 0.0), dtype=float)  # instant harvest
+    chunk = _CHUNK_STEPS
+    states = np.empty((chunk + 1, n))  # row r: the state before chunk step r
+    states[0] = np.minimum(x0, beta)
+    Z = np.maximum(x0 - beta, 0.0)  # instant harvest
     KL = np.zeros(n)
     neg = np.zeros(n, dtype=np.int64)
     clamps = np.zeros(n, dtype=np.int64)
-    occ = np.zeros((n, cfg.n_bins), dtype=np.int64)
-    max_x = x.copy()
+    occ = np.zeros((n, n_bins), dtype=np.int64)
+    max_x = states[0].copy()
     aborted = np.zeros(n, dtype=bool)
-    rows = np.arange(n)
-    bin_scale = cfg.n_bins / beta
+    bin_scale = n_bins / beta
+    lane_bins = np.arange(n) * n_bins
 
-    Z_burn = KL_burn = Z_mid = KL_mid = None
-    if burn == 0:
-        # Window starts at time zero minus: the instant initial harvest counts.
-        Z_burn, KL_burn = np.zeros(n), np.zeros(n)
+    # Before burn-in ends no step adds to Z or KL.  A window starting at
+    # time zero minus counts the instant initial harvest.
+    Z_burn = Z.copy() if burn > 0 else np.zeros(n)
+    KL_burn = np.zeros(n)
+    Z_mid = KL_mid = None
 
-    gens = [path_rng(cfg.seed, int(pid)) for pid in path_ids]
-    block = _BLOCK_STEPS
-    noise = np.empty((block, n))
+    gens = [path_rng(cfg.seed, int(pid)) for pid in ids]
+    noise = np.empty((_BLOCK_STEPS, n))
+    noise_rows = list(noise)
+    state_rows = list(states)
+    if table is not None:
+        cells = np.empty((chunk, n), dtype=np.int64)
+        fracs = np.empty((chunk, n))
+        cell_rows, frac_rows = list(cells), list(fracs)
     done = 0
     # NaN/inf paths are quarantined at block boundaries; silence the float
     # warnings their garbage values would emit in the meantime.
     with np.errstate(invalid="ignore", over="ignore"):
         while done < n_steps:
-            m = min(block, n_steps - done)
+            m = min(_BLOCK_STEPS, n_steps - done)
             for j, gen in enumerate(gens):
                 noise[:m, j] = gen.standard_normal(m)
             noise[:m] *= sqdt
-            for i in range(m):
-                k = done + i
-                sig = sigma(x)
+            for c0 in range(0, m, chunk):
+                rows = min(chunk, m - c0)
+                for r in range(rows):
+                    x = state_rows[r]
+                    sig = sigma(x)
+                    if table is not None:
+                        idx, frac = cell_rows[r], frac_rows[r]
+                        table.locate(x, idx, frac)
+                        drift = table.drift_at(idx, frac)
+                    else:
+                        drift = x * mu(x)
+                        drift *= dt
+                    drift += x
+                    proposed = noise_rows[c0 + r]
+                    proposed *= sig
+                    proposed += drift
+                    x = state_rows[r + 1]
+                    np.minimum(proposed, beta, out=x)
+                    np.maximum(x, 0.0, out=x)
+
+                # Settle the chunk: step k = k0 + r moved states[r] to
+                # states[r + 1] through the proposal noise[c0 + r].
+                k0 = done + c0
+                after = states[1:rows + 1]
+                np.maximum(max_x, after.max(axis=0), out=max_x)
+                r0 = min(max(burn - k0, 0), rows)
+                proposals = noise[c0 + r0:c0 + rows]
+                neg += np.count_nonzero(proposals < 0.0, axis=0)
+                harvest = proposals - beta
+                np.maximum(harvest, 0.0, out=harvest)
+                kl = None
                 if table is not None:
-                    idx, frac, low = table.lookup(x)
-                    drift = table.drift_at(idx, frac)
-                    if k >= burn:
-                        KL += table.kl_at(idx, frac)
-                        clamps += low
-                else:
-                    drift = x * mu(x) * dt
-                proposed = x + drift + sig * noise[i]
-                over = proposed - beta
-                np.maximum(over, 0.0, out=over)
-                if k >= burn:
-                    Z += over
-                    neg += proposed < 0.0
-                np.minimum(proposed, beta, out=proposed)
-                np.maximum(proposed, 0.0, out=proposed)
-                x = proposed
-                np.maximum(max_x, x, out=max_x)
-                if k >= burn and (k - burn) % cfg.occupation_stride == 0:
-                    # Clip from below too: a quarantined NaN path casts to
-                    # INT64_MIN and must not break the indexing.
-                    bins = np.clip((x * bin_scale).astype(np.int64), 0,
-                                   cfg.n_bins - 1)
-                    occ[rows, bins] += 1
-                if k + 1 == burn:
-                    Z_burn, KL_burn = Z.copy(), KL.copy()
-                elif k + 1 == mid:
-                    Z_mid, KL_mid = Z.copy(), KL.copy()
+                    clamps += np.count_nonzero(states[r0:rows] < table.lo,
+                                               axis=0)
+                    kl = table.kl_at(cells[r0:rows], fracs[r0:rows])
+                sample = after[r0 + (burn - k0 - r0) % stride::stride]
+                if len(sample):
+                    # Clip from below too: a NaN state casts to INT64_MIN.
+                    bins = (sample * bin_scale).astype(np.int64)
+                    np.clip(bins, 0, n_bins - 1, out=bins)
+                    bins += lane_bins
+                    counts = np.bincount(bins.ravel(), minlength=n * n_bins)
+                    occ += counts.reshape(n, n_bins)
+                split = mid - k0 - r0
+                if burn < mid and 0 < split <= rows - r0:
+                    Z = _ordered_sum(Z, harvest[:split])
+                    harvest = harvest[split:]
+                    if kl is not None:
+                        KL = _ordered_sum(KL, kl[:split])
+                        kl = kl[split:]
+                    Z_mid, KL_mid = Z, KL
+                Z = _ordered_sum(Z, harvest)
+                if kl is not None:
+                    KL = _ordered_sum(KL, kl)
+                states[0] = states[rows]
+            x = states[0]
             bad = ~(np.isfinite(x) & np.isfinite(Z) & np.isfinite(KL))
             if np.any(bad):
                 aborted |= bad
                 x[bad] = beta  # park the path; excluded from aggregates
             done += m
 
-    if Z_burn is None:
-        Z_burn, KL_burn = Z.copy(), KL.copy()
     if Z_mid is None:
-        Z_mid, KL_mid = Z.copy(), KL.copy()
+        # A window under two steps has mid == burn: no mid snapshot is taken
+        # and the second half reads zero.
+        Z_mid, KL_mid = Z, KL
 
     t_ret = retained * dt
     t_first = (mid - burn) * dt
     t_second = t_ret - t_first
     stats = []
-    for j, pid in enumerate(path_ids):
+    for j, pid in enumerate(ids[:n_out]):
         harvest = float(Z[j] - Z_burn[j])
         kl = float(KL[j] - KL_burn[j])
         payoff = (harvest + kl) / t_ret if t_ret > 0.0 else float("nan")
@@ -364,24 +460,32 @@ def _std_error(values):
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-def estimate_payoff(cfg: SimConfig, *, jobs: int = 1) -> PayoffEstimate:
-    """Run all configured paths and aggregate their payoff estimates.
+def _run_lanes(cfg: SimConfig, path_ids, x0s, jobs: int) -> list[PathStats]:
+    """Per-lane results in lane order; ``jobs > 1`` deals lanes to processes.
 
-    Paths are batched; with ``jobs > 1`` batches run in separate processes.
-    Per-path streams make the result independent of the batching.  Raises
-    ``SimulationAbortError`` when more than 10% of paths aborted.
+    Per-path streams make the result independent of the batching.
     """
-    ids = list(range(cfg.n_paths))
-    if jobs <= 1 or cfg.n_paths == 1:
-        stats = _run_paths(cfg, ids)
-    else:
-        jobs = min(jobs, cfg.n_paths)
-        chunks = [ids[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_run_paths, [cfg] * len(chunks), chunks))
-        stats = sorted((s for part in parts for s in part),
-                       key=lambda s: s.path_id)
+    n = len(path_ids)
+    if n == 0:
+        return []
+    if jobs <= 1 or n == 1:
+        return _run_paths(cfg, path_ids, x0s)
+    jobs = min(jobs, n)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        parts = list(pool.map(_run_paths, [cfg] * jobs,
+                              [path_ids[i::jobs] for i in range(jobs)],
+                              [x0s[i::jobs] for i in range(jobs)]))
+    stats = [None] * n
+    for i, part in enumerate(parts):
+        stats[i::jobs] = part
+    return stats
 
+
+def _aggregate(stats) -> PayoffEstimate:
+    """Mean, SE and split-window check of one start's paths.
+
+    Raises ``SimulationAbortError`` when more than 10% of paths aborted.
+    """
     good = [s for s in stats if not s.aborted]
     n_aborted = len(stats) - len(good)
     if n_aborted > 0.10 * len(stats):
@@ -403,6 +507,17 @@ def estimate_payoff(cfg: SimConfig, *, jobs: int = 1) -> PayoffEstimate:
         mean=mean, std_error=se, se_defined=se_defined, n_paths=len(stats),
         n_aborted=n_aborted, first_half_mean=fm, second_half_mean=sm,
         split_consistent=bool(split_ok), per_path=tuple(stats))
+
+
+def estimate_payoff(cfg: SimConfig, *, jobs: int = 1) -> PayoffEstimate:
+    """Run all configured paths and aggregate their payoff estimates.
+
+    Paths are batched; with ``jobs > 1`` batches run in separate processes.
+    Per-path streams make the result independent of the batching.  Raises
+    ``SimulationAbortError`` when more than 10% of paths aborted.
+    """
+    ids = list(range(cfg.n_paths))
+    return _aggregate(_run_lanes(cfg, ids, [cfg.x0] * len(ids), jobs))
 
 
 @dataclass(frozen=True)
@@ -432,14 +547,20 @@ def x0_independence_check(cfg: SimConfig, x0_list, *,
     """Ergodic start-insensitivity: estimates across x0 agree pairwise.
 
     Each starting point reuses the same seed, so the comparison is between
-    runs driven by identical noise.
+    runs driven by identical noise.  All starts run as one batch of lanes
+    (start, path); each start's estimate equals a separate
+    ``estimate_payoff`` at that x0, and raises like it when more than 10%
+    of that start's paths abort.
     """
-    means, ses = [], []
-    for x0 in x0_list:
-        est = estimate_payoff(replace(cfg, x0=float(x0)), jobs=jobs)
-        means.append(est.mean)
-        ses.append(est.std_error)
+    starts = [replace(cfg, x0=float(v)).x0 for v in x0_list]
+    ids = list(range(cfg.n_paths))
+    stats = _run_lanes(cfg, ids * len(starts),
+                       [x0 for x0 in starts for _ in ids], jobs)
+    ests = [_aggregate(stats[i * len(ids):(i + 1) * len(ids)])
+            for i in range(len(starts))]
+    means = [est.mean for est in ests]
+    ses = [est.std_error for est in ests]
     consistent = not any(gap > limit for gap, limit in _pair_gaps(means, ses))
     return X0IndependenceReport(
-        x0_values=tuple(float(v) for v in x0_list), means=tuple(means),
+        x0_values=tuple(starts), means=tuple(means),
         std_errors=tuple(ses), consistent=bool(consistent))

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergharvest import (AmbiguityProblem, artifacts, cli, config,
+from ergharvest import (AmbiguityProblem, SimConfig, VerhulstPearl,
+                        artifacts, cli, config, estimate_payoff,
                         solve_threshold)
 from ergharvest.cli import main
 
@@ -289,6 +290,33 @@ class TestSimulate:
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["simulation"]["measure"] == "worstcase"
         assert summary["simulation"]["mean"] > 0.0
+
+
+    def test_summary_reports_path_counters(self, tmp_path):
+        # At dt = 0.25 some proposals go negative; a path clipped to zero
+        # stays there, below the worst-case table floor.
+        cfg = write_cfg(tmp_path, epsilon=1.0,
+                        sim={"dt": 0.25, "horizon": 50.0, "n_paths": 8,
+                             "measure": "worstcase"})
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        run = tmp_path / "run"
+        got = json.loads((run / "summary.json").read_text())["simulation"]
+        sim = _echoed(run)["sim"]
+        problem = AmbiguityProblem.build(
+            VerhulstPearl(mu_bar=1.0, gamma_bar=1.0, sigma_bar=1.0), 1.0)
+        sol = solve_threshold(problem)
+        est = estimate_payoff(SimConfig(
+            problem=problem, beta=sol.threshold, x0=sol.threshold,
+            dt=sim["dt"], horizon=sim["horizon"], n_paths=sim["n_paths"],
+            burn_in=sim["burn_in"], measure="worstcase", solution=sol,
+            seed=5, n_bins=sim["n_bins"],
+            occupation_stride=sim["occupation_stride"]))
+        neg = sum(s.negative_proposals for s in est.per_path)
+        clamps = sum(s.floor_clamps for s in est.per_path)
+        assert got["negative_proposals"] == neg > 0
+        assert got["floor_clamps"] == clamps > 0
+        assert got["max_x"] == max(s.max_x for s in est.per_path)
+        assert got["max_x"] <= sol.threshold
 
 
 class TestSweepCommand:

@@ -12,6 +12,8 @@ from ergharvest import (AmbiguityProblem, InputDomainError, SimConfig,
                         worst_case_kernel, x0_independence_check)
 from ergharvest import simulate
 
+import oracles
+
 
 class TestReflectStep:
     def test_no_motion(self):
@@ -181,6 +183,16 @@ def _small_cfg(problem, sol, **kw):
     return SimConfig(**defaults)
 
 
+def _assert_same_stats(a, b):
+    """Every PathStats field equal bit for bit (NaN equal to NaN)."""
+    for f in dataclasses.fields(simulate.PathStats):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            assert np.array_equal(va, vb), f.name
+        else:
+            assert repr(va) == repr(vb), f.name
+
+
 class TestSimulatePath:
     def test_constant_drift_harvests_at_that_rate(self):
         problem = _frozen_problem(rate=0.3)
@@ -217,6 +229,16 @@ class TestSimulatePath:
         assert np.array_equal(alone.occupation_histogram,
                               batched.occupation_histogram)
 
+    def test_lone_worst_case_path_matches_batched_member(self, problem1,
+                                                         sol1):
+        # Long enough that summing one lane pairwise instead of in step
+        # order would move its totals.
+        cfg = _small_cfg(problem1, sol1, n_paths=4, horizon=20.0, dt=2e-3,
+                         measure="worstcase", solution=sol1)
+        batched = estimate_payoff(cfg).per_path
+        for j in range(cfg.n_paths):
+            _assert_same_stats(simulate_path(cfg, j), batched[j])
+
     def test_seed_reproducibility_and_stream_independence(self, problem0,
                                                           sol0):
         cfg = _small_cfg(problem0, sol0, n_paths=4, horizon=2.0)
@@ -251,6 +273,71 @@ class TestSimulatePath:
         steps = (cfg.n_steps - cfg.burn_steps) * cfg.n_paths
         frac = sum(s.negative_proposals for s in est.per_path) / steps
         assert frac < 1e-3
+
+
+class _PoisonedStream:
+    """A path's own stream with NaN draws at steps 1000 to 1009."""
+
+    def __init__(self, gen):
+        self.gen, self.k = gen, 0
+
+    def standard_normal(self, m):
+        z = self.gen.standard_normal(m)
+        z[max(1000 - self.k, 0):max(1010 - self.k, 0)] = np.nan
+        self.k += m
+        return z
+
+
+class TestChunkedSettlement:
+    """The chunk-settled engine against the step-by-step oracle."""
+
+    @pytest.mark.parametrize("measure", simulate.MEASURES)
+    @pytest.mark.parametrize("kw", [
+        dict(burn_in=0.0, occupation_stride=1, n_paths=3),
+        dict(burn_in=0.024, occupation_stride=3),
+        dict(x0=2.0, occupation_stride=8),
+        dict(n_paths=1),
+    ], ids=["no_burn_in", "mid_on_chunk_edge", "x0_above_beta", "one_lane"])
+    def test_matches_step_by_step_oracle(self, kw, measure, problem1, sol1):
+        kw = dict(kw)
+        x0 = kw.pop("x0", 1.0) * sol1.threshold
+        cfg = _small_cfg(problem1, sol1, x0=x0, dt=2e-3, horizon=5.0,
+                         n_paths=kw.pop("n_paths", 4), measure=measure,
+                         solution=sol1, **kw)
+        # The run crosses a block end and ends inside a chunk (so inside a
+        # block too).
+        chunk = simulate._CHUNK_STEPS
+        assert cfg.n_steps > simulate._BLOCK_STEPS and cfg.n_steps % chunk
+        if cfg.burn_in == 0.024:
+            # Burn-in ends inside the first chunk; the window splits on the
+            # edge between two chunks.
+            burn = cfg.burn_steps
+            mid = burn + (cfg.n_steps - burn) // 2
+            assert burn % chunk and mid % chunk == 0
+        ids = list(range(cfg.n_paths))
+        got = simulate._run_paths(cfg, ids)
+        want = oracles.step_paths(cfg, ids)
+        assert len(got) == len(want) == cfg.n_paths
+        for a, b in zip(got, want):
+            _assert_same_stats(a, b)
+
+    @pytest.mark.parametrize("measure", simulate.MEASURES)
+    def test_nan_lane_matches_oracle(self, measure, problem1, sol1,
+                                     monkeypatch):
+        real_rng = simulate.path_rng
+        monkeypatch.setattr(
+            simulate, "path_rng",
+            lambda seed, pid: (_PoisonedStream(real_rng(seed, pid))
+                               if pid == 1 else real_rng(seed, pid)))
+        cfg = _small_cfg(problem1, sol1, dt=2e-3, horizon=5.0, n_paths=4,
+                         occupation_stride=1, measure=measure,
+                         solution=sol1)
+        ids = list(range(cfg.n_paths))
+        got = simulate._run_paths(cfg, ids)
+        want = oracles.step_paths(cfg, ids)
+        assert [s.aborted for s in got] == [False, True, False, False]
+        for a, b in zip(got, want):
+            _assert_same_stats(a, b)
 
 
 class TestEstimate:
@@ -328,6 +415,29 @@ class TestX0Independence:
         report = x0_independence_check(cfg, [0.1 * beta, beta, 2.0 * beta])
         assert report.consistent
         assert report.worst_pair_gap() <= 1.0
+
+    def test_batched_starts_equal_separate_runs(self, problem0, sol0):
+        cfg = _small_cfg(problem0, sol0, n_paths=8, horizon=4.0)
+        beta = sol0.threshold
+        starts = [0.1 * beta, beta, 2.0 * beta]
+        report = x0_independence_check(cfg, starts, jobs=2)
+        for x0, mean, se in zip(starts, report.means, report.std_errors):
+            est = estimate_payoff(dataclasses.replace(cfg, x0=x0))
+            assert (mean, se) == (est.mean, est.std_error)
+
+    def test_no_starts_no_lanes(self, problem0, sol0):
+        cfg = _small_cfg(problem0, sol0, n_paths=4, horizon=2.0)
+        report = x0_independence_check(cfg, [], jobs=2)
+        assert report.means == () and report.consistent
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_abort_rule_applies_per_start(self, problem0, sol0):
+        # An infinite start is harvested down to beta at once with an
+        # infinite harvest, so all its paths abort: 10% of all lanes but
+        # every lane of that start.
+        cfg = _small_cfg(problem0, sol0, n_paths=2, horizon=0.1)
+        with pytest.raises(SimulationAbortError):
+            x0_independence_check(cfg, [sol0.threshold] * 9 + [math.inf])
 
     def test_zero_standard_errors_compare_raw_gaps(self, problem0, sol0):
         # One path per start: no SE, so any gap is inconsistent and the
