@@ -106,8 +106,7 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
         threshold=threshold, x_min=float(nodes_x[0]), nodes_x=nodes_x,
         nodes_slope=nodes_slope, nodes_slope_deriv=nodes_deriv,
         nodes_value=nodes_value, grid_x=nodes_x, grid_right_x=xs[~left],
-        fd_x=fd_x, fd_h=fd_h, fd_slope_minus=fd_lo, fd_slope_plus=fd_hi,
-        truncated_at=None)
+        fd_x=fd_x, fd_h=fd_h, fd_slope_minus=fd_lo, fd_slope_plus=fd_hi)
     return ThresholdSolution(
         problem=problem, threshold=threshold, long_run_yield=long_run_yield,
         grid=grid, bisection_trace=(), iterations=0,

@@ -99,7 +99,6 @@ class HjbReport:
     pasting_curvature: float
     fd_max_disagreement: float
     fd_points: int
-    truncated_at: float | None
     verdict: bool
     tolerances: dict
 
@@ -127,9 +126,7 @@ def verify_solution(problem: AmbiguityProblem,
     """Audit a threshold solution against the free-boundary system.
 
     Residuals are evaluated on the solution's own grid (log-spaced below the
-    threshold, linear above).  When the potential grid was truncated above
-    its floor by the overflow guard, the audited region shrinks accordingly
-    and the truncation point is reported rather than failing.
+    threshold, linear above).
     """
     grid = sol.grid
     beta = sol.threshold
@@ -165,8 +162,8 @@ def verify_solution(problem: AmbiguityProblem,
         max_abs_residual_left=residual_left, max_excess_right=excess_right,
         min_vprime_left=min_vprime, pasting_slope_gap=pasting_slope,
         pasting_curvature=pasting_curv, fd_max_disagreement=fd_gap,
-        fd_points=int(grid.fd_x.size), truncated_at=grid.truncated_at,
-        verdict=bool(verdict), tolerances=dict(t))
+        fd_points=int(grid.fd_x.size), verdict=bool(verdict),
+        tolerances=dict(t))
 
 
 @dataclass

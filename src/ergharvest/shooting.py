@@ -28,10 +28,13 @@ sigma_bar^2/2, the modes are complex and no boundary is admissible; when F
 is already negative where lam = c*, that point is the threshold and the
 yield is c* (the ``extinction_bound`` regime).
 
-``classify_boundary`` keeps the dip-shooting verdict on the quadratic
-equation down to a fixed floor, as a cross-check: a dip below one is
-inadmissible, and growth past the overflow guard counts as admissible with
-a warning.
+``build_potential`` integrates the same linear form once more, from the
+threshold down to ``DIP_FLOOR * drift_peak``, and reads the slope
+g = psi'/(1 - eps psi) off its dense output.  As cross-checks,
+``integrate_slope`` shoots the quadratic equation with the Cash-Karp
+stepper of ``ivp`` and ``classify_boundary`` keeps its dip verdict down to a
+fixed floor: a dip below one is inadmissible, and growth past the overflow
+guard counts as admissible with a warning.
 """
 
 from __future__ import annotations
@@ -94,10 +97,6 @@ class ShootingGrid:
     terminated_early: bool
     blew_up: bool
     dip_crossing: float | None
-
-    @property
-    def x_final(self):
-        return float(self.xs[-1])
 
     @property
     def slope_final(self):
@@ -314,21 +313,16 @@ def _tail_modes(problem: AmbiguityProblem, level: float):
     return a, sigma_bar, disc
 
 
-def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
-    """F(b); a negative D is +inf, or 0 with ``clamp`` (rounding at lam = c*)."""
+def _psi_solve(problem: AmbiguityProblem, boundary: float, x_floor: float,
+               *, dense_output=False):
+    """Integrate ``tail_coefficient``'s linear form from b down to x_floor.
+
+    Returns the ``solve_ivp`` solution (in s = log x) and its right-hand side.
+    """
     level = float(problem.drift(boundary))
-    a, sigma_bar, disc = _tail_modes(problem, level)
-    if disc < 0.0:
-        if not clamp:
-            return math.inf
-        disc = 0.0
     mu = problem.model.mu
     sigma = problem.model.sigma
     eps_level = problem.epsilon * level
-    s2 = sigma_bar * sigma_bar
-    root = math.sqrt(disc)
-    r_plus = (-a + root) / s2
-    r_minus = (-a - root) / s2
 
     def rhs(s, y):
         x = math.exp(s)
@@ -336,13 +330,29 @@ def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
         return (y[1], y[1] + 2.0 * (level - eps_level * y[0] - mu(x) * y[1])
                 / (q * q))
 
-    s_min = math.log(TAIL_FLOOR * problem.drift_peak)
-    sol = solve_ivp(rhs, (math.log(boundary), s_min), (0.0, boundary),
-                    method="DOP853", rtol=1e-12, atol=1e-14)
+    sol = solve_ivp(rhs, (math.log(boundary), math.log(x_floor)),
+                    (0.0, boundary), method="DOP853", rtol=1e-12, atol=1e-14,
+                    dense_output=dense_output)
     if not sol.success:
         raise SingularIntegrationError(
-            f"tail-coefficient integration failed: {sol.message}",
+            f"linear-form integration failed: {sol.message}",
             last_x=math.exp(sol.t[-1]) if sol.t.size else boundary)
+    return sol, rhs
+
+
+def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
+    """F(b); a negative D is +inf, or 0 with ``clamp`` (rounding at lam = c*)."""
+    a, sigma_bar, disc = _tail_modes(problem, float(problem.drift(boundary)))
+    if disc < 0.0:
+        if not clamp:
+            return math.inf
+        disc = 0.0
+    s2 = sigma_bar * sigma_bar
+    root = math.sqrt(disc)
+    r_plus = (-a + root) / s2
+    r_minus = (-a - root) / s2
+    sol, rhs = _psi_solve(problem, boundary, TAIL_FLOOR * problem.drift_peak)
+    s_min = sol.t[-1]
     psi, dpsi = sol.y[:, -1]
     ddpsi = rhs(s_min, (psi, dpsi))[1]
     return float((ddpsi - r_plus * dpsi) * math.exp(-r_minus * s_min))
@@ -386,10 +396,10 @@ def _piecewise(x, split, below, above, *, closed=False):
 class PotentialGrid:
     """Tabulated potential: slope and value on nodes straddling the threshold.
 
-    ``nodes_x`` ascend and carry every accepted integrator step at or below
-    the threshold (forced evaluation nodes included), so cubic Hermite
-    interpolation between them retains integrator-level accuracy.  Above the
-    threshold the slope is identically one and the value is linear.
+    ``nodes_x`` ascend from the floor to the threshold: the log-spaced
+    ``grid_x`` and the finite-difference companions, with the slope read off
+    the linear solve's dense output.  Above the threshold the slope is
+    identically one and the value is linear.
 
     ``fd_*`` hold companion slope evaluations at x +/- h for interior nodes;
     they support a finite-difference cross-check of the curvature that does
@@ -408,7 +418,6 @@ class PotentialGrid:
     fd_h: np.ndarray
     fd_slope_minus: np.ndarray
     fd_slope_plus: np.ndarray
-    truncated_at: float | None  # > x_min when integration stopped early
 
     def slope_at(self, x):
         """Potential slope; one above the threshold, Hermite below."""
@@ -428,42 +437,46 @@ class PotentialGrid:
 
 
 def build_potential(problem: AmbiguityProblem, threshold: float, *,
-                    n_grid_left=N_GRID_LEFT, n_grid_right=N_GRID_RIGHT,
-                    rtol=RTOL, atol=ATOL) -> PotentialGrid:
+                    n_grid_left=N_GRID_LEFT,
+                    n_grid_right=N_GRID_RIGHT) -> PotentialGrid:
     """Tabulate the potential for an admissible threshold.
 
-    The slope is the shooting ODE solution left of the threshold (forced
-    onto a log-spaced grid plus finite-difference companion nodes) and
-    identically one to the right; the value integrates the slope with the
-    normalization value(threshold) = 0 and extends linearly above.
+    The linear form of ``tail_coefficient`` is integrated once, from the
+    threshold down to the floor ``DIP_FLOOR * drift_peak``; its dense output
+    gives psi and psi_s on a log-spaced grid plus finite-difference
+    companion nodes, where the slope is g = (psi_s / x) / phi, phi = 1 - eps
+    psi (g = 1 at the threshold).  Above the threshold g is one.  The value
+    integrates the slope from value(threshold) = 0 and is linear above.
 
-    The grid floor is ``DIP_FLOOR * drift_peak``.  Raises
-    ``InputDomainError`` when the threshold is inadmissible (the integration
-    dips); an overflow-guard stop truncates the grid above the floor and
-    records the truncation point instead of failing.
+    Raises ``TransformBreakdownError`` when phi is not positive at a node
+    (the slope blows up above the floor) and ``InputDomainError`` when the
+    threshold is inadmissible (the slope dips below one).
     """
     x_min = DIP_FLOOR * problem.drift_peak
-    grid_left = np.geomspace(x_min, threshold, n_grid_left)
-    h = np.minimum(FD_STEP_ABS * threshold, FD_STEP_REL * grid_left)
-    interior = (grid_left - h > x_min) & (grid_left + h < threshold)
-    fd_x = grid_left[interior]
+    grid_x = np.geomspace(x_min, threshold, n_grid_left)
+    h = np.minimum(FD_STEP_ABS * threshold, FD_STEP_REL * grid_x)
+    interior = (grid_x - h > x_min) & (grid_x + h < threshold)
+    fd_x = grid_x[interior]
     fd_h = h[interior]
-    forced = np.unique(np.concatenate(
-        [grid_left, fd_x - fd_h, fd_x + fd_h]))[::-1]
-    forced = forced[(forced < threshold) & (forced > x_min)]
+    nodes_x = np.unique(np.concatenate([grid_x, fd_x - fd_h, fd_x + fd_h]))
 
-    grid = integrate_slope(problem, threshold, 0.0, x_min, rtol=rtol,
-                           atol=atol, forced_nodes=forced)
-    if grid.terminated_early:
-        raise InputDomainError(
-            f"threshold {threshold!r} is not admissible: slope dipped below "
-            f"one near x={grid.dip_crossing!r}")
-    truncated_at = grid.x_final if grid.blew_up else None
-
-    # Ascending node order for interpolation and quadrature.
-    nodes_x = grid.xs[::-1].copy()
-    nodes_g = grid.slopes[::-1].copy()
-    nodes_dg = grid.slope_derivs[::-1].copy()
+    sol, _ = _psi_solve(problem, threshold, x_min, dense_output=True)
+    psi, dpsi = sol.sol(np.log(nodes_x))
+    phi = 1.0 - problem.epsilon * psi
+    nodes_g = dpsi / nodes_x / phi
+    nodes_g[-1] = 1.0
+    bad = np.flatnonzero(~(phi > 0.0) | (nodes_g < 1.0 - DIP_TOLERANCE))
+    if bad.size:  # the largest failing node tells a dip from a blow-up
+        x_bad = float(nodes_x[bad[-1]])
+        if phi[bad[-1]] > 0.0:
+            raise InputDomainError(
+                f"threshold {threshold!r} is not admissible: slope dipped "
+                f"below one near x={x_bad!r}")
+        raise TransformBreakdownError(
+            f"base function 1 - eps psi is not positive at x={x_bad!r}; the "
+            "slope blew up above the grid floor", crossing_x=x_bad,
+            derivative_sign=-float(np.sign(dpsi[bad[-1]])))
+    nodes_dg = _slope_rhs(problem, threshold, 0.0)(nodes_x, nodes_g)
 
     # Cumulative Hermite-corrected trapezoid, anchored at the threshold:
     # over [a, b]: h (g_a + g_b)/2 + h^2 (g'_a - g'_b)/12, exact for cubics.
@@ -473,17 +486,8 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
     value = np.concatenate(([0.0], np.cumsum(seg)))
     value -= value[-1]   # zero at the threshold (the last ascending node)
 
-    pos = np.searchsorted(nodes_x, grid_left)
-    present = (pos < nodes_x.size) & (nodes_x[np.minimum(pos, nodes_x.size - 1)]
-                                      == grid_left)
-    grid_x = grid_left[present]
-
-    keep = (fd_x - fd_h >= nodes_x[0]) & (fd_x + fd_h <= nodes_x[-1])
-    fd_x, fd_h = fd_x[keep], fd_h[keep]
-    minus_pos = np.searchsorted(nodes_x, fd_x - fd_h)
-    plus_pos = np.searchsorted(nodes_x, fd_x + fd_h)
-    fd_minus = nodes_g[minus_pos]
-    fd_plus = nodes_g[plus_pos]
+    fd_minus = nodes_g[np.searchsorted(nodes_x, fd_x - fd_h)]
+    fd_plus = nodes_g[np.searchsorted(nodes_x, fd_x + fd_h)]
 
     x_plot_max = min(2.0 * problem.drift_zero, problem.x_max)
     right = np.linspace(threshold, x_plot_max, n_grid_right + 1)[1:]
@@ -491,8 +495,7 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
         threshold=threshold, x_min=x_min, nodes_x=nodes_x,
         nodes_slope=nodes_g, nodes_slope_deriv=nodes_dg, nodes_value=value,
         grid_x=grid_x, grid_right_x=right, fd_x=fd_x, fd_h=fd_h,
-        fd_slope_minus=fd_minus, fd_slope_plus=fd_plus,
-        truncated_at=truncated_at)
+        fd_slope_minus=fd_minus, fd_slope_plus=fd_plus)
 
 
 @dataclass(frozen=True)
@@ -550,6 +553,9 @@ def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
     depend on the dip-shooting floor; moving ``TAIL_FLOOR`` from 1e-6 to
     1e-12 moves the threshold by well under the tolerance.
 
+    ``rtol`` and ``atol`` remain configuration keys but do not act on the
+    solve, whose linear-form integrations use fixed tolerances.
+
     A failed assumption check raises ``AssumptionViolationError`` first.
     """
     report = check_assumptions(problem)
@@ -596,7 +602,7 @@ def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
 
     threshold = min(ins)
     grid = build_potential(problem, threshold, n_grid_left=n_grid_left,
-                           n_grid_right=n_grid_right, rtol=rtol, atol=atol)
+                           n_grid_right=n_grid_right)
     return ThresholdSolution(
         problem=problem, threshold=threshold,
         long_run_yield=float(problem.drift(threshold)), grid=grid,

@@ -229,6 +229,10 @@ class SimConfig:
         if not 0.0 <= self.burn_in <= 0.5:
             raise InputDomainError(
                 f"burn_in must be in [0, 0.5], got {self.burn_in!r}")
+        if self.n_steps - self.burn_steps < 2:
+            raise InputDomainError(
+                f"the retained window has {self.n_steps - self.burn_steps} "
+                "step(s); the split-half check needs at least 2")
         for name in ("n_paths", "n_bins", "occupation_stride"):
             if getattr(self, name) < 1:
                 raise InputDomainError(f"{name} must be at least 1")
@@ -322,7 +326,6 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     # time zero minus counts the instant initial harvest.
     Z_burn = Z.copy() if burn > 0 else np.zeros(n)
     KL_burn = np.zeros(n)
-    Z_mid = KL_mid = None
 
     gens = [path_rng(cfg.seed, int(pid)) for pid in ids]
     noise = np.empty((_BLOCK_STEPS, n))
@@ -385,7 +388,7 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
                     counts = np.bincount(bins.ravel(), minlength=n * n_bins)
                     occ += counts.reshape(n, n_bins)
                 split = mid - k0 - r0
-                if burn < mid and 0 < split <= rows - r0:
+                if 0 < split <= rows - r0:
                     Z = _ordered_sum(Z, harvest[:split])
                     harvest = harvest[split:]
                     if kl is not None:
@@ -403,11 +406,6 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
                 x[bad] = beta  # park the path; excluded from aggregates
             done += m
 
-    if Z_mid is None:
-        # A window under two steps has mid == burn: no mid snapshot is taken
-        # and the second half reads zero.
-        Z_mid, KL_mid = Z, KL
-
     t_ret = retained * dt
     t_first = (mid - burn) * dt
     t_second = t_ret - t_first
@@ -415,11 +413,10 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     for j, pid in enumerate(ids[:n_out]):
         harvest = float(Z[j] - Z_burn[j])
         kl = float(KL[j] - KL_burn[j])
-        payoff = (harvest + kl) / t_ret if t_ret > 0.0 else float("nan")
+        payoff = (harvest + kl) / t_ret
         first = ((float(Z_mid[j] - Z_burn[j]) + float(KL_mid[j] - KL_burn[j]))
-                 / t_first if t_first > 0.0 else float("nan"))
-        second = ((float(Z[j] - Z_mid[j]) + float(KL[j] - KL_mid[j]))
-                  / t_second if t_second > 0.0 else float("nan"))
+                 / t_first)
+        second = (float(Z[j] - Z_mid[j]) + float(KL[j] - KL_mid[j])) / t_second
         stats.append(PathStats(
             path_id=int(pid), harvest_total=harvest, kl_penalty=kl,
             payoff_estimate=payoff, occupation_histogram=occ[j].copy(),

@@ -10,7 +10,7 @@ from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
                         MonotonicityViolationError, TransformBreakdownError,
                         VerhulstPearl,
                         classify_boundary, cole_hopf_slope, integrate_slope,
-                        shooting, slope_above_boundary, solve_threshold,
+                        ivp, shooting, slope_above_boundary, solve_threshold,
                         tail_coefficient)
 from ergharvest.shooting import BETA_RTOL
 
@@ -408,3 +408,48 @@ class TestStepUnderflow:
 def test_bisection_tolerance_default(sol0, problem0):
     assert sol0.beta_tolerance == pytest.approx(
         BETA_RTOL * problem0.drift_zero)
+
+
+class TestLinearPotential:
+    """The potential from one linear solve, against independent references."""
+
+    def test_slope_matches_zero_ambiguity_closed_form(self, sol0):
+        # At eps = 0 the slope ODE is linear with a closed-form solution; the
+        # tail coefficient F(beta) ~ 0 cancels in its numerator near zero.
+        b = sol0.threshold
+        x = sol0.grid.grid_x
+        ours = sol0.grid.nodes_slope[np.searchsorted(sol0.grid.nodes_x, x)]
+        expected = oracles.slope_closed_form(x, b)
+        rel = np.abs(ours - expected) / expected
+        assert np.max(rel[x >= 1e-4 * b]) <= 1e-9
+        assert np.max(rel) <= 1e-6
+
+    @pytest.mark.parametrize("name, eps", [("vp", 0.5), ("vp", 1.0),
+                                           ("vp", 2.0), ("gl2", 1.0)],
+                             ids=["vp-eps0.5", "vp-eps1", "vp-eps2",
+                                  "gl2-eps1"])
+    def test_slope_agrees_with_quadratic_shooting(self, name, eps):
+        problem = AmbiguityProblem.build(_model(name), eps)
+        sol = solve_threshold(problem)
+        grid = sol.grid
+        ref = integrate_slope(problem, sol.threshold, 0.0, grid.x_min,
+                              forced_nodes=grid.grid_x[-2:0:-1])
+        assert not (ref.terminated_early or ref.blew_up)
+        expected = slopes_at(ref, grid.grid_x)
+        ours = grid.nodes_slope[np.searchsorted(grid.nodes_x, grid.grid_x)]
+        assert np.max(np.abs(ours - expected) / expected) <= 1e-7
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 5.0])
+    def test_solve_makes_no_cash_karp_call(self, vp_model, eps, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ivp.integrate called on the solve path")
+
+        monkeypatch.setattr(ivp, "integrate", forbidden)
+        sol = solve_threshold(AmbiguityProblem.build(vp_model, eps))
+        assert sol.grid.nodes_slope[-1] == 1.0
+
+    @pytest.mark.parametrize("eps, boundary", [(0.0, 0.75), (1.0, 0.5)])
+    def test_inadmissible_threshold_raises(self, vp_model, eps, boundary):
+        problem = AmbiguityProblem.build(vp_model, eps)
+        with pytest.raises(InputDomainError, match="not admissible"):
+            shooting.build_potential(problem, boundary)

@@ -485,3 +485,18 @@ class TestConfigValidation:
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
         assert np.array_equal(a, path_rng(1, 0).standard_normal(4))
+
+
+class TestRetainedWindow:
+    def test_rejects_a_window_under_two_steps(self):
+        # Two steps with half burned leave one retained step: no split.
+        with pytest.raises(InputDomainError, match="retained window"):
+            SimConfig(problem=_frozen_problem(), beta=1.0, x0=1.0, dt=1e-3,
+                      horizon=2e-3, burn_in=0.5)
+
+    def test_two_step_window_splits_into_finite_halves(self):
+        cfg = SimConfig(problem=_frozen_problem(rate=0.3), beta=1.0, x0=1.0,
+                        dt=1e-3, horizon=2e-3, n_paths=2, burn_in=0.0)
+        for stats in estimate_payoff(cfg).per_path:
+            assert stats.first_half_payoff == pytest.approx(0.3, rel=1e-6)
+            assert stats.second_half_payoff == pytest.approx(0.3, rel=1e-6)
