@@ -26,7 +26,7 @@ from .errors import (AssumptionViolationError, ConfigError, ErgharvestError,
 from .hjb import verify_solution
 from .model import AmbiguityProblem, check_assumptions
 from .simulate import SimConfig, estimate_payoff
-from .shooting import solve_threshold
+from .shooting import extinction_level, solve_threshold
 from .sweep import monotonicity_report, sweep
 
 EXIT_OK = 0
@@ -154,6 +154,14 @@ def cmd_check(args) -> int:
         mark = "pass" if c.passed else "FAIL"
         print(f"  ({c.assumption}) {c.name}: {mark}  [{c.detail}]")
     if report.all_passed:
+        if problem.epsilon > 0.0:
+            c_star, b_star = extinction_level(problem)
+            lam_peak = float(problem.drift(problem.drift_peak))
+            line = f"lam_eps(peak) = {lam_peak!r}  c* = {c_star!r}"
+            if b_star is not None:
+                line += (f"  b* = {b_star!r}  (no boundary below b* is "
+                         "admissible)")
+            print(line)
         print("all assumptions pass")
         return EXIT_OK
     failure = report.first_failure()

@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .model import CoefficientModel, model_from_config
 
 _MODEL_KEYS = {"family", "params", "x_max"}
-_SOLVER_KEYS = {"beta_rtol", "rtol", "atol", "n_grid_left", "n_grid_right"}
+_SOLVER_KEYS = {"beta_rtol", "n_grid_left", "n_grid_right"}
 _SIM_KEYS = {"dt", "horizon", "n_paths", "burn_in", "x0", "measure",
              "n_bins", "occupation_stride", "ci_multiple"}
 _TOP_KEYS = {"model", "epsilon", "eps_grid", "solver", "sim", "seed",
@@ -25,8 +25,6 @@ _TOP_KEYS = {"model", "epsilon", "eps_grid", "solver", "sim", "seed",
 
 _SOLVER_DEFAULTS = {
     "beta_rtol": shooting.BETA_RTOL,
-    "rtol": shooting.RTOL,
-    "atol": shooting.ATOL,
     "n_grid_left": shooting.N_GRID_LEFT,
     "n_grid_right": shooting.N_GRID_RIGHT,
 }

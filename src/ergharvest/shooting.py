@@ -19,31 +19,35 @@ x -> 0 tail.  With psi = (1 - phi)/eps, phi the Cole-Hopf base function of
 which holds at every eps >= 0 (at eps = 0, psi' is the slope itself).  Near
 zero its coefficients are constant in s = log x, with modes e^{r+ s} and the
 dominant e^{r- s}.  ``tail_coefficient`` integrates it down to
-``TAIL_FLOOR * drift_peak`` and projects onto the dominant mode: a boundary
-is admissible exactly when that coefficient F(b) is not positive, and
-``solve_threshold`` finds the threshold as the ``brentq`` root of F between
-the drift peak (never admissible) and the drift zero (always admissible).
-Where lam(b) exceeds c* = a^2 / (2 eps sigma_bar^2), a = mu_bar -
-sigma_bar^2/2, the modes are complex and no boundary is admissible; when F
-is already negative where lam = c*, that point is the threshold and the
-yield is c* (the ``extinction_bound`` regime).
+``TAIL_FLOOR * drift_peak`` with scipy's compiled DOP853 (the Fortran
+``dop853`` behind ``scipy.integrate.ode``; a probe needs only the end state)
+and projects onto the dominant mode: a boundary is admissible exactly when
+that coefficient F(b) is not positive, and ``solve_threshold`` finds the
+threshold as the ``brentq`` root of F between the drift peak (never
+admissible) and the drift zero (always admissible).  Where lam(b) exceeds
+c* = a^2 / (2 eps sigma_bar^2), a = mu_bar - sigma_bar^2/2, the modes are
+complex and no boundary is admissible; when F is already negative at b*,
+where lam = c* (``extinction_level``), b* is the threshold and the yield is
+c* (the ``extinction_bound`` regime).
 
 ``build_potential`` integrates the same linear form once more, from the
-threshold down to ``DIP_FLOOR * drift_peak``, and reads the slope
-g = psi'/(1 - eps psi) off its dense output.  As cross-checks,
-``integrate_slope`` shoots the quadratic equation with the Cash-Karp
-stepper of ``ivp`` and ``classify_boundary`` keeps its dip verdict down to a
-fixed floor: a dip below one is inadmissible, and growth past the overflow
-guard counts as admissible with a warning.
+threshold down to ``DIP_FLOOR * drift_peak``, with ``solve_ivp``'s DOP853 at
+the same tolerances, and reads the slope g = psi'/(1 - eps psi) off its
+dense output.  As cross-checks, ``integrate_slope`` shoots the quadratic
+equation with the Cash-Karp stepper of ``ivp`` and ``classify_boundary``
+keeps its dip verdict down to a fixed floor: a dip below one is
+inadmissible, and growth past the overflow guard counts as admissible with
+a warning.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 from scipy.optimize import brentq
 
 from . import ivp
@@ -61,6 +65,7 @@ __all__ = [
     "slope_above_boundary",
     "classify_boundary",
     "tail_coefficient",
+    "extinction_level",
     "solve_threshold",
     "build_potential",
     "cole_hopf_slope",
@@ -73,6 +78,8 @@ OVERFLOW_GUARD = 1e8
 RTOL = 1e-10
 ATOL = 1e-12
 BETA_RTOL = 5e-9           # threshold tolerance relative to the drift zero
+PSI_RTOL = 1e-12           # DOP853 tolerances of the linear-form solves
+PSI_ATOL = 1e-14
 N_GRID_LEFT = 2000
 N_GRID_RIGHT = 500
 FD_STEP_ABS = 1e-6         # companion offset, relative to the threshold
@@ -313,36 +320,57 @@ def _tail_modes(problem: AmbiguityProblem, level: float):
     return a, sigma_bar, disc
 
 
-def _psi_solve(problem: AmbiguityProblem, boundary: float, x_floor: float,
-               *, dense_output=False):
-    """Integrate ``tail_coefficient``'s linear form from b down to x_floor.
+def extinction_level(problem: AmbiguityProblem):
+    """(c*, b*): the extinction level and where the drift meets it.
 
-    Returns the ``solve_ivp`` solution (in s = log x) and its right-hand side.
+    c* = a^2 / (2 eps sigma_bar^2) (+inf at eps = 0).  Where lam(b) > c* the
+    tail modes are complex and no boundary is admissible; b* is the root of
+    lam = c* in (drift_peak, drift_zero) when lam(drift_peak) > c*, and None
+    otherwise.  Raises ``AssumptionViolationError`` when a <= 0.
     """
+    a, sigma_bar, disc = _tail_modes(
+        problem, float(problem.drift(problem.drift_peak)))
+    if problem.epsilon <= 0.0:
+        return math.inf, None
+    c_star = a * a / (2.0 * problem.epsilon * sigma_bar * sigma_bar)
+    if disc >= 0.0:
+        return c_star, None
+    b_star = brentq(lambda b: problem.drift(b) - c_star, problem.drift_peak,
+                    problem.drift_zero, xtol=1e-300,
+                    rtol=4.0 * np.finfo(float).eps)
+    return c_star, b_star
+
+
+def _psi_rhs(s, y, level, eps_level, model):
+    """``tail_coefficient``'s linear form in s = log x; y = (psi, psi_s)."""
+    x = math.exp(s)
+    q = model.sigma(x) / x
+    return (y[1], y[1] + 2.0 * (level - eps_level * y[0] - model.mu(x) * y[1])
+            / (q * q))
+
+
+def _psi_params(problem: AmbiguityProblem, boundary: float):
     level = float(problem.drift(boundary))
-    mu = problem.model.mu
-    sigma = problem.model.sigma
-    eps_level = problem.epsilon * level
+    return level, problem.epsilon * level, problem.model
 
-    def rhs(s, y):
-        x = math.exp(s)
-        q = sigma(x) / x
-        return (y[1], y[1] + 2.0 * (level - eps_level * y[0] - mu(x) * y[1])
-                / (q * q))
 
-    sol = solve_ivp(rhs, (math.log(boundary), math.log(x_floor)),
-                    (0.0, boundary), method="DOP853", rtol=1e-12, atol=1e-14,
-                    dense_output=dense_output)
-    if not sol.success:
-        raise SingularIntegrationError(
-            f"linear-form integration failed: {sol.message}",
-            last_x=math.exp(sol.t[-1]) if sol.t.size else boundary)
-    return sol, rhs
+# One compiled DOP853 serves every probe.  scipy's ``ode`` runner keeps a
+# reference to the rhs and to the integrator's ``_solout`` on every
+# ``integrate`` call, so an ``ode`` built per probe is never freed.  With one
+# integrator, a module-level rhs and one bound ``_solout`` pinned on the
+# integrator (each ``set_initial_value`` would bind a new one), the kept
+# references all point at the same objects.  The shared state is not
+# thread-safe (the package starts no threads).  The step budget is far above
+# the ~100 steps a probe takes.
+_PROBE = ode(_psi_rhs).set_integrator("dop853", rtol=PSI_RTOL,
+                                      atol=PSI_ATOL, nsteps=100_000)
+_PROBE._integrator._solout = _PROBE._integrator._solout
 
 
 def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
     """F(b); a negative D is +inf, or 0 with ``clamp`` (rounding at lam = c*)."""
-    a, sigma_bar, disc = _tail_modes(problem, float(problem.drift(boundary)))
+    params = _psi_params(problem, boundary)
+    a, sigma_bar, disc = _tail_modes(problem, params[0])
     if disc < 0.0:
         if not clamp:
             return math.inf
@@ -351,11 +379,18 @@ def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
     root = math.sqrt(disc)
     r_plus = (-a + root) / s2
     r_minus = (-a - root) / s2
-    sol, rhs = _psi_solve(problem, boundary, TAIL_FLOOR * problem.drift_peak)
-    s_min = sol.t[-1]
-    psi, dpsi = sol.y[:, -1]
-    ddpsi = rhs(s_min, (psi, dpsi))[1]
-    return float((ddpsi - r_plus * dpsi) * math.exp(-r_minus * s_min))
+    s_min = math.log(TAIL_FLOOR * problem.drift_peak)
+    _PROBE.set_initial_value((0.0, boundary), math.log(boundary))
+    _PROBE.set_f_params(*params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # a failure raises below
+        y = _PROBE.integrate(s_min)
+    if not _PROBE.successful():
+        raise SingularIntegrationError(
+            "linear-form integration failed: dop853 return code "
+            f"{_PROBE.get_return_code()}", last_x=math.exp(_PROBE.t))
+    ddpsi = _psi_rhs(s_min, y, *params)[1]
+    return float((ddpsi - r_plus * y[1]) * math.exp(-r_minus * s_min))
 
 
 def tail_coefficient(problem: AmbiguityProblem, boundary: float) -> float:
@@ -367,13 +402,16 @@ def tail_coefficient(problem: AmbiguityProblem, boundary: float) -> float:
         psi_ss = psi_s + 2 (lam - eps lam psi - mu psi_s) / q^2,
         q = sigma(x)/x,  psi(b) = 0,  psi_s(b) = b,
 
-    from log b down to s_min = log(TAIL_FLOOR * drift_peak), and returns
-    F = (psi_ss - r+ psi_s) e^{-r- s_min}, which removes the subdominant mode
-    and the particular solution and leaves a positive multiple of the
-    e^{r- s} coefficient.  F is continuous through D = 0, where the modes
-    merge.  When D < 0 (lam(b) > c*) the base function oscillates, the
-    boundary is inadmissible, and F is +inf without an integration.  Raises
-    ``AssumptionViolationError`` when a <= 0.
+    from log b down to s_min = log(TAIL_FLOOR * drift_peak) with scipy's
+    compiled DOP853 (``scipy.integrate.ode``, rtol 1e-12, atol 1e-14), and
+    returns F = (psi_ss - r+ psi_s) e^{-r- s_min}, which removes the
+    subdominant mode and the particular solution and leaves a positive
+    multiple of the e^{r- s} coefficient.  F is continuous through D = 0,
+    where the modes merge.  When D < 0 (lam(b) > c*) the base function
+    oscillates, the boundary is inadmissible, and F is +inf without an
+    integration.  Raises ``AssumptionViolationError`` when a <= 0 and
+    ``SingularIntegrationError`` (with ``last_x``) when the integration
+    fails.  Not thread-safe: every probe shares one integrator.
     """
     return _tail(problem, boundary, clamp=False)
 
@@ -442,11 +480,13 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
     """Tabulate the potential for an admissible threshold.
 
     The linear form of ``tail_coefficient`` is integrated once, from the
-    threshold down to the floor ``DIP_FLOOR * drift_peak``; its dense output
-    gives psi and psi_s on a log-spaced grid plus finite-difference
-    companion nodes, where the slope is g = (psi_s / x) / phi, phi = 1 - eps
-    psi (g = 1 at the threshold).  Above the threshold g is one.  The value
-    integrates the slope from value(threshold) = 0 and is linear above.
+    threshold down to the floor ``DIP_FLOOR * drift_peak``, by
+    ``solve_ivp``'s DOP853 rather than the probes' compiled stepper: only
+    ``solve_ivp`` has dense output.  That output gives psi and psi_s on a
+    log-spaced grid plus finite-difference companion nodes, where the slope
+    is g = (psi_s / x) / phi, phi = 1 - eps psi (g = 1 at the threshold).
+    Above the threshold g is one.  The value integrates the slope from
+    value(threshold) = 0 and is linear above.
 
     Raises ``TransformBreakdownError`` when phi is not positive at a node
     (the slope blows up above the floor) and ``InputDomainError`` when the
@@ -460,7 +500,14 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
     fd_h = h[interior]
     nodes_x = np.unique(np.concatenate([grid_x, fd_x - fd_h, fd_x + fd_h]))
 
-    sol, _ = _psi_solve(problem, threshold, x_min, dense_output=True)
+    sol = solve_ivp(_psi_rhs, (math.log(threshold), math.log(x_min)),
+                    (0.0, threshold), method="DOP853", rtol=PSI_RTOL,
+                    atol=PSI_ATOL, args=_psi_params(problem, threshold),
+                    dense_output=True)
+    if not sol.success:
+        raise SingularIntegrationError(
+            f"linear-form integration failed: {sol.message}",
+            last_x=math.exp(sol.t[-1]) if sol.t.size else threshold)
     psi, dpsi = sol.sol(np.log(nodes_x))
     phi = 1.0 - problem.epsilon * psi
     nodes_g = dpsi / nodes_x / phi
@@ -532,7 +579,7 @@ class ThresholdSolution:
 
 
 def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
-                    rtol=RTOL, atol=ATOL, n_grid_left=N_GRID_LEFT,
+                    n_grid_left=N_GRID_LEFT,
                     n_grid_right=N_GRID_RIGHT) -> ThresholdSolution:
     """Root-find the optimal threshold and assemble its potential.
 
@@ -553,9 +600,6 @@ def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
     depend on the dip-shooting floor; moving ``TAIL_FLOOR`` from 1e-6 to
     1e-12 moves the threshold by well under the tolerance.
 
-    ``rtol`` and ``atol`` remain configuration keys but do not act on the
-    solve, whose linear-form integrations use fixed tolerances.
-
     A failed assumption check raises ``AssumptionViolationError`` first.
     """
     report = check_assumptions(problem)
@@ -575,11 +619,9 @@ def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
         return probes[boundary]
 
     regime = "interior"
-    a, sigma_bar, disc = _tail_modes(problem, float(problem.drift(lo)))
-    if disc < 0.0:
-        c_star = a * a / (2.0 * problem.epsilon * sigma_bar * sigma_bar)
-        lo = brentq(lambda b: problem.drift(b) - c_star, lo, hi,
-                    xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    _, b_star = extinction_level(problem)
+    if b_star is not None:
+        lo = b_star
         if tail(lo) <= 0.0:
             regime = "extinction_bound"
     if regime == "extinction_bound":

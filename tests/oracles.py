@@ -13,6 +13,9 @@ A e^{2x} / x^2 term dominates near zero).  The optimal threshold is the root
 of A(b) = 0, i.e. of b = (1 - b)(e^{2b} - 1).  Everything here is evaluated
 directly from these formulas, independent of the solver's integration path.
 
+``tail_coefficient_ivp`` is the solver's tail coefficient F(b) for any
+model, integrated with ``solve_ivp`` instead of the compiled stepper.
+
 ``step_paths`` is the Monte Carlo engine's one-step-at-a-time form: it
 updates every accumulator after each step, the reference the chunk-settled
 engine in ``ergharvest.simulate`` must match bit for bit.
@@ -22,7 +25,7 @@ import math
 from math import exp
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 from ergharvest import simulate
 from ergharvest.simulate import PathStats
@@ -86,6 +89,39 @@ def optimal_vprime_integral(a, b, c):
                     epsabs=1e-14, epsrel=1e-13)
     assert err < 1e-10
     return val
+
+
+def tail_coefficient_ivp(problem, b, floor):
+    """F(b) of ``shooting.tail_coefficient``, integrated by ``solve_ivp``.
+
+    The same linear form for psi = (1 - phi)/eps in s = log x and the same
+    DOP853 method and tolerances, through scipy's Python stepper in place of
+    the compiled one; +inf where the tail modes are complex.
+    """
+    mu_bar, sigma_bar, _ = problem.model.near_zero_constants()
+    s2 = sigma_bar * sigma_bar
+    a = mu_bar - 0.5 * s2
+    level = float(problem.drift(b))
+    disc = a * a - 2.0 * s2 * problem.epsilon * level
+    if disc < 0.0:
+        return math.inf
+    r_plus = (-a + math.sqrt(disc)) / s2
+    r_minus = (-a - math.sqrt(disc)) / s2
+    mu, sigma = problem.model.mu, problem.model.sigma
+
+    def rhs(s, y):
+        x = math.exp(s)
+        q = sigma(x) / x
+        return (y[1], y[1] + 2.0 * (level - problem.epsilon * level * y[0]
+                                    - mu(x) * y[1]) / (q * q))
+
+    sol = solve_ivp(rhs, (math.log(b), math.log(floor)), (0.0, b),
+                    method="DOP853", rtol=1e-12, atol=1e-14)
+    assert sol.success, sol.message
+    s_min = sol.t[-1]
+    psi, dpsi = sol.y[:, -1]
+    ddpsi = rhs(s_min, (psi, dpsi))[1]
+    return float((ddpsi - r_plus * dpsi) * math.exp(-r_minus * s_min))
 
 
 # Frozen values computed from the oracles above (bisection tol 1e-12 and

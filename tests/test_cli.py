@@ -61,6 +61,41 @@ class TestCheck:
             err = capsys.readouterr().err
             assert key in err and "accepted keys" in err
 
+    def test_retired_tolerance_keys_rejected(self, tmp_path, capsys):
+        for key in ("rtol", "atol"):
+            path = write_cfg(tmp_path, solver={key: 1e-8})
+            assert main(["check", "--config", str(path)]) == 64
+            assert key in capsys.readouterr().err
+
+    def test_no_extinction_line_at_zero_ambiguity(self, tmp_path, capsys):
+        assert main(["check", "--config", str(write_cfg(tmp_path))]) == 0
+        assert "c* =" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps, regime", [
+        (0.5, None), (1.0, "interior"), (5.0, "extinction_bound")])
+    def test_extinction_level_compared(self, tmp_path, capsys, eps, regime):
+        # Unit VP: lam_eps(peak) = 1/(2 (2 + eps)) and c* = 1/(8 eps), so
+        # b* exists exactly when eps > 2/3.
+        cfg = write_cfg(tmp_path, epsilon=eps)
+        assert main(["check", "--config", str(cfg)]) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if "c* =" in ln)
+        fields = dict(f.split(" = ") for f in line.split("  ")
+                      if " = " in f)
+        assert float(fields["lam_eps(peak)"]) == pytest.approx(
+            1.0 / (2.0 * (2.0 + eps)), rel=1e-14)
+        assert float(fields["c*"]) == pytest.approx(1.0 / (8.0 * eps),
+                                                    rel=1e-14)
+        assert ("b*" in fields) == (regime is not None)
+        if regime is not None:
+            b_star = float(fields["b*"])
+            sol = solve_threshold(AmbiguityProblem.build(VerhulstPearl(), eps))
+            assert sol.regime == regime
+            if regime == "interior":
+                assert sol.threshold > b_star
+            else:
+                assert sol.threshold == b_star
+
     def test_negative_epsilon_rejected(self, tmp_path):
         rc = main(["check", "--config", str(write_cfg(tmp_path, epsilon=-1.0))])
         assert rc == 64
@@ -112,6 +147,22 @@ class TestSolverKeys:
         assert set(config._SOLVER_DEFAULTS) == config._SOLVER_KEYS
 
 
+class TestTableWriter:
+    def test_byte_identical_to_the_csv_module(self, tmp_path):
+        # 600 rows: two full chunks and a partial one, with edge values.
+        rng = np.random.default_rng(3)
+        cols = rng.standard_normal((3, 600)) * 10.0 ** rng.integers(
+            -300, 300, (3, 600))
+        cols[0, :6] = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 0.0]
+        header = ["a", "b", "c"]
+        artifacts._write_table(tmp_path / "chunked.csv", header, cols)
+        artifacts._write_csv(tmp_path / "reference.csv", header,
+                             ([artifacts.fmt(v) for v in row]
+                              for row in cols.T))
+        assert ((tmp_path / "chunked.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
+
+
 class TestJobsDefault:
     def test_works_without_sched_getaffinity(self, tmp_path, capsys,
                                              monkeypatch):
@@ -142,7 +193,7 @@ class TestSolve:
         assert summary["hjb"]["verdict"] is True
         assert summary["solution"]["beta_eps"] == pytest.approx(0.7968121,
                                                                 abs=1e-6)
-        assert summary["config"]["solver"]["rtol"] == 1e-10
+        assert summary["config"]["solver"]["beta_rtol"] == 5e-9
 
     def test_regime_reported_and_restored(self, tmp_path, capsys):
         # VP at eps=5 sits on the extinction bound: stdout gains one line,

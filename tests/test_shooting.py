@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
-                        MonotonicityViolationError, TransformBreakdownError,
-                        VerhulstPearl,
+                        MonotonicityViolationError, SingularIntegrationError,
+                        TransformBreakdownError, VerhulstPearl,
                         classify_boundary, cole_hopf_slope, integrate_slope,
                         ivp, shooting, slope_above_boundary, solve_threshold,
                         tail_coefficient)
@@ -262,6 +264,55 @@ class TestTailCoefficient:
         assert sol.long_run_yield < c_star
         assert tail_coefficient(problem, 0.5 * (problem.drift_peak
                                                 + b_star)) == math.inf
+
+    @pytest.mark.parametrize("name, eps", [("vp", 0.0), ("vp", 1.0),
+                                           ("vp", 2.0), ("gl2", 1.0)],
+                             ids=["vp-eps0", "vp-eps1", "vp-eps2", "gl2-eps1"])
+    def test_compiled_probe_matches_solve_ivp(self, name, eps):
+        problem = AmbiguityProblem.build(_model(name), eps)
+        sol = solve_threshold(problem)
+        probed = [b for b, _ in sol.bisection_trace]
+        lo, hi = min(probed), max(probed)     # the search bracket
+        floor = shooting.TAIL_FLOOR * problem.drift_peak
+        for b in (sol.threshold, 0.5 * (lo + hi), 0.5 * (lo + sol.threshold)):
+            got = tail_coefficient(problem, b)
+            ref = oracles.tail_coefficient_ivp(problem, b, floor)
+            if abs(ref) > 1e-6:
+                assert abs(got - ref) <= 1e-12 * abs(ref), b
+            else:
+                assert abs(got - ref) <= 1e-15, b
+
+    def test_probes_retain_no_memory(self, problem1):
+        # scipy's ode wrapper keeps references on every integrate() call; a
+        # shared integrator keeps them pointing at the same objects.
+        for _ in range(20):
+            tail_coefficient(problem1, 0.6)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            for _ in range(200):
+                tail_coefficient(problem1, 0.6)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        retained = sum(d.size_diff for d in after.compare_to(before,
+                                                             "filename"))
+        assert retained < 64 * 1024
+
+    def test_failed_probe_raises_with_last_x(self, problem1):
+        class NanBelow(VerhulstPearl):
+            def mu(self, x):
+                return math.nan if x < 1e-3 else super().mu(x)
+
+        broken = AmbiguityProblem.build(NanBelow(), 1.0)
+        healthy = tail_coefficient(problem1, 0.6)
+        with pytest.raises(SingularIntegrationError) as err:
+            tail_coefficient(broken, 0.6)
+        assert 1e-3 <= err.value.last_x < 0.6
+        # The shared integrator starts the next probe afresh.
+        assert tail_coefficient(problem1, 0.6) == healthy
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
     def test_sign_agrees_with_classify_boundary(self, solutions_by_eps, eps):
