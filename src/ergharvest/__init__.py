@@ -25,8 +25,7 @@ from .shooting import (BoundaryClass, PotentialGrid, ShootingGrid,
                        solve_threshold, tail_coefficient)
 from .simulate import (PathStats, PayoffEstimate, SimConfig,
                        X0IndependenceReport, estimate_payoff, path_rng,
-                       reflect_step, simulate_path, worst_case_kernel,
-                       x0_independence_check)
+                       reflect_step, simulate_path, x0_independence_check)
 from .sweep import (MonotonicityReport, SweepRow, monotonicity_report, sweep)
 
 __version__ = "0.1.0"

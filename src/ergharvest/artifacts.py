@@ -27,19 +27,8 @@ CONFIG_ECHO_JSON = "resolved_config.json"
 _CHUNK_ROWS = 256
 
 
-def fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _write_table(path, header, columns):
-    """Real columns as rows, byte-identical to ``_write_csv`` with ``fmt``.
+    """Columns as CSV rows of ``%.17g`` values (integers exact to 2**53).
 
     Formats ``_CHUNK_ROWS`` rows per ``%`` operation: one operation per
     value is slower, and one for the whole table holds all its text at once.
@@ -84,9 +73,12 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     """Rebuild a usable solution from persisted artifacts.
 
     The slope derivatives are recovered from the ODE itself (they are a
-    function of x and the slope once the threshold is known), so the
-    reconstruction interpolates exactly like the original within the
-    persisted grid.  Companion values are restored when their file exists.
+    function of x and the slope once the threshold is known).  The reload
+    interpolates on the persisted grid only, without the solve's
+    finite-difference companion nodes, so between nodes its slope differs
+    from the solve's in about the tenth digit.  ``verify_solution`` reads
+    only grid nodes and companion slopes (restored when their file exists)
+    and gives the same report on either.
     """
     run = Path(run_dir)
     summary_path = run / SUMMARY_JSON
@@ -121,15 +113,16 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
         fd_x=fd_x, fd_h=fd_h, fd_slope_minus=fd_lo, fd_slope_plus=fd_hi)
     return ThresholdSolution(
         problem=problem, threshold=threshold, long_run_yield=long_run_yield,
-        grid=grid, bisection_trace=(), iterations=0,
-        x_min=float(nodes_x[0]), beta_tolerance=float("nan"), regime=regime)
+        grid=grid, bisection_trace=(), beta_tolerance=float("nan"),
+        regime=regime)
 
 
 def write_paths_csv(path, per_path):
-    _write_csv(path, ["path_id", "harvest_total", "kl_penalty",
-                      "payoff_estimate", "aborted_flag"],
-               ([s.path_id, fmt(s.harvest_total), fmt(s.kl_penalty),
-                 fmt(s.payoff_estimate), int(s.aborted)] for s in per_path))
+    _write_table(path, ["path_id", "harvest_total", "kl_penalty",
+                        "payoff_estimate", "aborted_flag"],
+                 np.array([(s.path_id, s.harvest_total, s.kl_penalty,
+                            s.payoff_estimate, s.aborted)
+                           for s in per_path]).T)
 
 
 def write_histogram_csv(path, beta, n_bins, per_path):
@@ -137,17 +130,15 @@ def write_histogram_csv(path, beta, n_bins, per_path):
     for s in per_path:
         counts += s.occupation_histogram
     edges = np.linspace(0.0, beta, n_bins + 1)
-    _write_csv(path, ["bin_lo", "bin_hi", "count"],
-               ([fmt(lo), fmt(hi), int(c)]
-                for lo, hi, c in zip(edges[:-1], edges[1:], counts)))
+    _write_table(path, ["bin_lo", "bin_hi", "count"],
+                 (edges[:-1], edges[1:], counts))
 
 
 def write_sweep_csv(path, rows):
-    _write_csv(path, ["epsilon", "x_eps", "x_bar_eps", "beta_eps", "ell_eps",
-                      "iterations", "wall_ms"],
-               ([fmt(r.epsilon), fmt(r.x_eps), fmt(r.x_bar_eps),
-                 fmt(r.beta_eps), fmt(r.ell_eps), r.iterations,
-                 fmt(r.wall_ms)] for r in rows))
+    header = ["epsilon", "x_eps", "x_bar_eps", "beta_eps", "ell_eps",
+              "iterations", "wall_ms"]
+    _write_table(path, header,
+                 np.array([[getattr(r, k) for k in header] for r in rows]).T)
 
 
 def write_plot_script(path):

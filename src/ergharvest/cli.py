@@ -25,7 +25,7 @@ from .errors import (AssumptionViolationError, ConfigError, ErgharvestError,
                      InputDomainError, NumericsError)
 from .hjb import verify_solution
 from .model import AmbiguityProblem, check_assumptions
-from .simulate import SimConfig, estimate_payoff
+from .simulate import MEASURES, SimConfig, estimate_payoff
 from .shooting import extinction_level, solve_threshold
 from .sweep import monotonicity_report, sweep
 
@@ -43,9 +43,6 @@ def _build_parser():
         description="Robust ergodic harvesting: solve, verify, simulate.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # sched_getaffinity exists on Linux only.
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
 
     def common(p):
         p.add_argument("--config", required=True, help="JSON run configuration")
@@ -53,10 +50,6 @@ def _build_parser():
                        help="directory for artifacts (overrides config)")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides config)")
-        p.add_argument("--jobs", type=int, default=cpus,
-                       help="worker processes for simulate path batches "
-                            "(default: the CPUs this process may use; "
-                            "results do not depend on it)")
         p.add_argument("--eps", type=float, default=None,
                        help="single ambiguity level (overrides config)")
 
@@ -70,7 +63,14 @@ def _build_parser():
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo value confirmation")
     common(p_sim)
-    p_sim.add_argument("--measure", choices=("reference", "worstcase"),
+    # sched_getaffinity exists on Linux only.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    p_sim.add_argument("--jobs", type=int, default=cpus,
+                       help="worker processes for path batches (default: the "
+                            "CPUs this process may use; results do not "
+                            "depend on it)")
+    p_sim.add_argument("--measure", choices=MEASURES,
                        default=None, help="simulated measure (overrides config)")
     p_sim.add_argument("--assert-value", action="store_true",
                        help="fail when the estimate deviates from the solved "
@@ -215,14 +215,12 @@ def cmd_simulate(args) -> int:
         sol = solve_threshold(problem, **cfg.solver)
         artifacts.write_solution_csv(out / artifacts.SOLUTION_CSV, sol)
         artifacts.write_fd_csv(out / artifacts.FD_CSV, sol)
-    sim = cfg.sim
-    x0 = sim["x0"] if sim["x0"] is not None else sol.threshold
-    simcfg = SimConfig(
-        problem=problem, beta=sol.threshold, x0=x0, dt=sim["dt"],
-        horizon=sim["horizon"], n_paths=sim["n_paths"],
-        burn_in=sim["burn_in"], measure=sim["measure"], solution=sol,
-        seed=cfg.seed, n_bins=sim["n_bins"],
-        occupation_stride=sim["occupation_stride"])
+    sim = dict(cfg.sim)
+    ci_multiple = sim.pop("ci_multiple")
+    if sim["x0"] is None:
+        sim["x0"] = sol.threshold
+    simcfg = SimConfig(problem=problem, beta=sol.threshold, solution=sol,
+                       seed=cfg.seed, **sim)
     est = estimate_payoff(simcfg, jobs=max(1, args.jobs))
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
     artifacts.write_paths_csv(out / artifacts.PATHS_CSV, est.per_path)
@@ -230,12 +228,12 @@ def cmd_simulate(args) -> int:
                                   simcfg.beta, simcfg.n_bins, est.per_path)
     ell = sol.long_run_yield
     gap = est.mean - ell
-    ci = sim["ci_multiple"] * est.std_error
+    ci = ci_multiple * est.std_error
     summary = _base_summary(cfg, problem)
     summary["solution"] = _solution_summary(sol)
     summary["simulation"] = {
-        "measure": sim["measure"],
-        "x0": x0,
+        "measure": simcfg.measure,
+        "x0": simcfg.x0,
         "mean": est.mean,
         "std_error": est.std_error,
         "se_defined": est.se_defined,
@@ -243,7 +241,7 @@ def cmd_simulate(args) -> int:
         "n_aborted": est.n_aborted,
         "ell_ref": ell,
         "gap": gap,
-        "ci_multiple": sim["ci_multiple"],
+        "ci_multiple": ci_multiple,
         "first_half_mean": est.first_half_mean,
         "second_half_mean": est.second_half_mean,
         "split_consistent": est.split_consistent,
@@ -252,15 +250,15 @@ def cmd_simulate(args) -> int:
         "max_x": max(s.max_x for s in est.per_path if not s.aborted),
     }
     artifacts.write_json(out / artifacts.SUMMARY_JSON, summary)
-    print(f"measure = {sim['measure']}   x0 = {x0!r}   paths = {est.n_paths} "
-          f"(aborted {est.n_aborted})")
+    print(f"measure = {simcfg.measure}   x0 = {simcfg.x0!r}   "
+          f"paths = {est.n_paths} (aborted {est.n_aborted})")
     print(f"payoff  = {est.mean!r} +- {est.std_error!r} (SE)")
     print(f"ell ref = {ell!r}   gap = {gap!r}")
     print(f"split halves: {est.first_half_mean!r} / {est.second_half_mean!r} "
           f"({'consistent' if est.split_consistent else 'inconsistent'})")
     print(f"artifacts in {out}")
     if args.assert_value:
-        one_sided = sim["measure"] == "reference" and problem.epsilon > 0.0
+        one_sided = simcfg.measure == "reference" and problem.epsilon > 0.0
         if one_sided:
             # The reference run upper-bounds the adversarial infimum only.
             if est.mean < ell - ci:

@@ -9,35 +9,28 @@ outputs so a run can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import shooting
 from .errors import ConfigError
 from .model import CoefficientModel, model_from_config
+from .simulate import MEASURES, SimConfig
 
 _MODEL_KEYS = {"family", "params", "x_max"}
-_SOLVER_KEYS = {"beta_rtol", "n_grid_left", "n_grid_right"}
+_SOLVER_KEYS = {"beta_rtol"}
 _SIM_KEYS = {"dt", "horizon", "n_paths", "burn_in", "x0", "measure",
              "n_bins", "occupation_stride", "ci_multiple"}
 _TOP_KEYS = {"model", "epsilon", "eps_grid", "solver", "sim", "seed",
              "output_dir"}
 
-_SOLVER_DEFAULTS = {
-    "beta_rtol": shooting.BETA_RTOL,
-    "n_grid_left": shooting.N_GRID_LEFT,
-    "n_grid_right": shooting.N_GRID_RIGHT,
-}
+_SOLVER_DEFAULTS = {"beta_rtol": shooting.BETA_RTOL}
 
+# SimConfig's field defaults, then the ones the command line sets itself.
 _SIM_DEFAULTS = {
-    "dt": 1e-4,
-    "horizon": 200.0,
-    "n_paths": 256,
-    "burn_in": 0.1,
+    **{f.name: f.default for f in fields(SimConfig) if f.name in _SIM_KEYS},
     "x0": None,          # resolved to the solved threshold
     "measure": "worstcase",
-    "n_bins": 50,
-    "occupation_stride": 8,
     "ci_multiple": 3.0,
 }
 
@@ -126,14 +119,9 @@ def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(sblock, dict), "'solver' must be an object")
     _reject_unknown(sblock, _SOLVER_KEYS, "'solver'")
     for key, value in sblock.items():
-        if key in ("n_grid_left", "n_grid_right"):
-            _require(isinstance(value, int) and value >= 16,
-                     f"'solver.{key}' must be an integer >= 16")
-            solver[key] = value
-        else:
-            _require(isinstance(value, (int, float)) and value > 0,
-                     f"'solver.{key}' must be a positive number")
-            solver[key] = float(value)
+        _require(isinstance(value, (int, float)) and value > 0,
+                 f"'solver.{key}' must be a positive number")
+        solver[key] = float(value)
 
     sim = dict(_SIM_DEFAULTS)
     simblock = raw.get("sim", {})
@@ -141,8 +129,8 @@ def parse_config(raw: dict) -> RunConfig:
     _reject_unknown(simblock, _SIM_KEYS, "'sim'")
     for key, value in simblock.items():
         if key == "measure":
-            _require(value in ("reference", "worstcase"),
-                     "'sim.measure' must be 'reference' or 'worstcase'")
+            _require(value in MEASURES,
+                     f"'sim.measure' must be one of {MEASURES}")
             sim[key] = value
         elif key in ("n_paths", "n_bins", "occupation_stride"):
             _require(isinstance(value, int) and value >= 1,

@@ -474,9 +474,8 @@ class PotentialGrid:
             lambda xa: xa - self.threshold)
 
 
-def build_potential(problem: AmbiguityProblem, threshold: float, *,
-                    n_grid_left=N_GRID_LEFT,
-                    n_grid_right=N_GRID_RIGHT) -> PotentialGrid:
+def build_potential(problem: AmbiguityProblem,
+                    threshold: float) -> PotentialGrid:
     """Tabulate the potential for an admissible threshold.
 
     The linear form of ``tail_coefficient`` is integrated once, from the
@@ -493,7 +492,7 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
     threshold is inadmissible (the slope dips below one).
     """
     x_min = DIP_FLOOR * problem.drift_peak
-    grid_x = np.geomspace(x_min, threshold, n_grid_left)
+    grid_x = np.geomspace(x_min, threshold, N_GRID_LEFT)
     h = np.minimum(FD_STEP_ABS * threshold, FD_STEP_REL * grid_x)
     interior = (grid_x - h > x_min) & (grid_x + h < threshold)
     fd_x = grid_x[interior]
@@ -537,7 +536,7 @@ def build_potential(problem: AmbiguityProblem, threshold: float, *,
     fd_plus = nodes_g[np.searchsorted(nodes_x, fd_x + fd_h)]
 
     x_plot_max = min(2.0 * problem.drift_zero, problem.x_max)
-    right = np.linspace(threshold, x_plot_max, n_grid_right + 1)[1:]
+    right = np.linspace(threshold, x_plot_max, N_GRID_RIGHT + 1)[1:]
     return PotentialGrid(
         threshold=threshold, x_min=x_min, nodes_x=nodes_x,
         nodes_slope=nodes_g, nodes_slope_deriv=nodes_dg, nodes_value=value,
@@ -559,10 +558,18 @@ class ThresholdSolution:
     long_run_yield: float
     grid: PotentialGrid
     bisection_trace: tuple
-    iterations: int
-    x_min: float
     beta_tolerance: float
     regime: str
+
+    @property
+    def iterations(self) -> int:
+        """Number of probes in ``bisection_trace``."""
+        return len(self.bisection_trace)
+
+    @property
+    def x_min(self) -> float:
+        """Floor of the tabulated potential."""
+        return self.grid.x_min
 
     def vprime(self, x):
         return self.grid.slope_at(x)
@@ -578,9 +585,8 @@ class ThresholdSolution:
                           lambda xa: 0.0, closed=True)
 
 
-def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
-                    n_grid_left=N_GRID_LEFT,
-                    n_grid_right=N_GRID_RIGHT) -> ThresholdSolution:
+def solve_threshold(problem: AmbiguityProblem, *,
+                    beta_rtol=BETA_RTOL) -> ThresholdSolution:
     """Root-find the optimal threshold and assemble its potential.
 
     The threshold is the ``brentq`` root of ``tail_coefficient`` to within
@@ -643,10 +649,8 @@ def solve_threshold(problem: AmbiguityProblem, *, beta_rtol=BETA_RTOL,
             f"{max(outs)!r} above admissible {min(ins)!r}")
 
     threshold = min(ins)
-    grid = build_potential(problem, threshold, n_grid_left=n_grid_left,
-                           n_grid_right=n_grid_right)
     return ThresholdSolution(
         problem=problem, threshold=threshold,
-        long_run_yield=float(problem.drift(threshold)), grid=grid,
-        bisection_trace=tuple(trace), iterations=len(trace),
-        x_min=grid.x_min, beta_tolerance=beta_tol, regime=regime)
+        long_run_yield=float(problem.drift(threshold)),
+        grid=build_potential(problem, threshold),
+        bisection_trace=tuple(trace), beta_tolerance=beta_tol, regime=regime)

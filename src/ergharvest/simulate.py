@@ -68,7 +68,6 @@ __all__ = [
     "X0IndependenceReport",
     "path_rng",
     "reflect_step",
-    "worst_case_kernel",
     "simulate_path",
     "estimate_payoff",
     "x0_independence_check",
@@ -103,16 +102,6 @@ def reflect_step(x, drift, noise, beta):
     if np.ndim(proposed) == 0:
         return float(x_next), float(dZ)
     return x_next, dZ
-
-
-def worst_case_kernel(problem: AmbiguityProblem, sol: ThresholdSolution, x):
-    """Adverse Girsanov kernel -eps sigma(x) v'(x) of a solved potential.
-
-    Below the tabulated grid floor the slope is clamped to its floor value
-    (the reflected process spends vanishing time there); the simulation
-    engine counts clamped evaluations.
-    """
-    return minimizing_kernel(problem, sol.vprime, x)
 
 
 # Steps per block: noise is drawn, and non-finite paths are quarantined,

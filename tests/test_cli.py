@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -8,7 +10,7 @@ import pytest
 
 from ergharvest import (AmbiguityProblem, SimConfig, VerhulstPearl,
                         artifacts, cli, config, estimate_payoff,
-                        solve_threshold)
+                        solve_threshold, verify_solution)
 from ergharvest.cli import main
 
 VP_BLOCK = {"family": "verhulst_pearl",
@@ -62,7 +64,7 @@ class TestCheck:
             assert key in err and "accepted keys" in err
 
     def test_retired_tolerance_keys_rejected(self, tmp_path, capsys):
-        for key in ("rtol", "atol"):
+        for key in ("rtol", "atol", "n_grid_left", "n_grid_right"):
             path = write_cfg(tmp_path, solver={key: 1e-8})
             assert main(["check", "--config", str(path)]) == 64
             assert key in capsys.readouterr().err
@@ -147,23 +149,52 @@ class TestSolverKeys:
         assert set(config._SOLVER_DEFAULTS) == config._SOLVER_KEYS
 
 
+def _real_table():
+    # 600 rows: two full chunks and a partial one, with edge values.
+    rng = np.random.default_rng(3)
+    cols = rng.standard_normal((3, 600)) * 10.0 ** rng.integers(
+        -300, 300, (3, 600))
+    cols[0, :6] = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 0.0]
+    return cols, [format(v, ".17g") for v in cols.ravel()]
+
+
+def _integer_table():
+    # Path ids up to 2**53 - 1, 0/1 flags and int64 counts, printed as ints.
+    rng = np.random.default_rng(4)
+    ids = np.arange(2**53 - 300, 2**53)
+    ids[:3] = [0, 1, 2**31]
+    flags = rng.integers(0, 2, 300)
+    counts = rng.integers(0, 2**40, 300, dtype=np.int64)
+    cols = (ids, flags, counts)
+    return cols, [str(v) for v in np.stack(cols).ravel()]
+
+
 class TestTableWriter:
-    def test_byte_identical_to_the_csv_module(self, tmp_path):
-        # 600 rows: two full chunks and a partial one, with edge values.
-        rng = np.random.default_rng(3)
-        cols = rng.standard_normal((3, 600)) * 10.0 ** rng.integers(
-            -300, 300, (3, 600))
-        cols[0, :6] = [-0.0, np.nan, np.inf, -np.inf, 1e-300, 0.0]
+    @pytest.mark.parametrize("table", [_real_table, _integer_table],
+                             ids=["reals", "integers"])
+    def test_byte_identical_to_the_csv_module(self, tmp_path, table):
+        cols, text = table()
         header = ["a", "b", "c"]
         artifacts._write_table(tmp_path / "chunked.csv", header, cols)
-        artifacts._write_csv(tmp_path / "reference.csv", header,
-                             ([artifacts.fmt(v) for v in row]
-                              for row in cols.T))
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(np.array(text).reshape(3, -1).T.tolist())
         assert ((tmp_path / "chunked.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
 
 
 class TestJobsDefault:
+    def test_jobs_only_on_simulate(self, capsys):
+        parser = cli._build_parser()
+        args = parser.parse_args(["simulate", "--config", "c.json",
+                                  "--jobs", "2"])
+        assert args.jobs == 2
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["solve", "--config", "c.json", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_works_without_sched_getaffinity(self, tmp_path, capsys,
                                              monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -401,6 +432,21 @@ class TestVerify:
         rc = main(["verify", "--config", str(cfg)])
         assert rc == 0
         assert "verdict        pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    def test_reload_matches_the_solve(self, tmp_path, solutions_by_eps, eps):
+        # The reload interpolates on the persisted grid without the fd
+        # companions: the audit, which reads only grid nodes and companion
+        # slopes, is unchanged; the slope between nodes moves in ~1e-10.
+        problem, sol = solutions_by_eps[eps]
+        cfg = write_cfg(tmp_path, epsilon=eps)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        restored = artifacts.load_solution(tmp_path / "run", problem)
+        assert (dataclasses.asdict(verify_solution(problem, restored))
+                == dataclasses.asdict(verify_solution(problem, sol)))
+        xs = np.geomspace(sol.x_min, sol.threshold, 20000)
+        np.testing.assert_allclose(restored.vprime(xs), sol.vprime(xs),
+                                   rtol=1e-9, atol=0.0)
 
     def test_verify_missing_solution(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "nowhere"))

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergharvest import (AmbiguityProblem, InputDomainError, SimConfig,
-                        SimulationAbortError, estimate_payoff, path_rng,
-                        reflect_step, simulate_path, solve_threshold,
-                        worst_case_kernel, x0_independence_check)
+                        SimulationAbortError, estimate_payoff,
+                        minimizing_kernel, path_rng, reflect_step,
+                        simulate_path, solve_threshold, x0_independence_check)
 from ergharvest import simulate
 
 import oracles
@@ -62,17 +62,17 @@ class TestReflectStep:
 
 class TestWorstCaseKernel:
     def test_value_at_threshold(self, problem1, sol1):
-        got = worst_case_kernel(problem1, sol1, sol1.threshold)
+        got = minimizing_kernel(problem1, sol1.vprime, sol1.threshold)
         expected = -problem1.epsilon * problem1.model.sigma(sol1.threshold)
         assert got == pytest.approx(expected, abs=1e-14)
 
     def test_zero_ambiguity_means_zero_kernel(self, problem0, sol0):
         xs = np.linspace(0.01, sol0.threshold, 7)
-        assert np.all(worst_case_kernel(problem0, sol0, xs) == 0.0)
+        assert np.all(minimizing_kernel(problem0, sol0.vprime, xs) == 0.0)
 
     def test_bounded_by_threshold_noise_scale(self, problem1, sol1):
         xs = np.geomspace(1e-7, sol1.threshold, 20000)
-        psi = worst_case_kernel(problem1, sol1, xs)
+        psi = minimizing_kernel(problem1, sol1.vprime, xs)
         bound = problem1.epsilon * problem1.model.sigma(sol1.threshold)
         assert np.max(np.abs(psi)) <= bound * (1.0 + 1e-8)
 
@@ -95,11 +95,12 @@ class TestWorstCaseTable:
         assert table.xs[0] == sol.grid.nodes_x[0] and table.xs[-1] == beta
 
         xs = np.geomspace(table.lo, beta, 200001)
-        exact = worst_case_kernel(problem, sol, xs)
+        exact = minimizing_kernel(problem, sol.vprime, xs)
         idx, frac, low = table.lookup(xs)
         assert not np.any(low)
         scale = eps * model.sigma(beta)
-        psi = _interp(worst_case_kernel(problem, sol, table.xs), idx, frac)
+        psi = _interp(minimizing_kernel(problem, sol.vprime, table.xs),
+                      idx, frac)
         assert np.max(np.abs(psi - exact)) <= 1e-5 * scale
 
         # The drift also interpolates x mu(x), whose curvature in log x adds
@@ -112,7 +113,7 @@ class TestWorstCaseTable:
                 <= 5e-5 * scale * scale * dt / (2.0 * eps))
 
         # The node at beta holds the pasted kernel exactly.
-        psi_beta = worst_case_kernel(problem, sol, beta)
+        psi_beta = minimizing_kernel(problem, sol.vprime, beta)
         assert psi_beta == -eps * model.sigma(beta)
         assert table.drift[-1] == (beta * model.mu(beta)
                                    + model.sigma(beta) * psi_beta) * dt
