@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import MissingInputError
 from .model import AmbiguityProblem
-from .shooting import PotentialGrid, ThresholdSolution, _slope_rhs
+from .shooting import (PotentialGrid, ThresholdSolution, _potential_value,
+                       _slope_rhs)
 
 SOLUTION_CSV = "solution.csv"
 FD_CSV = "vprime_fd.csv"
@@ -72,13 +73,13 @@ def _read_csv(path, columns):
 def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     """Rebuild a usable solution from persisted artifacts.
 
-    The slope derivatives are recovered from the ODE itself (they are a
-    function of x and the slope once the threshold is known).  The reload
-    interpolates on the persisted grid only, without the solve's
-    finite-difference companion nodes, so between nodes its slope differs
-    from the solve's in about the tenth digit.  ``verify_solution`` reads
-    only grid nodes and companion slopes (restored when their file exists)
-    and gives the same report on either.
+    The solve's nodes are the grid of ``solution.csv`` and the
+    finite-difference companions x +/- h of ``vprime_fd.csv``, with their
+    slopes; the slope derivatives come from the ODE itself and the value
+    from the solve's Hermite trapezoid, so the reloaded potential is the
+    solve's bit for bit.  Without ``vprime_fd.csv`` the reload interpolates
+    on the grid alone, and its slope and value differ from the solve's in
+    about the tenth digit.
     """
     run = Path(run_dir)
     summary_path = run / SUMMARY_JSON
@@ -92,24 +93,26 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     except KeyError as exc:
         raise MissingInputError(f"{summary_path} lacks a solution block: {exc}")
 
-    xs, vs, vps = _read_csv(run / SOLUTION_CSV, ["x", "v", "vprime"])
+    xs, _, vps = _read_csv(run / SOLUTION_CSV, ["x", "v", "vprime"])
     left = xs <= threshold
-    nodes_x = xs[left]
-    nodes_slope = vps[left]
-    nodes_value = vs[left]
-    nodes_deriv = _slope_rhs(problem, threshold, 0.0)(nodes_x, nodes_slope)
-
     fd_path = run / FD_CSV
     if fd_path.exists():
         fd_x, fd_h, fd_lo, fd_hi = _read_csv(
             fd_path, ["x", "h", "vprime_minus", "vprime_plus"])
     else:
         fd_x = fd_h = fd_lo = fd_hi = np.array([])
+    known = ((xs[left], vps[left]), (fd_x - fd_h, fd_lo), (fd_x + fd_h, fd_hi))
+    nodes_x = np.unique(np.concatenate([x for x, _ in known]))
+    nodes_slope = np.empty_like(nodes_x)
+    for x, slope in known:
+        nodes_slope[np.searchsorted(nodes_x, x)] = slope
+    nodes_deriv = _slope_rhs(problem, threshold, 0.0)(nodes_x, nodes_slope)
 
     grid = PotentialGrid(
         threshold=threshold, x_min=float(nodes_x[0]), nodes_x=nodes_x,
         nodes_slope=nodes_slope, nodes_slope_deriv=nodes_deriv,
-        nodes_value=nodes_value, grid_x=nodes_x, grid_right_x=xs[~left],
+        nodes_value=_potential_value(nodes_x, nodes_slope, nodes_deriv),
+        grid_x=xs[left], grid_right_x=xs[~left],
         fd_x=fd_x, fd_h=fd_h, fd_slope_minus=fd_lo, fd_slope_plus=fd_hi)
     return ThresholdSolution(
         problem=problem, threshold=threshold, long_run_yield=long_run_yield,

@@ -474,6 +474,20 @@ class PotentialGrid:
             lambda xa: xa - self.threshold)
 
 
+def _potential_value(nodes_x, nodes_g, nodes_dg):
+    """Potential at ascending nodes ending at the threshold, where it is zero.
+
+    A cumulative Hermite-corrected trapezoid of the slope g: over [a, b],
+    h (g_a + g_b)/2 + h^2 (g'_a - g'_b)/12, exact for cubics.
+    """
+    dx = np.diff(nodes_x)
+    seg = (dx * (nodes_g[:-1] + nodes_g[1:]) / 2.0
+           + dx * dx * (nodes_dg[:-1] - nodes_dg[1:]) / 12.0)
+    value = np.concatenate(([0.0], np.cumsum(seg)))
+    value -= value[-1]
+    return value
+
+
 def build_potential(problem: AmbiguityProblem,
                     threshold: float) -> PotentialGrid:
     """Tabulate the potential for an admissible threshold.
@@ -523,15 +537,7 @@ def build_potential(problem: AmbiguityProblem,
             "slope blew up above the grid floor", crossing_x=x_bad,
             derivative_sign=-float(np.sign(dpsi[bad[-1]])))
     nodes_dg = _slope_rhs(problem, threshold, 0.0)(nodes_x, nodes_g)
-
-    # Cumulative Hermite-corrected trapezoid, anchored at the threshold:
-    # over [a, b]: h (g_a + g_b)/2 + h^2 (g'_a - g'_b)/12, exact for cubics.
-    dx = np.diff(nodes_x)
-    seg = (dx * (nodes_g[:-1] + nodes_g[1:]) / 2.0
-           + dx * dx * (nodes_dg[:-1] - nodes_dg[1:]) / 12.0)
-    value = np.concatenate(([0.0], np.cumsum(seg)))
-    value -= value[-1]   # zero at the threshold (the last ascending node)
-
+    value = _potential_value(nodes_x, nodes_g, nodes_dg)
     fd_minus = nodes_g[np.searchsorted(nodes_x, fd_x - fd_h)]
     fd_plus = nodes_g[np.searchsorted(nodes_x, fd_x + fd_h)]
 

@@ -9,17 +9,17 @@ the divergence penalty psi^2 / (2 eps) per unit time.  The long-run average
 of harvest plus penalty estimates the solved yield.
 
 Since psi does not depend on time, the worst-case step is tabulated once
-per run: the per-step drift (x mu(x) + sigma(x) psi(x)) dt and the KL
-increment psi^2 / (2 eps) dt sit on nodes equally spaced in log x from the
-potential grid floor to beta, and each step looks its cell up in O(1) and
-interpolates linearly in log x.  The spacing is logarithmic because the
-kernel varies on the scale of x itself near zero (psi moves from -0.195 to
--0.234 between x = 1e-7 and 1e-5 at eps = 1), where the worst-case
-population spends a sizable share of its time; a uniform table over
-[0, beta] would smear that whole range into its first cell.  The kernel
-at the nodes is ``hjb.minimizing_kernel`` of the solved slope ``sol.vprime``,
-which stays the reference the table is tested against.  The only measures
-are the reference dynamics and this worst case.
+per run, on the doubles whose low 44 bits are zero (256 nodes per octave)
+from the potential grid floor up to beta, so a state's cell is its float
+bits shifted right by 44.  The spacing is relative to x because the kernel
+varies on the scale of x itself near zero (psi moves from -0.195 to -0.234
+between x = 1e-7 and 1e-5 at eps = 1), where the worst-case population
+spends a sizable share of its time.  Each cell holds the mean proposal
+x + (x mu(x) + sigma(x) psi(x)) dt and the KL increment psi^2 / (2 eps) dt
+as lines a + b x through its two nodes.  The kernel at the nodes is
+``hjb.minimizing_kernel`` of the solved slope ``sol.vprime``, which stays
+the reference the table is tested against.  The only measures are the
+reference dynamics and this worst case.
 
 Paths are independent units of work with their own counter-based random
 streams (Philox keyed by master seed and path index), so results are
@@ -29,16 +29,16 @@ path id may run from several starts in one batch.
 
 At a few hundred lanes per process each numpy call costs about the same
 whatever its width, so the step loop runs only the recurrence
-x_k -> x_{k+1}: sigma(x), the table lookup and drift, the proposal (written
-into the noise row it consumed) and the projection onto [0, beta].  The
-states, and under the worst case the table index and fraction, go into
-buffers of ``_CHUNK_STEPS`` rows.  Once per chunk the harvest
-max(P - beta, 0), the KL increments (from the stored index and fraction,
-with no second lookup), the negative-proposal and floor-clamp counts, the
-running maximum and the strided occupation histogram (one ``bincount``
-over lane * n_bins + bin) are computed over the whole buffer, and the
-chunk's rows are split at the burn-in and mid-window steps for the
-snapshots.
+x_k -> x_{k+1}: sigma(x), the mean proposal (the cell's line, or the
+reference drift), the proposal (written into the noise row it consumed)
+and the projection onto [0, beta].  Each lane draws a block's noise into
+its own contiguous row.  Once per chunk of ``_CHUNK_STEPS`` steps the noise
+is scaled into (steps, lanes) rows, and the harvest max(P - beta, 0), the
+KL increments (from the stored cells and states), the negative-proposal
+and floor-clamp counts, the running maximum and the strided occupation
+histogram (one ``bincount`` over lane * n_bins + bin) are computed over
+the chunk's buffers, whose rows are split at the burn-in and mid-window
+steps for the snapshots.
 
 The settled sums stay bit-identical to adding one step at a time: each
 sum is ``np.add.reduce(rows, axis=0)`` over C-ordered (steps, lanes) rows
@@ -84,6 +84,12 @@ def path_rng(seed: int, path_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _project(proposed, beta, out):
+    """Write ``proposed`` projected onto [0, beta] into ``out``."""
+    np.minimum(proposed, beta, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
 def reflect_step(x, drift, noise, beta):
     """One projected Euler step of the threshold policy.
 
@@ -95,11 +101,10 @@ def reflect_step(x, drift, noise, beta):
 
     Works elementwise on scalars or arrays; returns (x_next, dZ).
     """
-    proposed = x + drift + noise
+    proposed = np.asarray(x + drift + noise, dtype=float)
     dZ = np.maximum(proposed - beta, 0.0)
-    x_next = np.minimum(proposed, beta)
-    x_next = np.maximum(x_next, 0.0)
-    if np.ndim(proposed) == 0:
+    x_next = _project(proposed, beta, np.empty_like(proposed))
+    if proposed.ndim == 0:
         return float(x_next), float(dZ)
     return x_next, dZ
 
@@ -113,74 +118,69 @@ _BLOCK_STEPS = 2048
 # settled totals.  128 steps settle as fast as 256 and hold less memory.
 _CHUNK_STEPS = 128
 
-# Nodes of the worst-case step table: at 4096 log-spaced nodes the
-# interpolated kernel stays within 1e-5 eps sigma(beta) of the solved cubic
-# for eps from 0.5 to 20 (tests/test_simulate.py).
-_TABLE_NODES = 4096
+# The worst-case table's nodes are the doubles whose low _CELL_SHIFT bits are
+# zero, 2**(52 - _CELL_SHIFT) = 256 per octave: the kernel interpolated
+# between them stays within 1e-5 eps sigma(beta) of the solved cubic for eps
+# from 0.5 to 20 (tests/test_simulate.py).
+_CELL_SHIFT = 44
+
+
+def _line(a, b, cell, x):
+    """a[cell] + b[cell] x, with cells outside the table read at its ends."""
+    out = b.take(cell, mode="clip")
+    out *= x
+    out += a.take(cell, mode="clip")
+    return out
+
+
+def _lines(xs, y, fold):
+    """``_line``'s a, b through each cell's nodes of y, plus ``fold`` x."""
+    slope = np.diff(y) / np.diff(xs)
+    return (np.concatenate((y[:1], y[:-1] - slope * xs[:-1])),
+            np.concatenate(([0.0], slope)) + fold)
 
 
 class _WorstCaseStep:
-    """Worst-case per-step drift and KL increment, tabulated in log x.
+    """Worst-case mean proposal and KL increment, one line per cell.
 
-    Node k sits at x_k = lo (beta / lo)^(k / (N - 1)), where lo is the floor
-    of the solved potential grid; between nodes both quantities are linear
-    in log x.  Each is stored as node values plus forward differences (the
-    last difference is zero), so a lookup is one index and one fraction.
+    The nodes ``xs`` are the doubles whose low ``_CELL_SHIFT`` bits are zero
+    from ``lo``, the first at or above the potential grid floor, then beta.
+    Cell i >= 1 spans [xs[i - 1], xs[i]) and is a state's float bits shifted
+    right by ``_CELL_SHIFT``, less ``base``.  Cell 0 holds the values at
+    ``lo`` with zero slope; states below ``lo``, zero and -0.0 read it
+    through the clipped ``take``.  A NaN state reads cell 0 or the last cell
+    and its line is NaN, so it is still quarantined at its block's end.
+    ``drift`` (x mu(x) + sigma(x) psi(x)) dt and ``kl`` psi^2 dt / (2 eps)
+    are the node values; the mean proposal x + drift folds the state's own
+    x into its slope.
     """
 
     def __init__(self, problem: AmbiguityProblem, sol: ThresholdSolution,
                  beta: float, dt: float):
-        self.lo = float(sol.grid.nodes_x[0])
-        self.s0 = math.log(self.lo)
-        self.top = _TABLE_NODES - 1
-        self.inv_ds = self.top / (math.log(beta) - self.s0)
-        xs = np.exp(np.linspace(self.s0, math.log(beta), _TABLE_NODES))
-        xs[0], xs[-1] = self.lo, beta
-        self.xs = xs
+        floor, top = np.array([sol.grid.nodes_x[0], beta]).view(np.int64) - 1
+        first = (int(floor) >> _CELL_SHIFT) + 1
+        keys = np.arange(first, (int(top) >> _CELL_SHIFT) + 1)
+        self.base = first - 1
+        self.xs = xs = np.append((keys << _CELL_SHIFT).view(float), beta)
+        self.lo = float(xs[0])
         psi = minimizing_kernel(problem, sol.vprime, xs)
         model = problem.model
         self.drift = (xs * model.mu(xs) + model.sigma(xs) * psi) * dt
-        self.drift_diff = np.append(np.diff(self.drift), 0.0)
         self.kl = psi * psi * (dt / (2.0 * problem.epsilon))
-        self.kl_diff = np.append(np.diff(self.kl), 0.0)
-
-    def locate(self, x, idx, frac):
-        """Write the cell index and the fraction in the cell of each x.
-
-        The position t in node units goes through ``frac``.  States below
-        the floor use the floor node, so t >= 0 up to rounding (which the
-        cast truncates to node 0); t is capped at the last node, whose
-        difference is zero.  A NaN state casts to INT64_MIN, which the
-        clipped ``take`` of ``drift_at`` and ``kl_at`` reads as node 0; its
-        fraction stays NaN, so the path is still quarantined at the end of
-        its block.
-        """
-        np.maximum(x, self.lo, out=frac)
-        np.log(frac, out=frac)
-        frac -= self.s0
-        frac *= self.inv_ds
-        np.minimum(frac, self.top, out=frac)
-        np.copyto(idx, frac, casting="unsafe")
-        frac -= idx
+        self.mean_a, self.mean_b = _lines(xs, self.drift, 1.0)
+        self.kl_a, self.kl_b = _lines(xs, self.kl, 0.0)
 
     def lookup(self, x):
-        """Cell index (within the table), fraction and floor-clamp mask."""
-        x = np.asarray(x, dtype=float)
-        idx = np.empty(x.shape, dtype=np.int64)
-        frac = np.empty(x.shape)
-        self.locate(x, idx, frac)
-        np.maximum(idx, 0, out=idx)
-        return idx, frac, x < self.lo
+        """Cell (within the table) and floor-clamp mask of each state."""
+        x = np.ascontiguousarray(x, dtype=float)
+        cell = (x.view(np.int64) >> _CELL_SHIFT) - self.base
+        return np.clip(cell, 0, len(self.xs) - 1), x < self.lo
 
-    def drift_at(self, idx, frac):
-        out = self.drift.take(idx, mode="clip")
-        out += frac * self.drift_diff.take(idx, mode="clip")
-        return out
+    def mean_at(self, cell, x):
+        return _line(self.mean_a, self.mean_b, cell, x)
 
-    def kl_at(self, idx, frac):
-        out = self.kl.take(idx, mode="clip")
-        out += frac * self.kl_diff.take(idx, mode="clip")
-        return out
+    def kl_at(self, cell, x):
+        return _line(self.kl_a, self.kl_b, cell, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,13 +317,13 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     KL_burn = np.zeros(n)
 
     gens = [path_rng(cfg.seed, int(pid)) for pid in ids]
-    noise = np.empty((_BLOCK_STEPS, n))
+    drawn = np.empty((n, _BLOCK_STEPS))  # row j: lane j's draws for a block
+    noise = np.empty((chunk, n))
     noise_rows = list(noise)
     state_rows = list(states)
     if table is not None:
         cells = np.empty((chunk, n), dtype=np.int64)
-        fracs = np.empty((chunk, n))
-        cell_rows, frac_rows = list(cells), list(fracs)
+        cell_rows, bit_rows = list(cells), list(states.view(np.int64))
     done = 0
     # NaN/inf paths are quarantined at block boundaries; silence the float
     # warnings their garbage values would emit in the meantime.
@@ -331,35 +331,34 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
         while done < n_steps:
             m = min(_BLOCK_STEPS, n_steps - done)
             for j, gen in enumerate(gens):
-                noise[:m, j] = gen.standard_normal(m)
-            noise[:m] *= sqdt
+                drawn[j, :m] = gen.standard_normal(m)
             for c0 in range(0, m, chunk):
                 rows = min(chunk, m - c0)
+                np.multiply(drawn[:, c0:c0 + rows].T, sqdt, out=noise[:rows])
                 for r in range(rows):
                     x = state_rows[r]
                     sig = sigma(x)
                     if table is not None:
-                        idx, frac = cell_rows[r], frac_rows[r]
-                        table.locate(x, idx, frac)
-                        drift = table.drift_at(idx, frac)
+                        cell = cell_rows[r]
+                        np.right_shift(bit_rows[r], _CELL_SHIFT, out=cell)
+                        cell -= table.base
+                        mean = table.mean_at(cell, x)
                     else:
-                        drift = x * mu(x)
-                        drift *= dt
-                    drift += x
-                    proposed = noise_rows[c0 + r]
+                        mean = x * mu(x)
+                        mean *= dt
+                        mean += x
+                    proposed = noise_rows[r]
                     proposed *= sig
-                    proposed += drift
-                    x = state_rows[r + 1]
-                    np.minimum(proposed, beta, out=x)
-                    np.maximum(x, 0.0, out=x)
+                    proposed += mean
+                    _project(proposed, beta, state_rows[r + 1])
 
                 # Settle the chunk: step k = k0 + r moved states[r] to
-                # states[r + 1] through the proposal noise[c0 + r].
+                # states[r + 1] through the proposal noise[r].
                 k0 = done + c0
                 after = states[1:rows + 1]
                 np.maximum(max_x, after.max(axis=0), out=max_x)
                 r0 = min(max(burn - k0, 0), rows)
-                proposals = noise[c0 + r0:c0 + rows]
+                proposals = noise[r0:rows]
                 neg += np.count_nonzero(proposals < 0.0, axis=0)
                 harvest = proposals - beta
                 np.maximum(harvest, 0.0, out=harvest)
@@ -367,7 +366,7 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
                 if table is not None:
                     clamps += np.count_nonzero(states[r0:rows] < table.lo,
                                                axis=0)
-                    kl = table.kl_at(cells[r0:rows], fracs[r0:rows])
+                    kl = table.kl_at(cells[r0:rows], states[r0:rows])
                 sample = after[r0 + (burn - k0 - r0) % stride::stride]
                 if len(sample):
                     # Clip from below too: a NaN state casts to INT64_MIN.

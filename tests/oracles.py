@@ -138,7 +138,10 @@ def step_paths(cfg, path_ids):
     """Per-path stats from a loop that settles every accumulator each step.
 
     Noise blocks and quarantine follow ``simulate._BLOCK_STEPS``; streams
-    come from ``simulate.path_rng``, so a patched stream reaches both.
+    come from ``simulate.path_rng``, so a patched stream reaches both.  Each
+    path's draws fill a column of a (block, lanes) buffer rather than the
+    engine's lane-major rows, so a match also shows that both layouts
+    deliver the same noise.
     """
     problem = cfg.problem
     mu = problem.model.mu
@@ -185,14 +188,13 @@ def step_paths(cfg, path_ids):
                 k = done + i
                 sig = sigma(x)
                 if table is not None:
-                    idx, frac, low = table.lookup(x)
-                    drift = table.drift_at(idx, frac)
+                    cell, low = table.lookup(x)
+                    proposed = table.mean_at(cell, x) + sig * noise[i]
                     if k >= burn:
-                        KL += table.kl_at(idx, frac)
+                        KL += table.kl_at(cell, x)
                         clamps += low
                 else:
-                    drift = x * mu(x) * dt
-                proposed = x + drift + sig * noise[i]
+                    proposed = x + x * mu(x) * dt + sig * noise[i]
                 over = proposed - beta
                 np.maximum(over, 0.0, out=over)
                 if k >= burn:

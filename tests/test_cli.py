@@ -350,6 +350,20 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg), "--no-inline-solve"])
         assert rc == 0
 
+    def test_reloaded_run_writes_the_inline_paths(self, tmp_path):
+        # The worst-case table reads the slope between grid nodes, so this
+        # needs the reload to be the solve's potential bit for bit.
+        cfg = write_cfg(tmp_path, epsilon=1.0,
+                        sim={"dt": 2e-3, "horizon": 5.0, "n_paths": 8,
+                             "measure": "worstcase"})
+        paths = tmp_path / "run" / "paths.csv"
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        inline = paths.read_bytes()
+        paths.unlink()
+        assert main(["simulate", "--config", str(cfg),
+                     "--no-inline-solve"]) == 0
+        assert paths.read_bytes() == inline
+
     def test_reference_measure_one_sided_assert(self, tmp_path):
         cfg = write_cfg(tmp_path, epsilon=1.0,
                         sim={"dt": 1e-3, "horizon": 5.0, "n_paths": 8,
@@ -435,15 +449,31 @@ class TestVerify:
 
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     def test_reload_matches_the_solve(self, tmp_path, solutions_by_eps, eps):
-        # The reload interpolates on the persisted grid without the fd
-        # companions: the audit, which reads only grid nodes and companion
-        # slopes, is unchanged; the slope between nodes moves in ~1e-10.
+        # The reload rebuilds the solve's nodes from the grid and the fd
+        # companions, so the potential and the audit are the solve's.
         problem, sol = solutions_by_eps[eps]
         cfg = write_cfg(tmp_path, epsilon=eps)
         assert main(["solve", "--config", str(cfg)]) == 0
         restored = artifacts.load_solution(tmp_path / "run", problem)
         assert (dataclasses.asdict(verify_solution(problem, restored))
                 == dataclasses.asdict(verify_solution(problem, sol)))
+        for name in ("nodes_x", "nodes_slope", "nodes_slope_deriv",
+                     "nodes_value"):
+            assert np.array_equal(getattr(restored.grid, name),
+                                  getattr(sol.grid, name)), name
+        xs = np.geomspace(sol.x_min, 2.0 * sol.threshold, 20000)
+        assert np.array_equal(restored.vprime(xs), sol.vprime(xs))
+        assert np.array_equal(restored.v(xs), sol.v(xs))
+
+    def test_reload_without_companions_is_close(self, tmp_path,
+                                                solutions_by_eps):
+        # Without the fd companions the reload interpolates on the grid
+        # alone: the slope between nodes moves in ~1e-10.
+        problem, sol = solutions_by_eps[1.0]
+        cfg = write_cfg(tmp_path, epsilon=1.0)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        (tmp_path / "run" / "vprime_fd.csv").unlink()
+        restored = artifacts.load_solution(tmp_path / "run", problem)
         xs = np.geomspace(sol.x_min, sol.threshold, 20000)
         np.testing.assert_allclose(restored.vprime(xs), sol.vprime(xs),
                                    rtol=1e-9, atol=0.0)

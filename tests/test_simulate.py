@@ -77,10 +77,6 @@ class TestWorstCaseKernel:
         assert np.max(np.abs(psi)) <= bound * (1.0 + 1e-8)
 
 
-def _interp(values, idx, frac):
-    return values[idx] + frac * np.append(np.diff(values), 0.0)[idx]
-
-
 class TestWorstCaseTable:
     @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0, 5.0, 20.0])
     def test_table_tracks_cubic_kernel(self, eps, vp_model, solutions_by_eps):
@@ -92,24 +88,33 @@ class TestWorstCaseTable:
         beta, dt = sol.threshold, 1e-3
         model = problem.model
         table = simulate._WorstCaseStep(problem, sol, beta, dt)
-        assert table.xs[0] == sol.grid.nodes_x[0] and table.xs[-1] == beta
+        # The nodes are the doubles with 44 low zero bits from the first one
+        # at or above the potential floor, then beta.
+        floor = sol.grid.nodes_x[0]
+        assert table.xs[0] == table.lo >= floor and table.xs[-1] == beta
+        keys = table.xs[:-1].view(np.int64)
+        assert np.all(keys & ((1 << 44) - 1) == 0)
+        assert np.all(np.diff(keys) == 1 << 44)
+        below, above = (keys[[0, -1]] + [-1 << 44, 1 << 44]).view(float)
+        assert below < floor and table.xs[-2] < beta <= above
 
         xs = np.geomspace(table.lo, beta, 200001)
         exact = minimizing_kernel(problem, sol.vprime, xs)
-        idx, frac, low = table.lookup(xs)
+        cell, low = table.lookup(xs)
         assert not np.any(low)
+        assert np.all((table.xs[cell - 1] <= xs) & (xs <= table.xs[cell]))
         scale = eps * model.sigma(beta)
-        psi = _interp(minimizing_kernel(problem, sol.vprime, table.xs),
-                      idx, frac)
+        psi = np.interp(xs, table.xs,
+                        minimizing_kernel(problem, sol.vprime, table.xs))
         assert np.max(np.abs(psi - exact)) <= 1e-5 * scale
 
-        # The drift also interpolates x mu(x), whose curvature in log x adds
-        # an error of the same order; the KL increment is quadratic in psi.
-        drift = table.drift_at(idx, frac)
+        # The drift also interpolates x mu(x), whose curvature adds an error
+        # of the same order; the KL increment is quadratic in psi.
+        drift = table.mean_at(cell, xs) - xs
         psi_eff = (drift / dt - xs * model.mu(xs)) / model.sigma(xs)
         assert np.max(np.abs(psi_eff - exact)) <= 5e-5 * scale
         kl_exact = exact * exact * (dt / (2.0 * eps))
-        assert (np.max(np.abs(table.kl_at(idx, frac) - kl_exact))
+        assert (np.max(np.abs(table.kl_at(cell, xs) - kl_exact))
                 <= 5e-5 * scale * scale * dt / (2.0 * eps))
 
         # The node at beta holds the pasted kernel exactly.
@@ -122,18 +127,27 @@ class TestWorstCaseTable:
     def test_lookup_edge_cases(self, problem1, sol1):
         table = simulate._WorstCaseStep(problem1, sol1, sol1.threshold, 1e-3)
         lo, beta = table.lo, sol1.threshold
-        x = np.array([np.nan, 0.0, lo / 2.0, lo, beta])
+        floor = sol1.grid.nodes_x[0]
+        assert floor < lo
+        x = np.array([np.nan, 0.0, -0.0, floor / 2.0, floor,
+                      (floor + lo) / 2.0, lo, beta])
         with np.errstate(invalid="ignore"):
-            idx, frac, low = table.lookup(x)
-            drift = table.drift_at(idx, frac)
-            kl = table.kl_at(idx, frac)
-        assert np.all((idx >= 0) & (idx <= table.top))
-        assert low.tolist() == [False, True, True, False, False]
-        assert np.isnan(frac[0]) and np.isnan(drift[0]) and np.isnan(kl[0])
-        assert np.all(idx[1:4] == 0) and np.all(frac[1:4] == 0.0)
-        assert np.all(drift[1:4] == table.drift[0])
-        assert drift[4] == pytest.approx(table.drift[-1], rel=1e-12)
-        assert kl[4] == pytest.approx(table.kl[-1], rel=1e-12)
+            cell, low = table.lookup(x)
+            mean = table.mean_at(cell, x)
+            kl = table.kl_at(cell, x)
+        top = len(table.xs) - 1
+        assert np.all((cell >= 0) & (cell <= top))
+        assert low.tolist() == [False] + [True] * 5 + [False, False]
+        assert np.isnan(mean[0]) and np.isnan(kl[0])
+        # Below lo the step reads lo's values with zero slope.
+        assert np.all(cell[1:6] == 0)
+        assert np.all(mean[1:6] == x[1:6] + table.drift[0])
+        assert np.all(kl[1:6] == table.kl[0])
+        assert cell[6] == 1 and cell[7] == top
+        assert mean[6] - lo == pytest.approx(table.drift[0], rel=1e-12)
+        assert kl[6] == pytest.approx(table.kl[0], rel=1e-12)
+        assert mean[7] - beta == pytest.approx(table.drift[-1], rel=1e-12)
+        assert kl[7] == pytest.approx(table.kl[-1], rel=1e-12)
 
     def test_nan_path_quarantined(self, problem1, sol1, monkeypatch):
         cfg = _small_cfg(problem1, sol1, n_paths=12, horizon=1.0,
