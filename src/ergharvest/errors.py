@@ -39,7 +39,7 @@ class QuadratureError(NumericsError):
 
 
 class SingularIntegrationError(NumericsError):
-    """Step size underflowed near a singular point.
+    """An integration failed, typically with the step size underflowing.
 
     ``last_x``/``last_y`` hold the final reliable state of the integration.
     """

@@ -34,10 +34,10 @@ c* (the ``extinction_bound`` regime).
 threshold down to ``DIP_FLOOR * drift_peak``, with ``solve_ivp``'s DOP853 at
 the same tolerances, and reads the slope g = psi'/(1 - eps psi) off its
 dense output.  As cross-checks, ``integrate_slope`` shoots the quadratic
-equation with the Cash-Karp stepper of ``ivp`` and ``classify_boundary``
-keeps its dip verdict down to a fixed floor: a dip below one is
-inadmissible, and growth past the overflow guard counts as admissible with
-a warning.
+equation with scipy's DOP853 stepped through ``ivp.integrate``, and
+``classify_boundary`` keeps its dip verdict down to a fixed floor: a dip
+below one is inadmissible, and growth past the overflow guard counts as
+admissible with a warning.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class ShootingGrid:
     ``terminated_early`` marks a dip stop (final value below one minus the
     dip tolerance); ``blew_up`` marks an overflow-guard stop.  On a dip,
     ``dip_crossing`` is the largest abscissa where the slope crossed below
-    one, refined on the recorded step history.
+    one, found on its step's dense output; it is a node, with slope one.
     """
 
     boundary: float
@@ -125,16 +125,14 @@ def _slope_rhs(problem: AmbiguityProblem, boundary: float, gamma: float):
 
 
 def integrate_slope(problem: AmbiguityProblem, boundary: float, gamma: float = 0.0,
-                    x_min: float | None = None, *, rtol=RTOL, atol=ATOL,
-                    forced_nodes=None, stop_on_dip=True,
-                    min_step: float | None = None) -> ShootingGrid:
+                    x_min: float | None = None, *, forced_nodes=None,
+                    stop_on_dip=True) -> ShootingGrid:
     """Integrate the slope ODE from the boundary down to x_min.
 
-    Stops early once the slope drops below ``1 - DIP_TOLERANCE`` (recording
-    the refined unit crossing) or exceeds the overflow guard.  When the step
-    size underflows near a blow-up and the ambiguity level is positive, the
-    integration switches to the linear Cole-Hopf form, which stays finite
-    where the slope itself explodes, and continues to x_min.
+    Steps scipy's DOP853 through ``ivp.integrate`` at rtol 1e-10, atol
+    1e-12, and stops after the first step that ends below
+    ``1 - DIP_TOLERANCE`` (recording the unit crossing as a node) or past
+    the overflow guard.  A failed step raises ``SingularIntegrationError``.
     """
     if x_min is None:
         x_min = DIP_FLOOR * problem.drift_peak
@@ -142,21 +140,11 @@ def integrate_slope(problem: AmbiguityProblem, boundary: float, gamma: float = 0
         raise InputDomainError(
             f"need 0 < x_min < boundary <= x_max, got x_min={x_min!r}, "
             f"boundary={boundary!r}, x_max={problem.x_max!r}")
-    rhs = _slope_rhs(problem, boundary, gamma)
-    dip_level = (1.0 - DIP_TOLERANCE) if stop_on_dip else None
-    if min_step is None:
-        min_step = 1e-14 * boundary
-    try:
-        res = ivp.integrate(
-            rhs, boundary, 1.0, x_min, rtol=rtol, atol=atol,
-            forced_nodes=forced_nodes, dip_level=dip_level, crossing_level=1.0,
-            guard=OVERFLOW_GUARD, min_step=min_step,
-            first_step=1e-6 * boundary)
-    except SingularIntegrationError:
-        if problem.epsilon <= 0.0:
-            raise
-        res = _cole_hopf_rescue(problem, boundary, gamma, x_min,
-                                dip_level=dip_level, forced_nodes=forced_nodes)
+    res = ivp.integrate(
+        _slope_rhs(problem, boundary, gamma), boundary, 1.0, x_min,
+        rtol=RTOL, atol=ATOL, forced_nodes=forced_nodes,
+        dip_level=(1.0 - DIP_TOLERANCE) if stop_on_dip else None,
+        crossing_level=1.0, guard=OVERFLOW_GUARD)
     return ShootingGrid(
         boundary=boundary, gamma=gamma, xs=res.xs, slopes=res.ys,
         slope_derivs=res.dys, terminated_early=res.status == "dip",
@@ -175,27 +163,8 @@ def slope_above_boundary(problem: AmbiguityProblem, boundary: float,
             f"need boundary < x_top <= x_max, got {boundary!r}, {x_top!r}")
     rhs = _slope_rhs(problem, boundary, 0.0)
     res = ivp.integrate(rhs, boundary, 1.0, x_top, rtol=RTOL, atol=ATOL,
-                        forced_nodes=forced_nodes,
-                        min_step=1e-14 * x_top, first_step=1e-6 * boundary)
+                        forced_nodes=forced_nodes)
     return res.xs, res.ys, res.dys
-
-
-def _cole_hopf_rescue(problem, boundary, gamma, x_min, *, dip_level,
-                      forced_nodes):
-    """Full-interval fallback through the linear form (positive ambiguity)."""
-    grid = cole_hopf_slope(problem, boundary, x_min, gamma=gamma,
-                           eval_xs=forced_nodes)
-    ys = grid.slopes
-    if dip_level is not None and np.any(ys < dip_level):
-        cut = int(np.argmax(ys < dip_level))
-        grid_xs, ys, dys = grid.xs[:cut + 1], ys[:cut + 1], grid.slope_derivs[:cut + 1]
-        crossing = ivp._refine_crossing(grid_xs, ys, dys, 1.0)
-        return ivp.IntegrationResult(grid_xs, ys, dys, "dip", crossing)
-    if np.any(np.abs(ys) > OVERFLOW_GUARD):
-        cut = int(np.argmax(np.abs(ys) > OVERFLOW_GUARD))
-        return ivp.IntegrationResult(grid.xs[:cut + 1], ys[:cut + 1],
-                                     grid.slope_derivs[:cut + 1], "guard")
-    return ivp.IntegrationResult(grid.xs, ys, grid.slope_derivs, "reached")
 
 
 def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,

@@ -15,6 +15,8 @@ directly from these formulas, independent of the solver's integration path.
 
 ``tail_coefficient_ivp`` is the solver's tail coefficient F(b) for any
 model, integrated with ``solve_ivp`` instead of the compiled stepper.
+``dip_crossing`` is the unit crossing of an inadmissible boundary's slope,
+from a tight implicit (Radau) solve of the quadratic slope equation.
 
 ``step_paths`` is the Monte Carlo engine's one-step-at-a-time form: it
 updates every accumulator after each step, the reference the chunk-settled
@@ -26,6 +28,7 @@ from math import exp
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from ergharvest import simulate
 from ergharvest.simulate import PathStats
@@ -122,6 +125,36 @@ def tail_coefficient_ivp(problem, b, floor):
     psi, dpsi = sol.y[:, -1]
     ddpsi = rhs(s_min, (psi, dpsi))[1]
     return float((ddpsi - r_plus * dpsi) * math.exp(-r_minus * s_min))
+
+
+def dip_crossing(problem, b, floor):
+    """Largest x < b where the slope of boundary b falls through one.
+
+    Solves (1/2) sigma^2 g' + x mu g - (eps/2) sigma^2 g^2 = lam(b),
+    g(b) = 1, downward with ``solve_ivp(method="Radau", rtol=1e-13,
+    atol=1e-15)``, stops once g < 1 - 1e-6, and finds g = 1 by ``brentq``
+    on the dense output between that stop and the last node at or above
+    one.
+    """
+    mu, sigma = problem.model.mu, problem.model.sigma
+    eps = problem.epsilon
+    level = float(problem.drift(b))
+
+    def rhs(x, g):
+        s2 = sigma(x) ** 2
+        return 2.0 * (level - x * mu(x) * g + 0.5 * eps * s2 * g * g) / s2
+
+    def dipped(x, g):
+        return g[0] - (1.0 - 1e-6)
+    dipped.terminal = True
+
+    sol = solve_ivp(rhs, (b, floor), [1.0], method="Radau", rtol=1e-13,
+                    atol=1e-15, dense_output=True, events=dipped)
+    assert sol.status == 1, sol.message
+    x_dip = float(sol.t_events[0][0])
+    x_above = float(sol.t[sol.y[0] >= 1.0][-1])
+    return brentq(lambda x: sol.sol(x)[0] - 1.0, x_dip, x_above,
+                  xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
 # Frozen values computed from the oracles above (bisection tol 1e-12 and

@@ -139,6 +139,15 @@ class TestTruncatedPotential:
         with pytest.raises(InputDomainError, match="below the grid floor"):
             build_truncated(problem, b, sol.long_run_yield)
 
+    @pytest.mark.parametrize("k", [3, 5, 7, 10])
+    def test_dip_matches_tight_implicit_reference(self, problem1, sol1, k):
+        # Criterion 6's boundaries, against Radau at rtol 1e-13.
+        b = sol1.threshold * (1.0 - 2.0 ** -k)
+        tp = build_truncated(problem1, b, sol1.long_run_yield)
+        ref = oracles.dip_crossing(problem1, b, 2e-8 * problem1.drift_peak)
+        assert tp.dip_x == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert tp.vprime(tp.dip_x) == 1.0
+
     def test_ode_branch_excess_positive_and_vanishing(self, problem1, sol1):
         # On [dip, boundary] the operator value is the drift at the boundary;
         # the drift falls past the peak, so boundaries below the threshold

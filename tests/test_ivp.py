@@ -28,6 +28,19 @@ def test_forced_nodes_are_hit_exactly():
     for node in nodes:
         assert table[node] == pytest.approx(math.exp(node - 1.0), rel=1e-10)
 
+    # Repeats, the end points and a step's own end must each give one node:
+    # a node recorded twice is a zero-width Hermite segment.
+    step_end = integrate(f, 1.0, 1.0, 0.05, rtol=1e-12, atol=1e-14).xs[2]
+    awkward = [0.5, 0.9, 0.5, 1.0, 0.05, step_end, step_end, 2.0, 0.01]
+    res = integrate(f, 1.0, 1.0, 0.05, forced_nodes=awkward, rtol=1e-12,
+                    atol=1e-14)
+    assert np.all(np.diff(res.xs) < 0.0)
+    assert res.xs[0] == 1.0 and res.xs[-1] == 0.05
+    for node in (0.9, 0.5, step_end):
+        assert np.count_nonzero(res.xs == node) == 1
+    assert 2.0 not in res.xs and 0.01 not in res.xs
+    assert np.allclose(res.ys, np.exp(res.xs - 1.0), rtol=1e-10, atol=0.0)
+
 
 def test_dip_stop_and_crossing_refinement():
     # y = 2 - x crosses 1 at x = 1; stop fires once y < 0.9.
@@ -35,6 +48,15 @@ def test_dip_stop_and_crossing_refinement():
     res = integrate(f, 0.0, 2.0, 3.0, dip_level=0.9, crossing_level=1.0)
     assert res.status == "dip"
     assert res.crossing_x == pytest.approx(1.0, abs=1e-10)
+
+    # The crossing is one node, at the crossing level, between the forced
+    # nodes of its step.
+    res = integrate(f, 0.0, 2.0, 3.0, dip_level=0.9, crossing_level=1.0,
+                    forced_nodes=[0.5, 0.999, 1.0, 1.001])
+    assert np.all(np.diff(res.xs) > 0.0)
+    assert np.count_nonzero(res.xs == res.crossing_x) == 1
+    assert res.ys[res.xs == res.crossing_x][0] == 1.0
+    assert res.ys[-1] < 0.9
 
 
 def test_guard_stop():
@@ -45,11 +67,16 @@ def test_guard_stop():
     assert res.x_final < 100.0
 
 
-def test_min_step_underflow_raises():
-    # An unsatisfiable tolerance forces rejections down to the hard floor.
-    f = lambda x, y: 100.0 * math.sin(50.0 / (x + 0.01))
-    with pytest.raises(SingularIntegrationError):
-        integrate(f, 0.0, 1.0, 1.0, rtol=1e-15, atol=1e-18, min_step=1e-3)
+def test_failed_step_raises_with_last_state():
+    # y' = -y, but the rhs is NaN past x = 0.5: the step size underflows
+    # short of it, and the error carries the last accepted state.
+    f = lambda x, y: math.nan if x > 0.5 else -y
+    with pytest.raises(SingularIntegrationError) as err:
+        integrate(f, 0.0, 1.0, 1.0)
+    assert err.value.last_x <= 0.5
+    assert err.value.last_x > 0.4
+    assert err.value.last_y == pytest.approx(math.exp(-err.value.last_x),
+                                             rel=1e-9)
 
 
 def test_records_start_state():

@@ -426,36 +426,6 @@ class TestColeHopf:
         assert err.value.derivative_sign > 0.0
 
 
-class TestStepUnderflow:
-    def test_zero_ambiguity_surfaces_singular_error(self, problem0):
-        from ergharvest import SingularIntegrationError
-        with pytest.raises(SingularIntegrationError) as err:
-            integrate_slope(problem0, 0.8, 0.0, 0.4, rtol=1e-14, atol=1e-16,
-                            min_step=0.05)
-        assert err.value.last_x is not None
-
-    def test_positive_ambiguity_continues_through_linear_form(self, problem1):
-        nodes = np.linspace(0.55, 0.25, 7)
-        rescued = integrate_slope(problem1, 0.6, 0.0, 0.2, rtol=1e-14,
-                                  atol=1e-16, min_step=0.05,
-                                  forced_nodes=nodes)
-        direct = integrate_slope(problem1, 0.6, 0.0, 0.2, forced_nodes=nodes)
-        td = dict(zip(direct.xs, direct.slopes))
-        tr = dict(zip(rescued.xs, rescued.slopes))
-        rel = max(abs(tr[x] - td[x]) / td[x] for x in nodes
-                  if x in td and x in tr)
-        assert rel < 1e-9
-        assert rescued.xs[-1] == pytest.approx(0.2)
-
-    def test_rescued_dip_classification_matches_direct(self, problem1):
-        rescued = integrate_slope(problem1, 0.4, 0.0, 1e-4, rtol=1e-14,
-                                  atol=1e-16, min_step=0.01)
-        direct = integrate_slope(problem1, 0.4, 0.0, 1e-4)
-        assert rescued.terminated_early and direct.terminated_early
-        assert rescued.dip_crossing == pytest.approx(direct.dip_crossing,
-                                                     rel=1e-4)
-
-
 def test_bisection_tolerance_default(sol0, problem0):
     assert sol0.beta_tolerance == pytest.approx(
         BETA_RTOL * problem0.drift_zero)
