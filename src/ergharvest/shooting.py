@@ -31,13 +31,14 @@ where lam = c* (``extinction_level``), b* is the threshold and the yield is
 c* (the ``extinction_bound`` regime).
 
 ``build_potential`` integrates the same linear form once more, from the
-threshold down to ``DIP_FLOOR * drift_peak``, with ``solve_ivp``'s DOP853 at
-the same tolerances, and reads the slope g = psi'/(1 - eps psi) off its
-dense output.  As cross-checks, ``integrate_slope`` shoots the quadratic
-equation with scipy's DOP853 stepped through ``ivp.integrate``, and
-``classify_boundary`` keeps its dip verdict down to a fixed floor: a dip
-below one is inadmissible, and growth past the overflow guard counts as
-admissible with a warning.
+threshold down to ``DIP_FLOOR * drift_peak``, with scipy's compiled LSODA
+(``scipy.integrate.odeint``) at rtol 1e-13, atol 1e-15, which steps and
+interpolates to every grid node in compiled code, and reads the slope
+g = psi'/(1 - eps psi) off the rows it returns.  As cross-checks,
+``integrate_slope`` shoots the quadratic equation with scipy's DOP853
+stepped through ``ivp.integrate``, and ``classify_boundary`` keeps its dip
+verdict down to a fixed floor: a dip below one is inadmissible, and growth
+past the overflow guard counts as admissible with a warning.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
+from scipy.integrate import ODEintWarning, ode, odeint, solve_ivp
 from scipy.optimize import brentq
 
 from . import ivp
@@ -78,8 +79,10 @@ OVERFLOW_GUARD = 1e8
 RTOL = 1e-10
 ATOL = 1e-12
 BETA_RTOL = 5e-9           # threshold tolerance relative to the drift zero
-PSI_RTOL = 1e-12           # DOP853 tolerances of the linear-form solves
+PSI_RTOL = 1e-12           # DOP853 tolerances of the probes
 PSI_ATOL = 1e-14
+POTENTIAL_RTOL = 1e-13     # LSODA tolerances of the potential: at rtol 1e-12
+POTENTIAL_ATOL = 1e-15     # the floor slopes are 1e-5 off, 1e-14 is refused
 N_GRID_LEFT = 2000
 N_GRID_RIGHT = 500
 FD_STEP_ABS = 1e-6         # companion offset, relative to the threshold
@@ -405,7 +408,7 @@ class PotentialGrid:
 
     ``nodes_x`` ascend from the floor to the threshold: the log-spaced
     ``grid_x`` and the finite-difference companions, with the slope read off
-    the linear solve's dense output.  Above the threshold the slope is
+    the linear solve's rows at the nodes.  Above the threshold the slope is
     identically one and the value is linear.
 
     ``fd_*`` hold companion slope evaluations at x +/- h for interior nodes;
@@ -462,16 +465,19 @@ def build_potential(problem: AmbiguityProblem,
     """Tabulate the potential for an admissible threshold.
 
     The linear form of ``tail_coefficient`` is integrated once, from the
-    threshold down to the floor ``DIP_FLOOR * drift_peak``, by
-    ``solve_ivp``'s DOP853 rather than the probes' compiled stepper: only
-    ``solve_ivp`` has dense output.  That output gives psi and psi_s on a
-    log-spaced grid plus finite-difference companion nodes, where the slope
-    is g = (psi_s / x) / phi, phi = 1 - eps psi (g = 1 at the threshold).
+    threshold down to the floor ``DIP_FLOOR * drift_peak``, by scipy's
+    compiled LSODA (``odeint``, rtol 1e-13, atol 1e-15) with the nodes as
+    output times: a log-spaced grid plus finite-difference companion nodes.
+    Its rows give psi and psi_s at each node, where the slope is
+    g = (psi_s / x) / phi, phi = 1 - eps psi (g = 1 at the threshold).
     Above the threshold g is one.  The value integrates the slope from
     value(threshold) = 0 and is linear above.
 
-    Raises ``TransformBreakdownError`` when phi is not positive at a node
-    (the slope blows up above the floor) and ``InputDomainError`` when the
+    Raises ``SingularIntegrationError`` when LSODA reports a failure
+    (``last_x`` is the threshold: a failed run leaves its later rows unset)
+    or a row is not finite (``last_x`` is the smallest node whose row is),
+    ``TransformBreakdownError`` when phi is not positive at a node (the
+    slope blows up above the floor) and ``InputDomainError`` when the
     threshold is inadmissible (the slope dips below one).
     """
     x_min = DIP_FLOOR * problem.drift_peak
@@ -482,15 +488,26 @@ def build_potential(problem: AmbiguityProblem,
     fd_h = h[interior]
     nodes_x = np.unique(np.concatenate([grid_x, fd_x - fd_h, fd_x + fd_h]))
 
-    sol = solve_ivp(_psi_rhs, (math.log(threshold), math.log(x_min)),
-                    (0.0, threshold), method="DOP853", rtol=PSI_RTOL,
-                    atol=PSI_ATOL, args=_psi_params(problem, threshold),
-                    dense_output=True)
-    if not sol.success:
+    # The first output time, log(threshold), is the initial point.
+    with warnings.catch_warnings():
+        # A failure also sets the message.
+        warnings.simplefilter("ignore", ODEintWarning)
+        rows, info = odeint(_psi_rhs, (0.0, threshold),
+                            np.log(nodes_x[::-1]),
+                            args=_psi_params(problem, threshold),
+                            tfirst=True, rtol=POTENTIAL_RTOL,
+                            atol=POTENTIAL_ATOL, full_output=True)
+    if info["message"] != "Integration successful.":
         raise SingularIntegrationError(
-            f"linear-form integration failed: {sol.message}",
-            last_x=math.exp(sol.t[-1]) if sol.t.size else threshold)
-    psi, dpsi = sol.sol(np.log(nodes_x))
+            f"linear-form integration failed: {info['message']}",
+            last_x=threshold)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():   # LSODA carries a NaN rhs on as a success
+        last_x = float(nodes_x[-np.argmin(finite)])
+        raise SingularIntegrationError(
+            f"linear-form integration failed: not finite below x={last_x!r}",
+            last_x=last_x)
+    psi, dpsi = rows[::-1].T
     phi = 1.0 - problem.epsilon * psi
     nodes_g = dpsi / nodes_x / phi
     nodes_g[-1] = 1.0

@@ -15,6 +15,9 @@ directly from these formulas, independent of the solver's integration path.
 
 ``tail_coefficient_ivp`` is the solver's tail coefficient F(b) for any
 model, integrated with ``solve_ivp`` instead of the compiled stepper.
+``potential_slope`` is the potential's slope at given nodes from a tighter
+``solve_ivp`` DOP853 solve of the same linear form, independent of the
+LSODA solve behind ``shooting.build_potential``.
 ``dip_crossing`` is the unit crossing of an inadmissible boundary's slope,
 from a tight implicit (Radau) solve of the quadratic slope equation.
 
@@ -94,6 +97,19 @@ def optimal_vprime_integral(a, b, c):
     return val
 
 
+def _linear_form(problem, b):
+    """The linear form for psi = (1 - phi)/eps in s = log x, boundary b."""
+    level = float(problem.drift(b))
+    mu, sigma = problem.model.mu, problem.model.sigma
+
+    def rhs(s, y):
+        x = math.exp(s)
+        q = sigma(x) / x
+        return (y[1], y[1] + 2.0 * (level - problem.epsilon * level * y[0]
+                                    - mu(x) * y[1]) / (q * q))
+    return rhs
+
+
 def tail_coefficient_ivp(problem, b, floor):
     """F(b) of ``shooting.tail_coefficient``, integrated by ``solve_ivp``.
 
@@ -110,14 +126,7 @@ def tail_coefficient_ivp(problem, b, floor):
         return math.inf
     r_plus = (-a + math.sqrt(disc)) / s2
     r_minus = (-a - math.sqrt(disc)) / s2
-    mu, sigma = problem.model.mu, problem.model.sigma
-
-    def rhs(s, y):
-        x = math.exp(s)
-        q = sigma(x) / x
-        return (y[1], y[1] + 2.0 * (level - problem.epsilon * level * y[0]
-                                    - mu(x) * y[1]) / (q * q))
-
+    rhs = _linear_form(problem, b)
     sol = solve_ivp(rhs, (math.log(b), math.log(floor)), (0.0, b),
                     method="DOP853", rtol=1e-12, atol=1e-14)
     assert sol.success, sol.message
@@ -125,6 +134,23 @@ def tail_coefficient_ivp(problem, b, floor):
     psi, dpsi = sol.y[:, -1]
     ddpsi = rhs(s_min, (psi, dpsi))[1]
     return float((ddpsi - r_plus * dpsi) * math.exp(-r_minus * s_min))
+
+
+def potential_slope(problem, b, xs):
+    """Slope g = (psi_s / x) / (1 - eps psi) of boundary b at ascending xs.
+
+    Integrates the linear form from log b down to log xs[0] with
+    ``solve_ivp(method="DOP853", rtol=2.3e-14, atol=1e-18)`` (rtol just
+    above scipy's floor of 100 machine epsilons) and reads psi, psi_s off its
+    dense output; g(b) = 1.
+    """
+    xs = np.asarray(xs, dtype=float)
+    sol = solve_ivp(_linear_form(problem, b), (math.log(b), math.log(xs[0])),
+                    (0.0, b), method="DOP853", rtol=2.3e-14, atol=1e-18,
+                    dense_output=True)
+    assert sol.success, sol.message
+    psi, dpsi = sol.sol(np.log(xs))
+    return np.where(xs == b, 1.0, dpsi / xs / (1.0 - problem.epsilon * psi))
 
 
 def dip_crossing(problem, b, floor):

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,13 @@ from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
 from ergharvest.shooting import BETA_RTOL
 
 import oracles
+
+
+class NanBelow(VerhulstPearl):
+    """The unit logistic model with a drift that is NaN below x = 1e-3."""
+
+    def mu(self, x):
+        return math.nan if x < 1e-3 else super().mu(x)
 
 
 def slopes_at(grid, xs):
@@ -302,10 +310,6 @@ class TestTailCoefficient:
         assert retained < 64 * 1024
 
     def test_failed_probe_raises_with_last_x(self, problem1):
-        class NanBelow(VerhulstPearl):
-            def mu(self, x):
-                return math.nan if x < 1e-3 else super().mu(x)
-
         broken = AmbiguityProblem.build(NanBelow(), 1.0)
         healthy = tail_coefficient(problem1, 0.6)
         with pytest.raises(SingularIntegrationError) as err:
@@ -468,6 +472,52 @@ class TestLinearPotential:
         monkeypatch.setattr(ivp, "integrate", forbidden)
         sol = solve_threshold(AmbiguityProblem.build(vp_model, eps))
         assert sol.grid.nodes_slope[-1] == 1.0
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 5.0])
+    def test_solve_makes_no_solve_ivp_call(self, vp_model, eps, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_ivp called on the solve path")
+
+        monkeypatch.setattr(shooting, "solve_ivp", forbidden)
+        sol = solve_threshold(AmbiguityProblem.build(vp_model, eps))
+        assert sol.grid.nodes_slope[-1] == 1.0
+
+    @pytest.mark.parametrize("name, eps", [("vp", 0.0), ("vp", 0.5),
+                                           ("vp", 1.0), ("vp", 2.0),
+                                           ("vp", 5.0), ("vp", 20.0),
+                                           ("gl2", 0.0), ("gl2", 1.0)],
+                             ids=["vp-eps0", "vp-eps0.5", "vp-eps1",
+                                  "vp-eps2", "vp-eps5", "vp-eps20",
+                                  "gl2-eps0", "gl2-eps1"])
+    def test_slope_matches_tight_reference(self, name, eps):
+        problem = AmbiguityProblem.build(_model(name), eps)
+        grid = solve_threshold(problem).grid
+        expected = oracles.potential_slope(problem, grid.threshold,
+                                           grid.nodes_x)
+        rel = np.abs(grid.nodes_slope - expected) / expected
+        assert np.max(rel) <= 3e-6
+        assert np.max(rel[grid.nodes_x >= 1e-3 * grid.threshold]) <= 5e-11
+
+    def test_nan_rhs_raises_with_last_x(self, sol1):
+        # A NaN rhs does not stop LSODA; the rows carry it to the floor.
+        broken = AmbiguityProblem.build(NanBelow(), 1.0)
+        with pytest.raises(SingularIntegrationError) as err:
+            shooting.build_potential(broken, sol1.threshold)
+        assert 1e-3 <= err.value.last_x < 1.2e-3
+
+    def test_refused_tolerance_raises_silently(self, problem1, sol1,
+                                                monkeypatch, capfd):
+        # LSODA refuses rtol 1e-15 ("illegal input") and leaves its rows
+        # unset, yet they may all be finite.
+        monkeypatch.setattr(shooting, "POTENTIAL_RTOL", 1e-15)
+        capfd.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularIntegrationError,
+                               match="Illegal input") as err:
+                shooting.build_potential(problem1, sol1.threshold)
+        assert err.value.last_x == sol1.threshold
+        assert capfd.readouterr().out == ""
 
     @pytest.mark.parametrize("eps, boundary", [(0.0, 0.75), (1.0, 0.5)])
     def test_inadmissible_threshold_raises(self, vp_model, eps, boundary):

@@ -138,11 +138,14 @@ def _run_worker(src, lanes, measure, cpu):
     return json.loads(out.stdout)
 
 
+def stats(values):
+    """Median and quartiles of a list of runs' figures."""
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
 def _summary(runs):
     """Median and quartiles of each figure over the runs of one config."""
-    def stats(values):
-        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        return {"median": med, "q1": q1, "q3": q3}
     return {
         "us_per_step": stats([r["us_per_step"] for r in runs]),
         "us_per_step_runs": [round(r["us_per_step"], 3) for r in runs],
@@ -153,7 +156,8 @@ def _summary(runs):
     }
 
 
-def _versions(src):
+def versions(src):
+    """numpy, scipy and Python versions seen with ``src`` on the path."""
     code = ("import numpy, scipy, sys; print(numpy.__version__, "
             "scipy.__version__, sys.version.split()[0])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -194,7 +198,7 @@ def main(argv=None):
         },
         "machine": {"platform": platform.platform(),
                     "processor": platform.processor() or platform.machine(),
-                    "cpus": os.cpu_count(), **_versions(sides["change"])},
+                    "cpus": os.cpu_count(), **versions(sides["change"])},
         "results": {side: {m: {str(n): _summary(runs[side][m][n])
                                for n in LANES} for m in MEASURES}
                     for side in sides},
