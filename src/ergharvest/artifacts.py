@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import MissingInputError
 from .model import AmbiguityProblem
-from .shooting import (PotentialGrid, ThresholdSolution, _potential_value,
-                       _slope_rhs)
+from .shooting import PotentialGrid, ThresholdSolution
 
 SOLUTION_CSV = "solution.csv"
 FD_CSV = "vprime_fd.csv"
@@ -75,9 +74,9 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
 
     The solve's nodes are the grid of ``solution.csv`` and the
     finite-difference companions x +/- h of ``vprime_fd.csv``, with their
-    slopes; the slope derivatives come from the ODE itself and the value
-    from the solve's Hermite trapezoid, so the reloaded potential is the
-    solve's bit for bit.  Without ``vprime_fd.csv`` the reload interpolates
+    slopes, and ``PotentialGrid.from_slopes`` assembles the potential from
+    them as the solve does, so the reloaded potential is the solve's bit for
+    bit by construction.  Without ``vprime_fd.csv`` the reload interpolates
     on the grid alone, and its slope and value differ from the solve's in
     about the tenth digit.
     """
@@ -106,14 +105,8 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     nodes_slope = np.empty_like(nodes_x)
     for x, slope in known:
         nodes_slope[np.searchsorted(nodes_x, x)] = slope
-    nodes_deriv = _slope_rhs(problem, threshold, 0.0)(nodes_x, nodes_slope)
-
-    grid = PotentialGrid(
-        threshold=threshold, x_min=float(nodes_x[0]), nodes_x=nodes_x,
-        nodes_slope=nodes_slope, nodes_slope_deriv=nodes_deriv,
-        nodes_value=_potential_value(nodes_x, nodes_slope, nodes_deriv),
-        grid_x=xs[left], grid_right_x=xs[~left],
-        fd_x=fd_x, fd_h=fd_h, fd_slope_minus=fd_lo, fd_slope_plus=fd_hi)
+    grid = PotentialGrid.from_slopes(problem, threshold, nodes_x, nodes_slope,
+                                     xs[left], xs[~left], fd_x, fd_h)
     return ThresholdSolution(
         problem=problem, threshold=threshold, long_run_yield=long_run_yield,
         grid=grid, bisection_trace=(), beta_tolerance=float("nan"),

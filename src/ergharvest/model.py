@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize_scalar
 
@@ -41,6 +41,9 @@ __all__ = [
     "check_assumptions",
     "model_from_config",
 ]
+
+_N_DIVERGENCE = 8192    # log-grid nodes of the scale-divergence heuristic
+
 
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
@@ -393,7 +396,7 @@ class AssumptionReport:
         return None
 
 
-def _boundary_divergence_heuristic(problem, anchor, n_grid=8192):
+def _boundary_divergence_heuristic(problem, anchor):
     """Evidence that the scale function diverges at both boundaries.
 
     Evaluates S((y, anchor)) at geometrically shrinking y (and growing Y for
@@ -402,10 +405,8 @@ def _boundary_divergence_heuristic(problem, anchor, n_grid=8192):
     The exponent and the mass are cumulative trapezoid sums on one dense log
     grid; heuristic verdicts only need a few digits.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     model = problem.model
-    ys = np.geomspace(anchor * 4.0 ** -7, anchor * 2.0 ** 6, n_grid)
+    ys = np.geomspace(anchor * 4.0 ** -7, anchor * 2.0 ** 6, _N_DIVERGENCE)
     sig = np.asarray(model.sigma(ys), dtype=float)
     integrand = 2.0 * np.asarray(model.mu(ys), dtype=float) * ys / (sig * sig)
     exponent = cumulative_trapezoid(integrand, ys, initial=0.0)

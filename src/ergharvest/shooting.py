@@ -10,8 +10,8 @@ where ``lam`` is the ambiguity-adjusted drift and ``gamma`` a diagnostic
 perturbation of the right-hand side.  A boundary is *admissible* when the
 slope stays at or above one all the way down to zero; the optimal threshold
 is the smallest admissible boundary.  Admissibility is a statement about the
-x -> 0 tail.  With psi = (1 - phi)/eps, phi the Cole-Hopf base function of
-``cole_hopf_slope``, the slope equation turns into the linear
+x -> 0 tail.  With psi = (1 - phi)/eps, phi = exp(-eps f) the Cole-Hopf base
+function of a potential f, the slope equation turns into the linear
 
     (1/2) sigma^2 psi'' + x mu psi' + eps lam(b) psi = lam(b),
     psi(b) = 0,  psi'(b) = 1,
@@ -34,9 +34,10 @@ c* (the ``extinction_bound`` regime).
 threshold down to ``DIP_FLOOR * drift_peak``, with scipy's compiled LSODA
 (``scipy.integrate.odeint``) at rtol 1e-13, atol 1e-15, which steps and
 interpolates to every grid node in compiled code, and reads the slope
-g = psi'/(1 - eps psi) off the rows it returns.  As cross-checks,
-``integrate_slope`` shoots the quadratic equation with scipy's DOP853
-stepped through ``ivp.integrate``, and ``classify_boundary`` keeps its dip
+g = psi'/(1 - eps psi) off the rows it returns; ``cole_hopf_slope`` reads
+any boundary's slope off the same run (``_linear_rows``).  The independent
+cross-check, ``integrate_slope``, shoots the quadratic equation with DOP853
+stepped through ``ivp.integrate``; ``classify_boundary`` keeps its dip
 verdict down to a fixed floor: a dip below one is inadmissible, and growth
 past the overflow guard counts as admissible with a warning.
 """
@@ -48,7 +49,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ODEintWarning, ode, odeint, solve_ivp
+from scipy.integrate import ODEintWarning, ode, odeint
 from scipy.optimize import brentq
 
 from . import ivp
@@ -81,7 +82,7 @@ ATOL = 1e-12
 BETA_RTOL = 5e-9           # threshold tolerance relative to the drift zero
 PSI_RTOL = 1e-12           # DOP853 tolerances of the probes
 PSI_ATOL = 1e-14
-POTENTIAL_RTOL = 1e-13     # LSODA tolerances of the potential: at rtol 1e-12
+POTENTIAL_RTOL = 1e-13     # LSODA tolerances of _linear_rows: at rtol 1e-12
 POTENTIAL_ATOL = 1e-15     # the floor slopes are 1e-5 off, 1e-14 is refused
 N_GRID_LEFT = 2000
 N_GRID_RIGHT = 500
@@ -172,16 +173,19 @@ def slope_above_boundary(problem: AmbiguityProblem, boundary: float,
 
 def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
                     gamma: float = 0.0, *, eval_xs=None) -> ShootingGrid:
-    """Slope via the linear second-order form; independent cross-check.
+    """Slope via the linear form, read off the potential's LSODA run.
 
-    Substituting f = -ln(phi)/eps turns the quadratic slope ODE into
+    With phi = 1 - eps psi the Cole-Hopf base function of the slope,
 
         (1/2) sigma^2 phi'' + x mu phi' = -(lam(b) + gamma) eps phi,
         phi(b) = 1,  phi'(b) = -eps,
 
-    and the slope is recovered as g = -phi'/(eps phi), so g(b) = 1.  A zero
-    crossing of phi before x_min means the slope has blown up; the sign of
-    phi' there separates a dip to -infinity (phi' > 0 moving down) from
+    and ``_linear_rows`` gives psi, psi_s = x psi' at ``eval_xs`` (default
+    400 log-spaced nodes), so g = psi_s / x / phi and g(b) = 1.  Where phi
+    is not positive the slope has blown up: ``TransformBreakdownError``
+    gives the first such node down from b (0.015668 against phi's root
+    0.015700 at VP eps 1, b = 1.02 drift_peak, x_min = 1e-4) and the sign
+    of phi' there, -sign(psi_s): positive is a dip to -infinity, negative
     admissible growth to +infinity.
     """
     eps = problem.epsilon
@@ -190,19 +194,6 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
     if not 0.0 < x_min < boundary:
         raise InputDomainError(
             f"need 0 < x_min < boundary, got {x_min!r}, {boundary!r}")
-    mu = problem.model.mu
-    sigma = problem.model.sigma
-    level = problem.drift(boundary) + gamma
-
-    def rhs(x, y):
-        phi, dphi = y
-        s = sigma(x)
-        return (dphi, (-level * eps * phi - x * mu(x) * dphi) * 2.0 / (s * s))
-
-    def phi_zero(x, y):
-        return y[0]
-    phi_zero.terminal = True
-
     if eval_xs is None:
         eval_xs = np.geomspace(boundary, x_min, 400)
     else:
@@ -212,25 +203,22 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
             eval_xs = np.concatenate(([boundary], eval_xs))
         if eval_xs[-1] != x_min:
             eval_xs = np.concatenate((eval_xs, [x_min]))
-    sol = solve_ivp(rhs, (boundary, x_min), (1.0, -eps), method="DOP853",
-                    t_eval=eval_xs, events=phi_zero, rtol=1e-12, atol=1e-14,
-                    dense_output=False)
-    if sol.status == 1 and len(sol.t_events[0]):
-        x_cross = float(sol.t_events[0][0])
-        dphi_sign = float(np.sign(sol.y_events[0][0][1]))
+    psi, dpsi = _linear_rows(problem, boundary,
+                             float(problem.drift(boundary)) + gamma, eval_xs)
+    phi = 1.0 - eps * psi
+    down = np.flatnonzero(phi <= 0.0)
+    if down.size:
+        x_cross = float(eval_xs[down[0]])
+        dphi_sign = -float(np.sign(dpsi[down[0]]))
         raise TransformBreakdownError(
-            f"base function crossed zero at x={x_cross} before x_min={x_min}; "
-            f"slope blew up toward {'-inf' if dphi_sign > 0 else '+inf'}",
+            f"base function is not positive at x={x_cross} above "
+            f"x_min={x_min}; slope blew up toward "
+            f"{'-inf' if dphi_sign > 0 else '+inf'}",
             crossing_x=x_cross, derivative_sign=dphi_sign)
-    if not sol.success:
-        raise SingularIntegrationError(
-            f"linear-form integration failed: {sol.message}",
-            last_x=float(sol.t[-1]) if sol.t.size else boundary)
-    phi, dphi = sol.y
-    slopes = -dphi / (eps * phi)
-    derivs = _slope_rhs(problem, boundary, gamma)(sol.t, slopes)
+    slopes = dpsi / eval_xs / phi
+    derivs = _slope_rhs(problem, boundary, gamma)(eval_xs, slopes)
     return ShootingGrid(
-        boundary=boundary, gamma=gamma, xs=sol.t.copy(), slopes=slopes,
+        boundary=boundary, gamma=gamma, xs=eval_xs, slopes=slopes,
         slope_derivs=derivs, terminated_early=False, blew_up=False,
         dip_crossing=None)
 
@@ -246,17 +234,17 @@ class BoundaryClass:
     grid: ShootingGrid
 
 
-def classify_boundary(problem: AmbiguityProblem, boundary: float,
-                      x_min: float | None = None) -> BoundaryClass:
-    """Decide whether the slope stays >= 1 - DIP_TOLERANCE down to x_min.
+def classify_boundary(problem: AmbiguityProblem,
+                      boundary: float) -> BoundaryClass:
+    """Decide whether the slope stays >= 1 - DIP_TOLERANCE down to the floor.
 
     Boundaries at or below the drift peak are rejected outright: no boundary
     there is admissible.  Blow-up through the overflow guard without a prior
     dip classifies as in-set with a warning.
 
-    The verdict depends on the floor near the threshold: an inadmissible
-    boundary whose dip lies below x_min reads as in-set.  At eps = 2 that
-    happens up to 1e-4 below the threshold with the default floor;
+    The verdict depends on the floor ``DIP_FLOOR * drift_peak`` near the
+    threshold: an inadmissible boundary whose dip lies below it reads as
+    in-set.  At eps = 2 that happens up to 1e-4 below the threshold;
     ``tail_coefficient`` decides admissibility without a floor bias.
     """
     if boundary <= problem.drift_peak:
@@ -267,7 +255,7 @@ def classify_boundary(problem: AmbiguityProblem, boundary: float,
         raise InputDomainError(
             f"boundary {boundary!r} exceeds the drift zero "
             f"{problem.drift_zero!r}")
-    grid = integrate_slope(problem, boundary, 0.0, x_min)
+    grid = integrate_slope(problem, boundary, 0.0)
     return BoundaryClass(
         boundary=boundary, in_set=not grid.terminated_early,
         dip_crossing=grid.dip_crossing, blowup_warning=grid.blew_up,
@@ -324,6 +312,37 @@ def _psi_rhs(s, y, level, eps_level, model):
 def _psi_params(problem: AmbiguityProblem, boundary: float):
     level = float(problem.drift(boundary))
     return level, problem.epsilon * level, problem.model
+
+
+def _linear_rows(problem: AmbiguityProblem, boundary: float, level: float,
+                 xs_descending):
+    """(psi, psi_s) of the linear form at drift ``level`` on descending nodes.
+
+    One compiled LSODA run (``odeint``, rtol 1e-13, atol 1e-15) with log x
+    as output times; the first, log(boundary), is the initial point.  Raises
+    ``SingularIntegrationError`` when LSODA reports a failure (``last_x`` is
+    the boundary: a failed run leaves its later rows unset) or a row is not
+    finite (``last_x`` is the smallest node whose row is).
+    """
+    with warnings.catch_warnings():
+        # A failure also sets the message.
+        warnings.simplefilter("ignore", ODEintWarning)
+        rows, info = odeint(_psi_rhs, (0.0, boundary), np.log(xs_descending),
+                            args=(level, problem.epsilon * level,
+                                  problem.model),
+                            tfirst=True, rtol=POTENTIAL_RTOL,
+                            atol=POTENTIAL_ATOL, full_output=True)
+    if info["message"] != "Integration successful.":
+        raise SingularIntegrationError(
+            f"linear-form integration failed: {info['message']}",
+            last_x=boundary)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():   # LSODA carries a NaN rhs on as a success
+        last_x = float(xs_descending[np.argmin(finite) - 1])
+        raise SingularIntegrationError(
+            f"linear-form integration failed: not finite below x={last_x!r}",
+            last_x=last_x)
+    return rows.T
 
 
 # One compiled DOP853 serves every probe.  scipy's ``ode`` runner keeps a
@@ -429,6 +448,30 @@ class PotentialGrid:
     fd_slope_minus: np.ndarray
     fd_slope_plus: np.ndarray
 
+    @classmethod
+    def from_slopes(cls, problem: AmbiguityProblem, threshold: float,
+                    nodes_x, nodes_g, grid_x, grid_right_x, fd_x, fd_h):
+        """The potential from its slopes at ascending nodes ending at beta.
+
+        Slope derivatives from the ODE identity; the value a cumulative
+        Hermite-corrected trapezoid, zero at the threshold: over [a, b],
+        h (g_a + g_b)/2 + h^2 (g'_a - g'_b)/12, exact for cubics; companion
+        slopes read off the nodes at fd_x -/+ fd_h; the floor the first node.
+        """
+        nodes_dg = _slope_rhs(problem, threshold, 0.0)(nodes_x, nodes_g)
+        dx = np.diff(nodes_x)
+        seg = (dx * (nodes_g[:-1] + nodes_g[1:]) / 2.0
+               + dx * dx * (nodes_dg[:-1] - nodes_dg[1:]) / 12.0)
+        value = np.concatenate(([0.0], np.cumsum(seg)))
+        value -= value[-1]
+        return cls(
+            threshold=threshold, x_min=float(nodes_x[0]), nodes_x=nodes_x,
+            nodes_slope=nodes_g, nodes_slope_deriv=nodes_dg,
+            nodes_value=value, grid_x=grid_x, grid_right_x=grid_right_x,
+            fd_x=fd_x, fd_h=fd_h,
+            fd_slope_minus=nodes_g[np.searchsorted(nodes_x, fd_x - fd_h)],
+            fd_slope_plus=nodes_g[np.searchsorted(nodes_x, fd_x + fd_h)])
+
     def slope_at(self, x):
         """Potential slope; one above the threshold, Hermite below."""
         return _piecewise(
@@ -446,39 +489,24 @@ class PotentialGrid:
             lambda xa: xa - self.threshold)
 
 
-def _potential_value(nodes_x, nodes_g, nodes_dg):
-    """Potential at ascending nodes ending at the threshold, where it is zero.
-
-    A cumulative Hermite-corrected trapezoid of the slope g: over [a, b],
-    h (g_a + g_b)/2 + h^2 (g'_a - g'_b)/12, exact for cubics.
-    """
-    dx = np.diff(nodes_x)
-    seg = (dx * (nodes_g[:-1] + nodes_g[1:]) / 2.0
-           + dx * dx * (nodes_dg[:-1] - nodes_dg[1:]) / 12.0)
-    value = np.concatenate(([0.0], np.cumsum(seg)))
-    value -= value[-1]
-    return value
-
-
 def build_potential(problem: AmbiguityProblem,
                     threshold: float) -> PotentialGrid:
     """Tabulate the potential for an admissible threshold.
 
-    The linear form of ``tail_coefficient`` is integrated once, from the
-    threshold down to the floor ``DIP_FLOOR * drift_peak``, by scipy's
-    compiled LSODA (``odeint``, rtol 1e-13, atol 1e-15) with the nodes as
-    output times: a log-spaced grid plus finite-difference companion nodes.
-    Its rows give psi and psi_s at each node, where the slope is
-    g = (psi_s / x) / phi, phi = 1 - eps psi (g = 1 at the threshold).
-    Above the threshold g is one.  The value integrates the slope from
-    value(threshold) = 0 and is linear above.
+    The linear form of ``tail_coefficient`` is integrated once by
+    ``_linear_rows`` (the LSODA run ``cole_hopf_slope`` also reads), from
+    the threshold down to the floor ``DIP_FLOOR * drift_peak``, with the
+    nodes as output times: a log-spaced grid plus finite-difference
+    companion nodes.  Its rows give psi and psi_s at each node, where the
+    slope is g = (psi_s / x) / phi, phi = 1 - eps psi (g = 1 at the
+    threshold).  Above the threshold g is one.
+    ``PotentialGrid.from_slopes`` integrates the value from
+    value(threshold) = 0; it is linear above.
 
-    Raises ``SingularIntegrationError`` when LSODA reports a failure
-    (``last_x`` is the threshold: a failed run leaves its later rows unset)
-    or a row is not finite (``last_x`` is the smallest node whose row is),
-    ``TransformBreakdownError`` when phi is not positive at a node (the
-    slope blows up above the floor) and ``InputDomainError`` when the
-    threshold is inadmissible (the slope dips below one).
+    Raises ``SingularIntegrationError`` when the LSODA run fails (see
+    ``_linear_rows``), ``TransformBreakdownError`` when phi is not positive
+    at a node (the slope blows up above the floor) and ``InputDomainError``
+    when the threshold is inadmissible (the slope dips below one).
     """
     x_min = DIP_FLOOR * problem.drift_peak
     grid_x = np.geomspace(x_min, threshold, N_GRID_LEFT)
@@ -488,26 +516,9 @@ def build_potential(problem: AmbiguityProblem,
     fd_h = h[interior]
     nodes_x = np.unique(np.concatenate([grid_x, fd_x - fd_h, fd_x + fd_h]))
 
-    # The first output time, log(threshold), is the initial point.
-    with warnings.catch_warnings():
-        # A failure also sets the message.
-        warnings.simplefilter("ignore", ODEintWarning)
-        rows, info = odeint(_psi_rhs, (0.0, threshold),
-                            np.log(nodes_x[::-1]),
-                            args=_psi_params(problem, threshold),
-                            tfirst=True, rtol=POTENTIAL_RTOL,
-                            atol=POTENTIAL_ATOL, full_output=True)
-    if info["message"] != "Integration successful.":
-        raise SingularIntegrationError(
-            f"linear-form integration failed: {info['message']}",
-            last_x=threshold)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():   # LSODA carries a NaN rhs on as a success
-        last_x = float(nodes_x[-np.argmin(finite)])
-        raise SingularIntegrationError(
-            f"linear-form integration failed: not finite below x={last_x!r}",
-            last_x=last_x)
-    psi, dpsi = rows[::-1].T
+    psi, dpsi = _linear_rows(problem, threshold,
+                             float(problem.drift(threshold)),
+                             nodes_x[::-1])[:, ::-1]
     phi = 1.0 - problem.epsilon * psi
     nodes_g = dpsi / nodes_x / phi
     nodes_g[-1] = 1.0
@@ -522,18 +533,11 @@ def build_potential(problem: AmbiguityProblem,
             f"base function 1 - eps psi is not positive at x={x_bad!r}; the "
             "slope blew up above the grid floor", crossing_x=x_bad,
             derivative_sign=-float(np.sign(dpsi[bad[-1]])))
-    nodes_dg = _slope_rhs(problem, threshold, 0.0)(nodes_x, nodes_g)
-    value = _potential_value(nodes_x, nodes_g, nodes_dg)
-    fd_minus = nodes_g[np.searchsorted(nodes_x, fd_x - fd_h)]
-    fd_plus = nodes_g[np.searchsorted(nodes_x, fd_x + fd_h)]
 
     x_plot_max = min(2.0 * problem.drift_zero, problem.x_max)
     right = np.linspace(threshold, x_plot_max, N_GRID_RIGHT + 1)[1:]
-    return PotentialGrid(
-        threshold=threshold, x_min=x_min, nodes_x=nodes_x,
-        nodes_slope=nodes_g, nodes_slope_deriv=nodes_dg, nodes_value=value,
-        grid_x=grid_x, grid_right_x=right, fd_x=fd_x, fd_h=fd_h,
-        fd_slope_minus=fd_minus, fd_slope_plus=fd_plus)
+    return PotentialGrid.from_slopes(problem, threshold, nodes_x, nodes_g,
+                                     grid_x, right, fd_x, fd_h)
 
 
 @dataclass(frozen=True)

@@ -458,9 +458,11 @@ class TestVerify:
         assert (dataclasses.asdict(verify_solution(problem, restored))
                 == dataclasses.asdict(verify_solution(problem, sol)))
         for name in ("nodes_x", "nodes_slope", "nodes_slope_deriv",
-                     "nodes_value"):
+                     "nodes_value", "grid_x", "grid_right_x", "fd_x", "fd_h",
+                     "fd_slope_minus", "fd_slope_plus"):
             assert np.array_equal(getattr(restored.grid, name),
                                   getattr(sol.grid, name)), name
+        assert restored.x_min == sol.x_min
         xs = np.geomspace(sol.x_min, 2.0 * sol.threshold, 20000)
         assert np.array_equal(restored.vprime(xs), sol.vprime(xs))
         assert np.array_equal(restored.v(xs), sol.v(xs))

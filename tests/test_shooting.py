@@ -1,10 +1,12 @@
 import gc
 import math
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
@@ -429,6 +431,22 @@ class TestColeHopf:
         assert err.value.crossing_x is not None
         assert err.value.derivative_sign > 0.0
 
+    def test_breakdown_is_located_to_a_node(self, problem1):
+        # The crossing is the first node below the zero of the base
+        # function, so a tenfold finer grid moves it up by less than one
+        # coarse node ratio.
+        b = problem1.drift_peak * 1.02
+        crossings = []
+        for n in (400, 4000):
+            eval_xs = np.geomspace(b, 1e-4, n)
+            with pytest.raises(TransformBreakdownError) as err:
+                cole_hopf_slope(problem1, b, 1e-4, eval_xs=eval_xs)
+            assert err.value.crossing_x in eval_xs
+            assert err.value.derivative_sign > 0.0
+            crossings.append(err.value.crossing_x)
+        coarse, fine = crossings
+        assert 0.0 <= math.log(fine / coarse) < math.log(b / 1e-4) / 399
+
 
 def test_bisection_tolerance_default(sol0, problem0):
     assert sol0.beta_tolerance == pytest.approx(
@@ -478,7 +496,12 @@ class TestLinearPotential:
         def forbidden(*args, **kwargs):
             raise AssertionError("solve_ivp called on the solve path")
 
-        monkeypatch.setattr(shooting, "solve_ivp", forbidden)
+        # A module that bound the name at import would escape the patch.
+        binders = [name for name, module in sys.modules.items()
+                   if name.split(".")[0] == "ergharvest"
+                   and "solve_ivp" in getattr(module, "__dict__", {})]
+        assert binders == []
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", forbidden)
         sol = solve_threshold(AmbiguityProblem.build(vp_model, eps))
         assert sol.grid.nodes_slope[-1] == 1.0
 
