@@ -48,6 +48,11 @@ def _require(condition, message):
         raise ConfigError(message)
 
 
+def _is_number(value):
+    """A JSON number; ``true`` is not, though ``bool`` is an ``int``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed run configuration; ``model_block`` is the model section as given."""
@@ -90,7 +95,7 @@ def parse_config(raw: dict) -> RunConfig:
     params = mblock.get("params", {})
     _require(isinstance(params, dict), "'model.params' must be an object")
     x_max = mblock.get("x_max")
-    _require(x_max is None or (isinstance(x_max, (int, float)) and x_max > 0),
+    _require(x_max is None or (_is_number(x_max) and x_max > 0),
              "'model.x_max' must be a positive number")
     try:
         model = model_from_config(family, params, x_max)
@@ -104,13 +109,12 @@ def parse_config(raw: dict) -> RunConfig:
     _require(not (epsilon is not None and eps_grid is not None),
              "give either 'epsilon' or 'eps_grid', not both")
     if epsilon is not None:
-        _require(isinstance(epsilon, (int, float)) and epsilon >= 0,
+        _require(_is_number(epsilon) and epsilon >= 0,
                  "'epsilon' must be a number >= 0")
         epsilon = float(epsilon)
     if eps_grid is not None:
         _require(isinstance(eps_grid, list) and len(eps_grid) >= 1
-                 and all(isinstance(e, (int, float)) and e >= 0
-                         for e in eps_grid),
+                 and all(_is_number(e) and e >= 0 for e in eps_grid),
                  "'eps_grid' must be a list of numbers >= 0")
         eps_grid = tuple(float(e) for e in eps_grid)
 
@@ -119,7 +123,7 @@ def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(sblock, dict), "'solver' must be an object")
     _reject_unknown(sblock, _SOLVER_KEYS, "'solver'")
     for key, value in sblock.items():
-        _require(isinstance(value, (int, float)) and value > 0,
+        _require(_is_number(value) and value > 0,
                  f"'solver.{key}' must be a positive number")
         solver[key] = float(value)
 
@@ -133,25 +137,25 @@ def parse_config(raw: dict) -> RunConfig:
                      f"'sim.measure' must be one of {MEASURES}")
             sim[key] = value
         elif key in ("n_paths", "n_bins", "occupation_stride"):
-            _require(isinstance(value, int) and value >= 1,
+            _require(_is_number(value) and isinstance(value, int)
+                     and value >= 1,
                      f"'sim.{key}' must be a positive integer")
             sim[key] = value
         elif key == "burn_in":
-            _require(isinstance(value, (int, float)) and 0 <= value <= 0.5,
+            _require(_is_number(value) and 0 <= value <= 0.5,
                      "'sim.burn_in' must be in [0, 0.5]")
             sim[key] = float(value)
         elif key == "x0":
-            _require(value is None or (isinstance(value, (int, float))
-                                       and value > 0),
+            _require(value is None or (_is_number(value) and value > 0),
                      "'sim.x0' must be a positive number")
             sim[key] = None if value is None else float(value)
         else:
-            _require(isinstance(value, (int, float)) and value > 0,
+            _require(_is_number(value) and value > 0,
                      f"'sim.{key}' must be a positive number")
             sim[key] = float(value)
 
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0,
+    _require(_is_number(seed) and isinstance(seed, int) and seed >= 0,
              "'seed' must be a nonnegative integer")
     output_dir = raw.get("output_dir")
     _require(output_dir is None or isinstance(output_dir, str),

@@ -338,6 +338,12 @@ def bracket_points(model, epsilon):
     return peak, zero
 
 
+def _scale_rate(model, y):
+    """2 mu(y) y / sigma(y)^2, the rate of the scale density's exponent."""
+    s = model.sigma(y)
+    return 2.0 * model.mu(y) * y / (s * s)
+
+
 def scale_density(problem: AmbiguityProblem, x, anchor=None):
     """Scale-function density S'(x) = exp(-int_anchor^x 2 mu(y) y / sigma(y)^2 dy).
 
@@ -351,14 +357,8 @@ def scale_density(problem: AmbiguityProblem, x, anchor=None):
     problem.validate_x(anchor)
     if x == anchor:
         return 1.0
-    model = problem.model
-
-    def integrand(y):
-        s = model.sigma(y)
-        return 2.0 * model.mu(y) * y / (s * s)
-
-    value, err = quad(integrand, anchor, x, epsabs=1e-13, epsrel=1e-12,
-                      limit=400)
+    value, err = quad(lambda y: _scale_rate(problem.model, y), anchor, x,
+                      epsabs=1e-13, epsrel=1e-12, limit=400)
     if not math.isfinite(value) or err > max(1e-7, 1e-5 * abs(value)):
         raise QuadratureError(
             f"scale-density exponent quadrature did not converge on "
@@ -405,11 +405,9 @@ def _boundary_divergence_heuristic(problem, anchor):
     The exponent and the mass are cumulative trapezoid sums on one dense log
     grid; heuristic verdicts only need a few digits.
     """
-    model = problem.model
     ys = np.geomspace(anchor * 4.0 ** -7, anchor * 2.0 ** 6, _N_DIVERGENCE)
-    sig = np.asarray(model.sigma(ys), dtype=float)
-    integrand = 2.0 * np.asarray(model.mu(ys), dtype=float) * ys / (sig * sig)
-    exponent = cumulative_trapezoid(integrand, ys, initial=0.0)
+    exponent = cumulative_trapezoid(_scale_rate(problem.model, ys), ys,
+                                    initial=0.0)
     exponent -= np.interp(anchor, ys, exponent)
     sprime = np.exp(np.minimum(-exponent, 700.0))
     mass_cum = cumulative_trapezoid(sprime, ys, initial=0.0)

@@ -19,27 +19,26 @@ function of a potential f, the slope equation turns into the linear
 which holds at every eps >= 0 (at eps = 0, psi' is the slope itself).  Near
 zero its coefficients are constant in s = log x, with modes e^{r+ s} and the
 dominant e^{r- s}.  ``tail_coefficient`` integrates it down to
-``TAIL_FLOOR * drift_peak`` with scipy's compiled DOP853 (the Fortran
-``dop853`` behind ``scipy.integrate.ode``; a probe needs only the end state)
-and projects onto the dominant mode: a boundary is admissible exactly when
-that coefficient F(b) is not positive, and ``solve_threshold`` finds the
-threshold as the ``brentq`` root of F between the drift peak (never
-admissible) and the drift zero (always admissible).  Where lam(b) exceeds
-c* = a^2 / (2 eps sigma_bar^2), a = mu_bar - sigma_bar^2/2, the modes are
-complex and no boundary is admissible; when F is already negative at b*,
-where lam = c* (``extinction_level``), b* is the threshold and the yield is
-c* (the ``extinction_bound`` regime).
+``TAIL_FLOOR * drift_peak`` and projects onto the dominant mode: a boundary
+is admissible exactly when that coefficient F(b) is not positive, and
+``solve_threshold`` finds the threshold as the ``brentq`` root of F between
+the drift peak (never admissible) and the drift zero (always admissible).
+Where lam(b) exceeds c* = a^2 / (2 eps sigma_bar^2), a = mu_bar -
+sigma_bar^2/2, the modes are complex and no boundary is admissible; when F
+is already negative at b*, where lam = c* (``extinction_level``), b* is the
+threshold and the yield is c* (the ``extinction_bound`` regime).
 
-``build_potential`` integrates the same linear form once more, from the
-threshold down to ``DIP_FLOOR * drift_peak``, with scipy's compiled LSODA
-(``scipy.integrate.odeint``) at rtol 1e-13, atol 1e-15, which steps and
-interpolates to every grid node in compiled code, and reads the slope
-g = psi'/(1 - eps psi) off the rows it returns; ``cole_hopf_slope`` reads
-any boundary's slope off the same run (``_linear_rows``).  The independent
-cross-check, ``integrate_slope``, shoots the quadratic equation with DOP853
-stepped through ``ivp.integrate``; ``classify_boundary`` keeps its dip
-verdict down to a fixed floor: a dip below one is inadmissible, and growth
-past the overflow guard counts as admissible with a warning.
+Every integration of the linear form is one run of scipy's compiled LSODA
+(``scipy.integrate.odeint``, rtol 1e-13, atol 1e-15) in ``_linear_rows``,
+which steps and interpolates to its output nodes in compiled code: a probe
+reads the end state at the floor, ``build_potential`` the slope
+g = psi'/(1 - eps psi) at every grid node from the threshold down to
+``DIP_FLOOR * drift_peak``, and ``cole_hopf_slope`` any boundary's slope.
+The independent cross-check, ``integrate_slope``, shoots the quadratic
+equation with DOP853 stepped through ``ivp.integrate``;
+``classify_boundary`` keeps its dip verdict down to a fixed floor: a dip
+below one is inadmissible, and growth past the overflow guard counts as
+admissible with a warning.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import ODEintWarning, ode, odeint
+from scipy.integrate import ODEintWarning, odeint
 from scipy.optimize import brentq
 
 from . import ivp
@@ -80,8 +79,6 @@ OVERFLOW_GUARD = 1e8
 RTOL = 1e-10
 ATOL = 1e-12
 BETA_RTOL = 5e-9           # threshold tolerance relative to the drift zero
-PSI_RTOL = 1e-12           # DOP853 tolerances of the probes
-PSI_ATOL = 1e-14
 POTENTIAL_RTOL = 1e-13     # LSODA tolerances of _linear_rows: at rtol 1e-12
 POTENTIAL_ATOL = 1e-15     # the floor slopes are 1e-5 off, 1e-14 is refused
 N_GRID_LEFT = 2000
@@ -181,12 +178,13 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
         phi(b) = 1,  phi'(b) = -eps,
 
     and ``_linear_rows`` gives psi, psi_s = x psi' at ``eval_xs`` (default
-    400 log-spaced nodes), so g = psi_s / x / phi and g(b) = 1.  Where phi
-    is not positive the slope has blown up: ``TransformBreakdownError``
-    gives the first such node down from b (0.015668 against phi's root
-    0.015700 at VP eps 1, b = 1.02 drift_peak, x_min = 1e-4) and the sign
-    of phi' there, -sign(psi_s): positive is a dip to -infinity, negative
-    admissible growth to +infinity.
+    400 log-spaced nodes; any order, as ``ivp.integrate``'s forced nodes),
+    tabulated descending from b to x_min, so g = psi_s / x / phi and
+    g(b) = 1.  Where phi is not positive the slope has blown up:
+    ``TransformBreakdownError`` gives the first such node down from b
+    (0.015668 against phi's root 0.015700 at VP eps 1, b = 1.02 drift_peak,
+    x_min = 1e-4) and the sign of phi' there, -sign(psi_s): positive is a
+    dip to -infinity, negative admissible growth to +infinity.
     """
     eps = problem.epsilon
     if eps <= 0.0:
@@ -196,13 +194,9 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
             f"need 0 < x_min < boundary, got {x_min!r}, {boundary!r}")
     if eval_xs is None:
         eval_xs = np.geomspace(boundary, x_min, 400)
-    else:
-        eval_xs = np.asarray(eval_xs, dtype=float)
-        eval_xs = eval_xs[(eval_xs <= boundary) & (eval_xs >= x_min)]
-        if eval_xs.size == 0 or eval_xs[0] != boundary:
-            eval_xs = np.concatenate(([boundary], eval_xs))
-        if eval_xs[-1] != x_min:
-            eval_xs = np.concatenate((eval_xs, [x_min]))
+    eval_xs = np.asarray(eval_xs, dtype=float)
+    inside = np.unique(eval_xs[(eval_xs < boundary) & (eval_xs > x_min)])
+    eval_xs = np.concatenate(([boundary], inside[::-1], [x_min]))
     psi, dpsi = _linear_rows(problem, boundary,
                              float(problem.drift(boundary)) + gamma, eval_xs)
     phi = 1.0 - eps * psi
@@ -309,11 +303,6 @@ def _psi_rhs(s, y, level, eps_level, model):
             / (q * q))
 
 
-def _psi_params(problem: AmbiguityProblem, boundary: float):
-    level = float(problem.drift(boundary))
-    return level, problem.epsilon * level, problem.model
-
-
 def _linear_rows(problem: AmbiguityProblem, boundary: float, level: float,
                  xs_descending):
     """(psi, psi_s) of the linear form at drift ``level`` on descending nodes.
@@ -345,23 +334,15 @@ def _linear_rows(problem: AmbiguityProblem, boundary: float, level: float,
     return rows.T
 
 
-# One compiled DOP853 serves every probe.  scipy's ``ode`` runner keeps a
-# reference to the rhs and to the integrator's ``_solout`` on every
-# ``integrate`` call, so an ``ode`` built per probe is never freed.  With one
-# integrator, a module-level rhs and one bound ``_solout`` pinned on the
-# integrator (each ``set_initial_value`` would bind a new one), the kept
-# references all point at the same objects.  The shared state is not
-# thread-safe (the package starts no threads).  The step budget is far above
-# the ~100 steps a probe takes.
-_PROBE = ode(_psi_rhs).set_integrator("dop853", rtol=PSI_RTOL,
-                                      atol=PSI_ATOL, nsteps=100_000)
-_PROBE._integrator._solout = _PROBE._integrator._solout
-
-
 def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
-    """F(b); a negative D is +inf, or 0 with ``clamp`` (rounding at lam = c*)."""
-    params = _psi_params(problem, boundary)
-    a, sigma_bar, disc = _tail_modes(problem, params[0])
+    """F(b); a negative D is +inf, or 0 with ``clamp`` (rounding at lam = c*).
+
+    The end state is the last row of ``_linear_rows`` on nodes about a
+    decade apart: one span from b to the floor exceeds LSODA's default
+    budget of 500 steps per output interval (GL theta=2, eps 0, b = 0.70).
+    """
+    level = float(problem.drift(boundary))
+    a, sigma_bar, disc = _tail_modes(problem, level)
     if disc < 0.0:
         if not clamp:
             return math.inf
@@ -370,17 +351,13 @@ def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
     root = math.sqrt(disc)
     r_plus = (-a + root) / s2
     r_minus = (-a - root) / s2
-    s_min = math.log(TAIL_FLOOR * problem.drift_peak)
-    _PROBE.set_initial_value((0.0, boundary), math.log(boundary))
-    _PROBE.set_f_params(*params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")   # a failure raises below
-        y = _PROBE.integrate(s_min)
-    if not _PROBE.successful():
-        raise SingularIntegrationError(
-            "linear-form integration failed: dop853 return code "
-            f"{_PROBE.get_return_code()}", last_x=math.exp(_PROBE.t))
-    ddpsi = _psi_rhs(s_min, y, *params)[1]
+    floor = TAIL_FLOOR * problem.drift_peak
+    xs = np.geomspace(boundary, floor,
+                      2 + math.ceil(math.log10(boundary / floor)))
+    y = _linear_rows(problem, boundary, level, xs)[:, -1]
+    s_min = math.log(floor)
+    ddpsi = _psi_rhs(s_min, y, level, problem.epsilon * level,
+                     problem.model)[1]
     return float((ddpsi - r_plus * y[1]) * math.exp(-r_minus * s_min))
 
 
@@ -393,16 +370,16 @@ def tail_coefficient(problem: AmbiguityProblem, boundary: float) -> float:
         psi_ss = psi_s + 2 (lam - eps lam psi - mu psi_s) / q^2,
         q = sigma(x)/x,  psi(b) = 0,  psi_s(b) = b,
 
-    from log b down to s_min = log(TAIL_FLOOR * drift_peak) with scipy's
-    compiled DOP853 (``scipy.integrate.ode``, rtol 1e-12, atol 1e-14), and
-    returns F = (psi_ss - r+ psi_s) e^{-r- s_min}, which removes the
-    subdominant mode and the particular solution and leaves a positive
-    multiple of the e^{r- s} coefficient.  F is continuous through D = 0,
-    where the modes merge.  When D < 0 (lam(b) > c*) the base function
-    oscillates, the boundary is inadmissible, and F is +inf without an
-    integration.  Raises ``AssumptionViolationError`` when a <= 0 and
-    ``SingularIntegrationError`` (with ``last_x``) when the integration
-    fails.  Not thread-safe: every probe shares one integrator.
+    from log b down to s_min = log(TAIL_FLOOR * drift_peak) with
+    ``_linear_rows``' LSODA run, and returns
+    F = (psi_ss - r+ psi_s) e^{-r- s_min}, which removes the subdominant
+    mode and the particular solution and leaves a positive multiple of the
+    e^{r- s} coefficient.  F is continuous through D = 0, where the modes
+    merge.  When D < 0 (lam(b) > c*) the base function oscillates, the
+    boundary is inadmissible, and F is +inf without an integration.  Raises
+    ``AssumptionViolationError`` when a <= 0 and
+    ``SingularIntegrationError`` when the integration fails (``last_x`` as
+    in ``_linear_rows``, on output nodes about a decade apart).
     """
     return _tail(problem, boundary, clamp=False)
 

@@ -14,7 +14,8 @@ of A(b) = 0, i.e. of b = (1 - b)(e^{2b} - 1).  Everything here is evaluated
 directly from these formulas, independent of the solver's integration path.
 
 ``tail_coefficient_ivp`` is the solver's tail coefficient F(b) for any
-model, integrated with ``solve_ivp`` instead of the compiled stepper.
+model, from a tight ``solve_ivp`` DOP853 solve of the linear form,
+independent of the LSODA run behind ``shooting.tail_coefficient``.
 ``potential_slope`` is the potential's slope at given nodes from a tighter
 ``solve_ivp`` DOP853 solve of the same linear form, independent of the
 LSODA solve behind ``shooting.build_potential``.
@@ -113,9 +114,10 @@ def _linear_form(problem, b):
 def tail_coefficient_ivp(problem, b, floor):
     """F(b) of ``shooting.tail_coefficient``, integrated by ``solve_ivp``.
 
-    The same linear form for psi = (1 - phi)/eps in s = log x and the same
-    DOP853 method and tolerances, through scipy's Python stepper in place of
-    the compiled one; +inf where the tail modes are complex.
+    The same linear form for psi = (1 - phi)/eps in s = log x, integrated
+    from log b down to log floor with ``solve_ivp(method="DOP853",
+    rtol=2.3e-14, atol=1e-18)`` (the tolerances of ``potential_slope``) and
+    projected onto the dominant mode; +inf where the tail modes are complex.
     """
     mu_bar, sigma_bar, _ = problem.model.near_zero_constants()
     s2 = sigma_bar * sigma_bar
@@ -128,7 +130,7 @@ def tail_coefficient_ivp(problem, b, floor):
     r_minus = (-a - math.sqrt(disc)) / s2
     rhs = _linear_form(problem, b)
     sol = solve_ivp(rhs, (math.log(b), math.log(floor)), (0.0, b),
-                    method="DOP853", rtol=1e-12, atol=1e-14)
+                    method="DOP853", rtol=2.3e-14, atol=1e-18)
     assert sol.success, sol.message
     s_min = sol.t[-1]
     psi, dpsi = sol.y[:, -1]

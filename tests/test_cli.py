@@ -102,6 +102,26 @@ class TestCheck:
         rc = main(["check", "--config", str(write_cfg(tmp_path, epsilon=-1.0))])
         assert rc == 64
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("'epsilon'", {"epsilon": True}),
+        ("'seed'", {"seed": True}),
+        ("'sim.n_paths'", {"sim": {"n_paths": True}}),
+        ("'sim.dt'", {"sim": {"dt": True}}),
+        ("'sim.burn_in'", {"sim": {"burn_in": False}}),
+        ("'sim.x0'", {"sim": {"x0": True}}),
+        ("'solver.beta_rtol'", {"solver": {"beta_rtol": True}}),
+        ("'model.x_max'", {"model": {**VP_BLOCK, "x_max": True}}),
+        ("'eps_grid'", {"epsilon": None, "eps_grid": [False, True]}),
+    ], ids=["epsilon", "seed", "n_paths", "dt", "burn_in", "x0", "beta_rtol",
+            "x_max", "eps_grid"])
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, key,
+                                      overrides):
+        # bool is an int in Python; JSON true must not read as 1.
+        rc = main(["check", "--config",
+                   str(write_cfg(tmp_path, **overrides))])
+        assert rc == 64
+        assert f"{key} must be" in capsys.readouterr().err
+
     def test_theta_rejected_for_verhulst_pearl(self, tmp_path, capsys):
         model = {"family": "verhulst_pearl", "params": {"theta": 1.0}}
         rc = main(["check", "--config",

@@ -288,13 +288,13 @@ class TestTailCoefficient:
             got = tail_coefficient(problem, b)
             ref = oracles.tail_coefficient_ivp(problem, b, floor)
             if abs(ref) > 1e-6:
-                assert abs(got - ref) <= 1e-12 * abs(ref), b
+                assert abs(got - ref) <= 5e-12 * abs(ref), b
             else:
-                assert abs(got - ref) <= 1e-15, b
+                assert abs(got - ref) <= 5e-14, b
 
     def test_probes_retain_no_memory(self, problem1):
-        # scipy's ode wrapper keeps references on every integrate() call; a
-        # shared integrator keeps them pointing at the same objects.
+        # A probe builds its nodes and LSODA's work arrays afresh; none of
+        # them may outlive it.
         for _ in range(20):
             tail_coefficient(problem1, 0.6)
         gc.collect()
@@ -316,8 +316,9 @@ class TestTailCoefficient:
         healthy = tail_coefficient(problem1, 0.6)
         with pytest.raises(SingularIntegrationError) as err:
             tail_coefficient(broken, 0.6)
-        assert 1e-3 <= err.value.last_x < 0.6
-        # The shared integrator starts the next probe afresh.
+        # The last finite node is within a decade of the NaN at x < 1e-3.
+        assert 1e-3 <= err.value.last_x < 1e-2
+        # A failed probe leaves nothing behind for the next.
         assert tail_coefficient(problem1, 0.6) == healthy
 
     @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
@@ -422,6 +423,17 @@ class TestColeHopf:
     def test_requires_positive_ambiguity(self, problem0):
         with pytest.raises(InputDomainError):
             cole_hopf_slope(problem0, 0.9, 0.4)
+
+    def test_eval_xs_in_any_order(self, problem1):
+        # Ascending, shuffled or repeated nodes give the descending table.
+        eval_xs = np.geomspace(0.6, 0.2, 50)
+        ref = cole_hopf_slope(problem1, 0.6, 0.2, eval_xs=eval_xs)
+        assert np.array_equal(ref.xs, eval_xs)
+        shuffled = np.random.default_rng(0).permutation(eval_xs)
+        for nodes in (eval_xs[::-1], shuffled, np.tile(eval_xs, 2)):
+            grid = cole_hopf_slope(problem1, 0.6, 0.2, eval_xs=nodes)
+            assert np.array_equal(grid.xs, ref.xs)
+            assert np.array_equal(grid.slopes, ref.slopes)
 
     def test_breakdown_on_inadmissible_boundary(self, problem1):
         # Just above the peak the slope dives to -inf; the linear form's base
