@@ -25,7 +25,7 @@ from .errors import (AssumptionViolationError, ConfigError, ErgharvestError,
                      InputDomainError, NumericsError)
 from .hjb import verify_solution
 from .model import AmbiguityProblem, check_assumptions
-from .simulate import MEASURES, SimConfig, estimate_payoff
+from .simulate import SimConfig, estimate_payoff
 from .shooting import extinction_level, solve_threshold
 from .sweep import monotonicity_report, sweep
 
@@ -44,7 +44,9 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--output-dir", default=None,
                        help="directory for artifacts (overrides config)")
@@ -52,17 +54,12 @@ def _build_parser():
                        help="master seed (overrides config)")
         p.add_argument("--eps", type=float, default=None,
                        help="single ambiguity level (overrides config)")
+        return p
 
-    p_check = sub.add_parser("check", help="verify model assumptions")
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_solve = sub.add_parser("solve", help="solve the threshold problem")
-    common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo value confirmation")
-    common(p_sim)
+    command("check", cmd_check, "verify model assumptions")
+    command("solve", cmd_solve, "solve the threshold problem")
+    p_sim = command("simulate", cmd_simulate,
+                    "Monte Carlo value confirmation")
     # sched_getaffinity exists on Linux only.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -70,54 +67,36 @@ def _build_parser():
                        help="worker processes for path batches (default: the "
                             "CPUs this process may use; results do not "
                             "depend on it)")
-    p_sim.add_argument("--measure", choices=MEASURES,
-                       default=None, help="simulated measure (overrides config)")
+    p_sim.add_argument("--measure", default=None,
+                       help="simulated measure (overrides config)")
     p_sim.add_argument("--assert-value", action="store_true",
                        help="fail when the estimate deviates from the solved "
                             "yield beyond the confidence multiple")
     p_sim.add_argument("--no-inline-solve", action="store_true",
                        help="require a persisted solution instead of solving")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep", help="sweep the ambiguity level")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="re-audit a persisted solution")
-    common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    command("sweep", cmd_sweep, "sweep the ambiguity level")
+    command("verify", cmd_verify, "re-audit a persisted solution")
     return parser
 
 
 def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    updates = {}
+    """The configuration file with the flags given written over its keys."""
+    flags = (("epsilon", args.eps), ("seed", args.seed),
+             ("output_dir", args.output_dir))
+    edits = {key: value for key, value in flags if value is not None}
     if args.eps is not None:
-        if args.eps < 0:
-            raise ConfigError("--eps must be >= 0")
-        updates["epsilon"] = float(args.eps)
-        updates["eps_grid"] = None
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        updates["seed"] = args.seed
-    if args.output_dir is not None:
-        updates["output_dir"] = args.output_dir
+        edits["eps_grid"] = None
     if getattr(args, "measure", None) is not None:
-        updates["sim"] = dict(cfg.sim, measure=args.measure)
-    return dataclasses.replace(cfg, **updates)
+        edits["sim"] = {"measure": args.measure}
+    return load_config(args.config, **edits)
 
 
 def _epsilon(cfg: RunConfig) -> float:
-    if cfg.epsilon is not None:
-        return cfg.epsilon
-    if cfg.eps_grid is not None and len(cfg.eps_grid) == 1:
-        return cfg.eps_grid[0]
-    if cfg.eps_grid is not None:
-        raise ConfigError(
-            "this command needs a single 'epsilon' (or --eps), not an "
-            "'eps_grid'")
-    return 0.0
+    grid = cfg.eps_grid or (0.0 if cfg.epsilon is None else cfg.epsilon,)
+    if len(grid) > 1:
+        raise ConfigError("this command needs a single 'epsilon' (or --eps), "
+                          "not an 'eps_grid'")
+    return grid[0]
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -217,8 +196,7 @@ def cmd_simulate(args) -> int:
         artifacts.write_fd_csv(out / artifacts.FD_CSV, sol)
     sim = dict(cfg.sim)
     ci_multiple = sim.pop("ci_multiple")
-    if sim["x0"] is None:
-        sim["x0"] = sol.threshold
+    sim["x0"] = sol.threshold if sim["x0"] is None else sim["x0"]
     simcfg = SimConfig(problem=problem, beta=sol.threshold, solution=sol,
                        seed=cfg.seed, **sim)
     est = estimate_payoff(simcfg, jobs=max(1, args.jobs))

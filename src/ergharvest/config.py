@@ -1,38 +1,41 @@
 """Run configuration: a single JSON file, strictly validated.
 
 Unknown keys are rejected with the accepted keys listed; parse errors carry
-the line number.  Flags on the command line override file values.  The fully
-resolved configuration (defaults filled in) is echoed beside every run's
-outputs so a run can be reproduced from its artifacts alone.
+the line number.  Flags on the command line are written over the file's keys
+before validation, so they obey the same rules.  The fully resolved
+configuration (defaults filled in) is echoed beside every run's outputs so a
+run can be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import shooting
 from .errors import ConfigError
 from .model import CoefficientModel, model_from_config
-from .simulate import MEASURES, SimConfig
+from .simulate import SimConfig, range_error
 
 _MODEL_KEYS = {"family", "params", "x_max"}
 _SOLVER_KEYS = {"beta_rtol"}
-_SIM_KEYS = {"dt", "horizon", "n_paths", "burn_in", "x0", "measure",
-             "n_bins", "occupation_stride", "ci_multiple"}
 _TOP_KEYS = {"model", "epsilon", "eps_grid", "solver", "sim", "seed",
              "output_dir"}
 
 _SOLVER_DEFAULTS = {"beta_rtol": shooting.BETA_RTOL}
 
-# SimConfig's field defaults, then the ones the command line sets itself.
+# SimConfig's fields less the four a run supplies, with the defaults the
+# command line sets itself, plus the confidence multiple of the value check.
 _SIM_DEFAULTS = {
-    **{f.name: f.default for f in fields(SimConfig) if f.name in _SIM_KEYS},
+    **{f.name: f.default for f in fields(SimConfig)
+       if f.name not in ("problem", "beta", "solution", "seed")},
     "x0": None,          # resolved to the solved threshold
     "measure": "worstcase",
     "ci_multiple": 3.0,
 }
+_SIM_KEYS = set(_SIM_DEFAULTS)
 
 
 def _reject_unknown(section: dict, accepted: set, where: str):
@@ -49,8 +52,13 @@ def _require(condition, message):
 
 
 def _is_number(value):
-    """A JSON number; ``true`` is not, though ``bool`` is an ``int``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number; ``true`` is not, though ``bool`` is an ``int``.
+
+    ``json`` reads ``Infinity``, ``NaN`` and ``1e999`` as floats, and an
+    integer beyond the largest float would overflow one.
+    """
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -69,11 +77,10 @@ class RunConfig:
     @property
     def resolved(self) -> dict:
         """The configuration with defaults filled in, echoed beside outputs."""
-        eps_grid = self.eps_grid
         return {
             "model": self.model_block,
             "epsilon": self.epsilon,
-            "eps_grid": list(eps_grid) if eps_grid is not None else None,
+            "eps_grid": None if self.eps_grid is None else list(self.eps_grid),
             "solver": dict(self.solver),
             "sim": dict(self.sim),
             "seed": self.seed,
@@ -96,13 +103,11 @@ def parse_config(raw: dict) -> RunConfig:
     _require(isinstance(params, dict), "'model.params' must be an object")
     x_max = mblock.get("x_max")
     _require(x_max is None or (_is_number(x_max) and x_max > 0),
-             "'model.x_max' must be a positive number")
+             "'model.x_max' must be a positive finite number")
     try:
         model = model_from_config(family, params, x_max)
-    except TypeError as exc:
-        raise ConfigError(f"bad model parameters for family {family!r}: {exc}")
     except Exception as exc:
-        raise ConfigError(f"bad model block: {exc}")
+        raise ConfigError(f"bad model block for family {family!r}: {exc}")
 
     epsilon = raw.get("epsilon")
     eps_grid = raw.get("eps_grid")
@@ -110,12 +115,12 @@ def parse_config(raw: dict) -> RunConfig:
              "give either 'epsilon' or 'eps_grid', not both")
     if epsilon is not None:
         _require(_is_number(epsilon) and epsilon >= 0,
-                 "'epsilon' must be a number >= 0")
+                 "'epsilon' must be a finite number >= 0")
         epsilon = float(epsilon)
     if eps_grid is not None:
         _require(isinstance(eps_grid, list) and len(eps_grid) >= 1
                  and all(_is_number(e) and e >= 0 for e in eps_grid),
-                 "'eps_grid' must be a list of numbers >= 0")
+                 "'eps_grid' must be a list of finite numbers >= 0")
         eps_grid = tuple(float(e) for e in eps_grid)
 
     solver = dict(_SOLVER_DEFAULTS)
@@ -124,35 +129,26 @@ def parse_config(raw: dict) -> RunConfig:
     _reject_unknown(sblock, _SOLVER_KEYS, "'solver'")
     for key, value in sblock.items():
         _require(_is_number(value) and value > 0,
-                 f"'solver.{key}' must be a positive number")
+                 f"'solver.{key}' must be a positive finite number")
         solver[key] = float(value)
 
     sim = dict(_SIM_DEFAULTS)
     simblock = raw.get("sim", {})
     _require(isinstance(simblock, dict), "'sim' must be an object")
     _reject_unknown(simblock, _SIM_KEYS, "'sim'")
+    # Types here; the ranges are simulate's, checked on the filled block.
     for key, value in simblock.items():
-        if key == "measure":
-            _require(value in MEASURES,
-                     f"'sim.measure' must be one of {MEASURES}")
-            sim[key] = value
-        elif key in ("n_paths", "n_bins", "occupation_stride"):
-            _require(_is_number(value) and isinstance(value, int)
-                     and value >= 1,
-                     f"'sim.{key}' must be a positive integer")
-            sim[key] = value
-        elif key == "burn_in":
-            _require(_is_number(value) and 0 <= value <= 0.5,
-                     "'sim.burn_in' must be in [0, 0.5]")
-            sim[key] = float(value)
-        elif key == "x0":
-            _require(value is None or (_is_number(value) and value > 0),
-                     "'sim.x0' must be a positive number")
-            sim[key] = None if value is None else float(value)
-        else:
-            _require(_is_number(value) and value > 0,
-                     f"'sim.{key}' must be a positive number")
-            sim[key] = float(value)
+        if isinstance(_SIM_DEFAULTS[key], int):
+            _require(_is_number(value) and isinstance(value, int),
+                     f"'sim.{key}' must be an integer")
+        elif key != "measure" and not (key == "x0" and value is None):
+            _require(_is_number(value), f"'sim.{key}' must be a finite number")
+            value = float(value)
+        sim[key] = value
+    _require(sim["ci_multiple"] > 0, "'sim.ci_multiple' must be positive")
+    bad = range_error(sim)
+    if bad is not None:
+        raise ConfigError(f"'sim.{bad[0]}' {bad[1]}")
 
     seed = raw.get("seed", 0)
     _require(_is_number(seed) and isinstance(seed, int) and seed >= 0,
@@ -168,8 +164,11 @@ def parse_config(raw: dict) -> RunConfig:
         output_dir=output_dir)
 
 
-def load_config(path) -> RunConfig:
-    """Read and validate a JSON configuration file."""
+def load_config(path, **overrides) -> RunConfig:
+    """Read a JSON configuration file, write ``overrides`` over it, validate.
+
+    An override replaces its top-level key; an object updates a block.
+    """
     text = Path(path).read_text()
     try:
         raw = json.loads(text)
@@ -177,4 +176,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(
             f"cannot parse {path}: {exc.msg} at line {exc.lineno}, "
             f"column {exc.colno}", line=exc.lineno)
+    if isinstance(raw, dict):  # parse_config refuses any other root
+        for key, value in overrides.items():
+            if isinstance(value, dict) and isinstance(raw.get(key), dict):
+                value = raw[key] | value
+            raw[key] = value
     return parse_config(raw)

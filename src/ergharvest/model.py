@@ -47,8 +47,9 @@ _N_DIVERGENCE = 8192    # log-grid nodes of the scale-divergence heuristic
 
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
-        if not value > 0.0:
-            raise InputDomainError(f"{name} must be positive, got {value!r}")
+        if isinstance(value, bool) or not 0.0 < value < math.inf:
+            raise InputDomainError(
+                f"{name} must be a positive finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +160,9 @@ class TabulatedModel:
         xs = np.asarray(self.xs, dtype=float)
         mu = np.asarray(self.mu_values, dtype=float)
         sg = np.asarray(self.sigma_values, dtype=float)
+        for name, values in dict(xs=xs, mu_values=mu, sigma_values=sg).items():
+            if not np.all(np.isfinite(values)):
+                raise InputDomainError(f"tabulated {name} must be finite")
         if xs.ndim != 1 or xs.size < 4:
             raise InputDomainError("tabulated model needs at least 4 grid points")
         if not np.all(np.diff(xs) > 0.0):

@@ -169,12 +169,12 @@ def slope_above_boundary(problem: AmbiguityProblem, boundary: float,
 
 
 def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
-                    gamma: float = 0.0, *, eval_xs=None) -> ShootingGrid:
+                    *, eval_xs=None) -> ShootingGrid:
     """Slope via the linear form, read off the potential's LSODA run.
 
     With phi = 1 - eps psi the Cole-Hopf base function of the slope,
 
-        (1/2) sigma^2 phi'' + x mu phi' = -(lam(b) + gamma) eps phi,
+        (1/2) sigma^2 phi'' + x mu phi' = -lam(b) eps phi,
         phi(b) = 1,  phi'(b) = -eps,
 
     and ``_linear_rows`` gives psi, psi_s = x psi' at ``eval_xs`` (default
@@ -197,8 +197,8 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
     eval_xs = np.asarray(eval_xs, dtype=float)
     inside = np.unique(eval_xs[(eval_xs < boundary) & (eval_xs > x_min)])
     eval_xs = np.concatenate(([boundary], inside[::-1], [x_min]))
-    psi, dpsi = _linear_rows(problem, boundary,
-                             float(problem.drift(boundary)) + gamma, eval_xs)
+    psi, dpsi = _linear_rows(problem, boundary, float(problem.drift(boundary)),
+                             eval_xs)
     phi = 1.0 - eps * psi
     down = np.flatnonzero(phi <= 0.0)
     if down.size:
@@ -210,9 +210,9 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
             f"{'-inf' if dphi_sign > 0 else '+inf'}",
             crossing_x=x_cross, derivative_sign=dphi_sign)
     slopes = dpsi / eval_xs / phi
-    derivs = _slope_rhs(problem, boundary, gamma)(eval_xs, slopes)
+    derivs = _slope_rhs(problem, boundary, 0.0)(eval_xs, slopes)
     return ShootingGrid(
-        boundary=boundary, gamma=gamma, xs=eval_xs, slopes=slopes,
+        boundary=boundary, gamma=0.0, xs=eval_xs, slopes=slopes,
         slope_derivs=derivs, terminated_early=False, blew_up=False,
         dip_crossing=None)
 

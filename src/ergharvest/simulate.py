@@ -183,6 +183,37 @@ class _WorstCaseStep:
         return _line(self.kl_a, self.kl_b, cell, x)
 
 
+def _step_counts(sim):
+    """Steps in the horizon and in its burn-in; ``sim`` maps field names."""
+    n_steps = int(round(sim["horizon"] / sim["dt"]))
+    return n_steps, int(round(sim["burn_in"] * n_steps))
+
+
+def range_error(sim):
+    """(key, reason) of the first SimConfig field in ``sim`` out of range.
+
+    None when all hold; an ``x0`` of None stands for the solved threshold.
+    """
+    x0, dt, horizon, burn_in = map(sim.get, ("x0", "dt", "horizon", "burn_in"))
+    if x0 is not None and not x0 > 0.0:
+        return "x0", f"must be positive, got {x0!r}"
+    if not (0.0 < dt < horizon and horizon / dt < math.inf):
+        return "dt", (f"must be in (0, horizon) with finitely many steps, "
+                      f"got dt={dt!r}, horizon={horizon!r}")
+    if not 0.0 <= burn_in <= 0.5:
+        return "burn_in", f"must be in [0, 0.5], got {burn_in!r}"
+    n_steps, burn = _step_counts(sim)
+    if n_steps - burn < 2:
+        return "horizon", (f"leaves a retained window of {n_steps - burn} "
+                           "step(s); the split-half check needs at least 2")
+    for key in ("n_paths", "n_bins", "occupation_stride"):
+        if not sim[key] >= 1:
+            return key, f"must be at least 1, got {sim[key]!r}"
+    if sim["measure"] not in MEASURES:
+        return "measure", f"must be one of {MEASURES}, got {sim['measure']!r}"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Monte Carlo configuration for one threshold policy.
@@ -209,35 +240,19 @@ class SimConfig:
     def __post_init__(self):
         if not self.beta > 0.0:
             raise InputDomainError(f"beta must be positive, got {self.beta!r}")
-        if not self.x0 > 0.0:
-            raise InputDomainError(f"x0 must be positive, got {self.x0!r}")
-        if not 0.0 < self.dt < self.horizon:
-            raise InputDomainError(
-                f"need 0 < dt < horizon, got dt={self.dt!r}, "
-                f"horizon={self.horizon!r}")
-        if not 0.0 <= self.burn_in <= 0.5:
-            raise InputDomainError(
-                f"burn_in must be in [0, 0.5], got {self.burn_in!r}")
-        if self.n_steps - self.burn_steps < 2:
-            raise InputDomainError(
-                f"the retained window has {self.n_steps - self.burn_steps} "
-                "step(s); the split-half check needs at least 2")
-        for name in ("n_paths", "n_bins", "occupation_stride"):
-            if getattr(self, name) < 1:
-                raise InputDomainError(f"{name} must be at least 1")
-        if self.measure not in MEASURES:
-            raise InputDomainError(
-                f"measure must be one of {MEASURES}, got {self.measure!r}")
+        bad = range_error(vars(self))
+        if bad is not None:
+            raise InputDomainError(f"{bad[0]} {bad[1]}")
         if self.measure == "worstcase" and self.solution is None:
             raise InputDomainError("worstcase measure needs a solved potential")
 
     @property
     def n_steps(self):
-        return int(round(self.horizon / self.dt))
+        return _step_counts(vars(self))[0]
 
     @property
     def burn_steps(self):
-        return int(round(self.burn_in * self.n_steps))
+        return _step_counts(vars(self))[1]
 
 
 @dataclass
@@ -311,10 +326,9 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     bin_scale = n_bins / beta
     lane_bins = np.arange(n) * n_bins
 
-    # Before burn-in ends no step adds to Z or KL.  A window starting at
-    # time zero minus counts the instant initial harvest.
+    # No step before burn-in ends adds to Z or KL.  A window starting at
+    # time zero counts the instant initial harvest.
     Z_burn = Z.copy() if burn > 0 else np.zeros(n)
-    KL_burn = np.zeros(n)
 
     gens = [path_rng(cfg.seed, int(pid)) for pid in ids]
     drawn = np.empty((n, _BLOCK_STEPS))  # row j: lane j's draws for a block
@@ -400,10 +414,9 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     stats = []
     for j, pid in enumerate(ids[:n_out]):
         harvest = float(Z[j] - Z_burn[j])
-        kl = float(KL[j] - KL_burn[j])
+        kl = float(KL[j])
         payoff = (harvest + kl) / t_ret
-        first = ((float(Z_mid[j] - Z_burn[j]) + float(KL_mid[j] - KL_burn[j]))
-                 / t_first)
+        first = (float(Z_mid[j] - Z_burn[j]) + float(KL_mid[j])) / t_first
         second = (float(Z[j] - Z_mid[j]) + float(KL[j] - KL_mid[j])) / t_second
         stats.append(PathStats(
             path_id=int(pid), harvest_total=harvest, kl_penalty=kl,

@@ -28,6 +28,15 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def _table_with_nan():
+    """A tabulated model block with one NaN in ``mu_values``."""
+    xs = list(np.geomspace(1e-4, 3.0, 64))
+    mu = [1.0 - x for x in xs]
+    mu[10] = float("nan")
+    return {"family": "tabulated",
+            "params": {"xs": xs, "mu_values": mu, "sigma_values": xs}}
+
+
 class TestCheck:
     def test_defaults_pass(self, tmp_path, capsys):
         rc = main(["check", "--config", str(write_cfg(tmp_path))])
@@ -122,6 +131,45 @@ class TestCheck:
         assert rc == 64
         assert f"{key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN",
+                                         "1e999"])
+    @pytest.mark.parametrize("key, overrides", [
+        ("'epsilon'", {"epsilon": "VALUE"}),
+        ("'eps_grid'", {"epsilon": None, "eps_grid": [0.0, "VALUE"]}),
+        ("'sim.horizon'", {"sim": {"horizon": "VALUE"}}),
+        ("'solver.beta_rtol'", {"solver": {"beta_rtol": "VALUE"}}),
+        ("'model.x_max'", {"model": {**VP_BLOCK, "x_max": "VALUE"}}),
+    ], ids=["epsilon", "eps_grid", "horizon", "beta_rtol", "x_max"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, key,
+                                         overrides, literal):
+        # Python's json reads all four literals as non-finite floats.
+        path = write_cfg(tmp_path, **overrides)
+        path.write_text(path.read_text().replace('"VALUE"', literal))
+        assert main(["check", "--config", str(path)]) == 64
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_eps_flag_checked_like_the_file_key(self, tmp_path, capsys,
+                                                value):
+        rc = main(["check", "--config", str(write_cfg(tmp_path)),
+                   "--eps", value])
+        assert rc == 64
+        assert "'epsilon' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, model", [
+        ("mu_bar", {"family": "verhulst_pearl", "params": {"mu_bar": True}}),
+        ("mu_bar", {"family": "verhulst_pearl",
+                    "params": {"mu_bar": float("inf")}}),
+        ("mu_values", _table_with_nan()),
+    ], ids=["boolean", "infinite", "tabulated_nan"])
+    def test_model_parameters_finite_and_not_boolean(self, tmp_path, capsys,
+                                                     name, model):
+        rc = main(["check", "--config",
+                   str(write_cfg(tmp_path, model=model))])
+        err = capsys.readouterr().err
+        assert rc == 64
+        assert "bad model block" in err and name in err
+
     def test_theta_rejected_for_verhulst_pearl(self, tmp_path, capsys):
         model = {"family": "verhulst_pearl", "params": {"theta": 1.0}}
         rc = main(["check", "--config",
@@ -159,6 +207,40 @@ class TestCheck:
         assert rc == 2
         assert "violated" in text
         assert "ValueError" not in text and "Traceback" not in text
+
+
+class TestSimRanges:
+    """``check`` refuses every sim block ``simulate`` would, before solving."""
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("key, sim", [
+        ("'sim.dt'", {"dt": 2.0, "horizon": 1.0}),
+        ("'sim.horizon'", {"dt": 1e-3, "horizon": 2e-3, "burn_in": 0.5}),
+        ("'sim.n_bins'", {"n_bins": 0}),
+        ("'sim.measure'", {"measure": "optimist"}),
+    ], ids=["dt_above_horizon", "one_step_window", "no_bins", "measure"])
+    def test_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                      command, key, sim):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli, "solve_threshold", no_solve)
+        rc = main([command, "--config", str(write_cfg(tmp_path, sim=sim))])
+        assert rc == 64
+        assert key in capsys.readouterr().err
+
+    def test_measure_flag_checked_like_the_file_key(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "solve_threshold", None)  # a solve exits 70
+        rc = main(["simulate", "--config", str(write_cfg(tmp_path)),
+                   "--measure", "optimist"])
+        assert rc == 64
+        assert "'sim.measure' must be one of" in capsys.readouterr().err
+
+    def test_config_keys_are_the_sim_fields(self):
+        run_supplied = {"problem", "beta", "solution", "seed"}
+        fields = {f.name for f in dataclasses.fields(SimConfig)}
+        assert config._SIM_KEYS == fields - run_supplied | {"ci_multiple"}
 
 
 class TestSolverKeys:

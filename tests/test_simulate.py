@@ -493,6 +493,15 @@ class TestConfigValidation:
         with pytest.raises(InputDomainError):
             SimConfig(problem=problem0, beta=1.0, x0=0.5, occupation_stride=0)
 
+    @pytest.mark.parametrize("fields", [
+        {"horizon": math.inf}, {"dt": math.nan}, {"dt": 1e-320},
+        {"burn_in": math.nan}, {"x0": math.nan}])
+    def test_rejects_non_finite_ranges(self, problem0, fields):
+        # NaN fails every bound; an infinite horizon or a subnormal dt
+        # would overflow the step count.
+        with pytest.raises(InputDomainError):
+            SimConfig(problem=problem0, beta=1.0, **{"x0": 0.5, **fields})
+
     def test_path_rng_streams_are_distinct(self):
         a = path_rng(1, 0).standard_normal(4)
         b = path_rng(1, 1).standard_normal(4)
