@@ -17,15 +17,15 @@ from .hjb import (HjbReport, TruncatedPotential, apply_operator,
                   violation_delta)
 from .model import (AmbiguityProblem, AssumptionCheck, AssumptionReport,
                     GeneralLogistic, TabulatedModel, VerhulstPearl,
-                    adjusted_drift, bracket_points, check_assumptions,
-                    model_from_config, scale_density)
+                    bracket_points, check_assumptions, model_from_config,
+                    scale_density)
 from .shooting import (BoundaryClass, PotentialGrid, ShootingGrid,
                        ThresholdSolution, build_potential, classify_boundary,
                        cole_hopf_slope, integrate_slope, slope_above_boundary,
                        solve_threshold, tail_coefficient)
 from .simulate import (PathStats, PayoffEstimate, SimConfig,
                        X0IndependenceReport, estimate_payoff, path_rng,
-                       reflect_step, simulate_path, x0_independence_check)
+                       simulate_path, x0_independence_check)
 from .sweep import (MonotonicityReport, SweepRow, monotonicity_report, sweep)
 
 __version__ = "0.1.0"

@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import shooting
-from .errors import ConfigError
-from .model import CoefficientModel, model_from_config
+from .errors import ConfigError, InputDomainError
+from .model import CoefficientModel, model_from_config, require_epsilon
 from .simulate import SimConfig, range_error
 
 _MODEL_KEYS = {"family", "params", "x_max"}
@@ -113,15 +113,17 @@ def parse_config(raw: dict) -> RunConfig:
     eps_grid = raw.get("eps_grid")
     _require(not (epsilon is not None and eps_grid is not None),
              "give either 'epsilon' or 'eps_grid', not both")
-    if epsilon is not None:
-        _require(_is_number(epsilon) and epsilon >= 0,
-                 "'epsilon' must be a finite number >= 0")
-        epsilon = float(epsilon)
+    try:
+        epsilon = None if epsilon is None else require_epsilon(epsilon)
+    except InputDomainError as exc:
+        raise ConfigError(str(exc))
     if eps_grid is not None:
-        _require(isinstance(eps_grid, list) and len(eps_grid) >= 1
-                 and all(_is_number(e) and e >= 0 for e in eps_grid),
-                 "'eps_grid' must be a list of finite numbers >= 0")
-        eps_grid = tuple(float(e) for e in eps_grid)
+        _require(isinstance(eps_grid, list) and len(eps_grid) >= 1,
+                 "'eps_grid' must be a non-empty list")
+        try:
+            eps_grid = tuple(require_epsilon(e) for e in eps_grid)
+        except InputDomainError as exc:
+            raise ConfigError(f"'eps_grid' must be a list of levels: {exc}")
 
     solver = dict(_SOLVER_DEFAULTS)
     sblock = raw.get("solver", {})

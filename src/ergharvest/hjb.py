@@ -187,7 +187,6 @@ class TruncatedPotential:
     yield_ref: float
     grid: ShootingGrid
     dips_below_one: bool
-    violation: float | None = None
 
     def vprime(self, x):
         g = self.grid
@@ -253,6 +252,4 @@ def violation_delta(problem: AmbiguityProblem, tp: TruncatedPotential, *,
     xs = np.geomspace(grid_floor * alpha, alpha, 2000)
     lv = apply_operator(problem, lambda x: s * (x - alpha) + 1.0,
                         lambda x: np.full_like(x, s), xs)
-    delta = float(np.max(lv) - tp.yield_ref)
-    tp.violation = delta
-    return delta
+    return float(np.max(lv) - tp.yield_ref)

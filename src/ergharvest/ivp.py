@@ -44,14 +44,6 @@ class IntegrationResult:
     status: str
     crossing_x: float | None = None
 
-    @property
-    def x_final(self):
-        return float(self.xs[-1])
-
-    @property
-    def y_final(self):
-        return float(self.ys[-1])
-
 
 def hermite_eval(x, x0, y0, d0, x1, y1, d1):
     """Cubic Hermite value at x for the segment (x0,y0,d0)-(x1,y1,d1)."""

@@ -18,6 +18,8 @@ near 0, coefficient regularity, unimodal adjusted drift).
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,11 +37,11 @@ __all__ = [
     "AmbiguityProblem",
     "AssumptionCheck",
     "AssumptionReport",
-    "adjusted_drift",
     "bracket_points",
     "scale_density",
     "check_assumptions",
     "model_from_config",
+    "require_epsilon",
 ]
 
 _N_DIVERGENCE = 8192    # log-grid nodes of the scale-divergence heuristic
@@ -50,6 +52,15 @@ def _require_positive(**kwargs):
         if isinstance(value, bool) or not 0.0 < value < math.inf:
             raise InputDomainError(
                 f"{name} must be a positive finite number, got {value!r}")
+
+
+def require_epsilon(epsilon) -> float:
+    """The ambiguity level as a float, refused unless 0 <= epsilon < inf."""
+    if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
+            or not 0.0 <= epsilon <= sys.float_info.max):
+        raise InputDomainError(
+            f"'epsilon' must be a finite number >= 0, got {epsilon!r}")
+    return float(epsilon)
 
 
 @dataclass(frozen=True)
@@ -171,6 +182,8 @@ class TabulatedModel:
             raise InputDomainError("tabulated grid must start at a positive x")
         if mu.shape != xs.shape or sg.shape != xs.shape:
             raise InputDomainError("mu/sigma tables must match the x grid")
+        if self.x_max is not None:
+            _require_positive(x_max=self.x_max)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "mu_values", mu)
         object.__setattr__(self, "sigma_values", sg)
@@ -262,8 +275,7 @@ class AmbiguityProblem:
 
     @classmethod
     def build(cls, model, epsilon):
-        if epsilon < 0.0:
-            raise InputDomainError(f"epsilon must be >= 0, got {epsilon!r}")
+        epsilon = require_epsilon(epsilon)
         peak, zero = bracket_points(model, epsilon)
         x_max = model.x_max if model.x_max is not None else 10.0 * zero
         if x_max <= zero:
@@ -285,12 +297,6 @@ class AmbiguityProblem:
             raise InputDomainError(
                 f"state out of working domain (0, {self.x_max}]: "
                 f"range [{lo}, {hi}]")
-
-
-def adjusted_drift(problem: AmbiguityProblem, x):
-    """x mu(x) - (epsilon/2) sigma(x)^2, validated against the working domain."""
-    problem.validate_x(x)
-    return problem.drift(x)
 
 
 def bracket_points(model, epsilon):

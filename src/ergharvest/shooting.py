@@ -76,8 +76,6 @@ DIP_FLOOR = 2e-8           # shooting and potential-grid floor, times drift_peak
 TAIL_FLOOR = 1e-6          # tail-coefficient floor, times drift_peak
 DIP_TOLERANCE = 1e-8       # below integrator accuracy a dip is noise
 OVERFLOW_GUARD = 1e8
-RTOL = 1e-10
-ATOL = 1e-12
 BETA_RTOL = 5e-9           # threshold tolerance relative to the drift zero
 POTENTIAL_RTOL = 1e-13     # LSODA tolerances of _linear_rows: at rtol 1e-12
 POTENTIAL_ATOL = 1e-15     # the floor slopes are 1e-5 off, 1e-14 is refused
@@ -97,18 +95,12 @@ class ShootingGrid:
     one, found on its step's dense output; it is a node, with slope one.
     """
 
-    boundary: float
-    gamma: float
     xs: np.ndarray
     slopes: np.ndarray
     slope_derivs: np.ndarray
     terminated_early: bool
     blew_up: bool
     dip_crossing: float | None
-
-    @property
-    def slope_final(self):
-        return float(self.slopes[-1])
 
 
 def _slope_rhs(problem: AmbiguityProblem, boundary: float, gamma: float):
@@ -130,8 +122,8 @@ def integrate_slope(problem: AmbiguityProblem, boundary: float, gamma: float = 0
                     stop_on_dip=True) -> ShootingGrid:
     """Integrate the slope ODE from the boundary down to x_min.
 
-    Steps scipy's DOP853 through ``ivp.integrate`` at rtol 1e-10, atol
-    1e-12, and stops after the first step that ends below
+    Steps scipy's DOP853 through ``ivp.integrate`` at that function's
+    default tolerances, and stops after the first step that ends below
     ``1 - DIP_TOLERANCE`` (recording the unit crossing as a node) or past
     the overflow guard.  A failed step raises ``SingularIntegrationError``.
     """
@@ -143,12 +135,12 @@ def integrate_slope(problem: AmbiguityProblem, boundary: float, gamma: float = 0
             f"boundary={boundary!r}, x_max={problem.x_max!r}")
     res = ivp.integrate(
         _slope_rhs(problem, boundary, gamma), boundary, 1.0, x_min,
-        rtol=RTOL, atol=ATOL, forced_nodes=forced_nodes,
+        forced_nodes=forced_nodes,
         dip_level=(1.0 - DIP_TOLERANCE) if stop_on_dip else None,
         crossing_level=1.0, guard=OVERFLOW_GUARD)
     return ShootingGrid(
-        boundary=boundary, gamma=gamma, xs=res.xs, slopes=res.ys,
-        slope_derivs=res.dys, terminated_early=res.status == "dip",
+        xs=res.xs, slopes=res.ys, slope_derivs=res.dys,
+        terminated_early=res.status == "dip",
         blew_up=res.status == "guard", dip_crossing=res.crossing_x)
 
 
@@ -163,8 +155,7 @@ def slope_above_boundary(problem: AmbiguityProblem, boundary: float,
         raise InputDomainError(
             f"need boundary < x_top <= x_max, got {boundary!r}, {x_top!r}")
     rhs = _slope_rhs(problem, boundary, 0.0)
-    res = ivp.integrate(rhs, boundary, 1.0, x_top, rtol=RTOL, atol=ATOL,
-                        forced_nodes=forced_nodes)
+    res = ivp.integrate(rhs, boundary, 1.0, x_top, forced_nodes=forced_nodes)
     return res.xs, res.ys, res.dys
 
 
@@ -212,9 +203,8 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
     slopes = dpsi / eval_xs / phi
     derivs = _slope_rhs(problem, boundary, 0.0)(eval_xs, slopes)
     return ShootingGrid(
-        boundary=boundary, gamma=0.0, xs=eval_xs, slopes=slopes,
-        slope_derivs=derivs, terminated_early=False, blew_up=False,
-        dip_crossing=None)
+        xs=eval_xs, slopes=slopes, slope_derivs=derivs,
+        terminated_early=False, blew_up=False, dip_crossing=None)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,6 @@ __all__ = [
     "PayoffEstimate",
     "X0IndependenceReport",
     "path_rng",
-    "reflect_step",
     "simulate_path",
     "estimate_payoff",
     "x0_independence_check",
@@ -85,28 +84,12 @@ def path_rng(seed: int, path_id: int) -> np.random.Generator:
 
 
 def _project(proposed, beta, out):
-    """Write ``proposed`` projected onto [0, beta] into ``out``."""
+    """Write ``proposed`` projected onto [0, beta] into ``out``.
+
+    A negative proposal goes to zero unharvested: zero is unattainable.
+    """
     np.minimum(proposed, beta, out=out)
     return np.maximum(out, 0.0, out=out)
-
-
-def reflect_step(x, drift, noise, beta):
-    """One projected Euler step of the threshold policy.
-
-    ``proposed = x + drift + noise`` is pushed back to the boundary: the
-    overshoot above beta is harvested (dZ), a negative proposal is clipped
-    to zero with no harvest (the event is counted by the caller; zero is
-    unattainable for the continuous dynamics, so clipping preserves the
-    model instead of inventing a regulator there).
-
-    Works elementwise on scalars or arrays; returns (x_next, dZ).
-    """
-    proposed = np.asarray(x + drift + noise, dtype=float)
-    dZ = np.maximum(proposed - beta, 0.0)
-    x_next = _project(proposed, beta, np.empty_like(proposed))
-    if proposed.ndim == 0:
-        return float(x_next), float(dZ)
-    return x_next, dZ
 
 
 # Steps per block: noise is drawn, and non-finite paths are quarantined,

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InputDomainError
-from .model import AmbiguityProblem
+from .model import AmbiguityProblem, require_epsilon
 from .shooting import solve_threshold
 
 __all__ = ["SweepRow", "MonotonicityReport", "sweep", "monotonicity_report"]
@@ -45,9 +45,7 @@ def sweep(model, eps_grid, **solver_kwargs) -> list[SweepRow]:
     grid order; a per-level solver failure flags the row and the sweep
     continues.
     """
-    eps_grid = [float(e) for e in eps_grid]
-    if any(e < 0.0 for e in eps_grid):
-        raise InputDomainError("eps_grid entries must be >= 0")
+    eps_grid = [require_epsilon(e) for e in eps_grid]
     if any(b < a for a, b in zip(eps_grid, eps_grid[1:])):
         raise InputDomainError("eps_grid must be ascending")
     rows = []

@@ -12,9 +12,9 @@ def test_gaussian_decay_both_directions():
     f = lambda x, y: -2.0 * x * y
     fwd = integrate(f, 0.0, 1.0, 2.0, rtol=1e-11, atol=1e-13)
     assert fwd.status == "reached"
-    assert fwd.y_final == pytest.approx(math.exp(-4.0), rel=1e-9)
+    assert fwd.ys[-1] == pytest.approx(math.exp(-4.0), rel=1e-9)
     back = integrate(f, 2.0, math.exp(-4.0), 0.5, rtol=1e-11, atol=1e-13)
-    assert back.y_final == pytest.approx(math.exp(-0.25), rel=1e-9)
+    assert back.ys[-1] == pytest.approx(math.exp(-0.25), rel=1e-9)
 
 
 def test_forced_nodes_are_hit_exactly():
@@ -63,8 +63,8 @@ def test_guard_stop():
     f = lambda x, y: y
     res = integrate(f, 0.0, 1.0, 100.0, guard=1e6)
     assert res.status == "guard"
-    assert abs(res.y_final) > 1e6
-    assert res.x_final < 100.0
+    assert abs(res.ys[-1]) > 1e6
+    assert res.xs[-1] < 100.0
 
 
 def test_failed_step_raises_with_last_state():

@@ -4,33 +4,32 @@ import numpy as np
 import pytest
 
 from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
-                        TabulatedModel, VerhulstPearl, adjusted_drift,
-                        bracket_points, check_assumptions, model_from_config,
-                        scale_density)
+                        TabulatedModel, VerhulstPearl, bracket_points,
+                        check_assumptions, model_from_config, scale_density)
 
 import oracles
 
 
 class TestAdjustedDrift:
     def test_vertex_value(self, problem0):
-        assert adjusted_drift(problem0, 0.5) == pytest.approx(0.25, abs=1e-15)
+        assert problem0.drift(0.5) == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_at_carrying_capacity(self, problem0):
-        assert adjusted_drift(problem0, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert problem0.drift(1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_ambiguity_shifts_zero(self, vp_model):
         # At eps=2 the bracket is (0.25, 0.5): the drift vanishes at 0.5.
         p = AmbiguityProblem.build(vp_model, 2.0)
-        assert adjusted_drift(p, 0.5) == pytest.approx(0.0, abs=1e-15)
+        assert p.drift(0.5) == pytest.approx(0.0, abs=1e-15)
         assert p.drift_peak == pytest.approx(0.25, rel=1e-12)
 
     def test_domain_validation(self, problem0):
         with pytest.raises(InputDomainError):
-            adjusted_drift(problem0, 0.0)
+            problem0.validate_x(0.0)
         with pytest.raises(InputDomainError):
-            adjusted_drift(problem0, -1.0)
+            problem0.validate_x(-1.0)
         with pytest.raises(InputDomainError):
-            adjusted_drift(problem0, problem0.x_max * 1.01)
+            problem0.validate_x(problem0.x_max * 1.01)
 
     def test_nonincreasing_in_ambiguity(self, vp_model):
         xs = np.geomspace(0.01, 2.0, 64)
@@ -86,6 +85,11 @@ class TestBrackets:
     def test_negative_epsilon_rejected(self, vp_model):
         with pytest.raises(InputDomainError):
             AmbiguityProblem.build(vp_model, -0.5)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, True])
+    def test_non_finite_epsilon_rejected(self, vp_model, eps):
+        with pytest.raises(InputDomainError, match="'epsilon' must be"):
+            AmbiguityProblem.build(vp_model, eps)
 
 
 class TestScaleDensity:
@@ -175,6 +179,13 @@ class TestModelFactory:
         with pytest.raises(InputDomainError):
             TabulatedModel(xs=np.array([0.0, 0.5, 1.0, 2.0]),
                            mu_values=np.zeros(4), sigma_values=np.ones(4))
+
+    @pytest.mark.parametrize("x_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_tabulated_x_max_positive_finite(self, x_max):
+        xs = np.geomspace(1e-4, 3.0, 8)
+        with pytest.raises(InputDomainError, match="x_max must be"):
+            TabulatedModel(xs=xs, mu_values=1.0 - xs, sigma_values=xs,
+                           x_max=x_max)
 
     def test_verhulst_pearl_is_unit_theta_general_logistic(self):
         vp = VerhulstPearl(mu_bar=1.3, gamma_bar=0.7, sigma_bar=0.9)

@@ -78,7 +78,7 @@ class TestSlopeIntegration:
         assert np.all(np.diff(grid.xs) < 0.0)
         assert grid.xs[-1] >= 1e-3 or grid.terminated_early
         if grid.terminated_early:
-            assert grid.slope_final < 1.0 - 1e-8
+            assert grid.slopes[-1] < 1.0 - 1e-8
 
     def test_input_validation(self, problem0):
         with pytest.raises(InputDomainError):
@@ -108,12 +108,12 @@ class TestPerturbationScaling:
         y = 0.3
         probe = np.array([y * (1.0 + 1e-12)])
         base = integrate_slope(problem1, 0.6, 0.0, y, forced_nodes=probe,
-                               stop_on_dip=False).slope_final
+                               stop_on_dip=False).slopes[-1]
         ratios = []
         for delta in (1e-2, 1e-3, 1e-4):
             moved = integrate_slope(problem1, 0.6 + delta, 0.0, y,
                                     forced_nodes=probe,
-                                    stop_on_dip=False).slope_final
+                                    stop_on_dip=False).slopes[-1]
             ratios.append(abs(moved - base) / delta)
         assert max(ratios) <= 1.1 * min(ratios)
 
@@ -154,7 +154,7 @@ class TestClassification:
         assert grid.slopes[0] == 1.0
         assert np.all(np.diff(grid.xs) < 0.0)
         if grid.terminated_early:
-            assert grid.slope_final < 1.0 - 1e-8
+            assert grid.slopes[-1] < 1.0 - 1e-8
 
 
 class TestThresholdSolve:

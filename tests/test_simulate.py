@@ -3,61 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ergharvest import (AmbiguityProblem, InputDomainError, SimConfig,
                         SimulationAbortError, estimate_payoff,
-                        minimizing_kernel, path_rng, reflect_step,
-                        simulate_path, solve_threshold, x0_independence_check)
+                        minimizing_kernel, path_rng, simulate_path,
+                        solve_threshold, x0_independence_check)
 from ergharvest import simulate
 
 import oracles
-
-
-class TestReflectStep:
-    def test_no_motion(self):
-        assert reflect_step(0.5, 0.0, 0.0, 1.0) == (0.5, 0.0)
-
-    def test_overshoot_harvested(self):
-        x_next, dz = reflect_step(0.9, 0.15, 0.15, 1.0)
-        assert x_next == 1.0
-        assert dz == pytest.approx(0.2)
-
-    def test_negative_proposal_clipped_without_harvest(self):
-        x_next, dz = reflect_step(0.1, -0.5, 0.0, 1.0)
-        assert x_next == 0.0
-        assert dz == 0.0
-
-    @settings(max_examples=300, deadline=None)
-    @given(x=st.floats(0.0, 1.0), drift=st.floats(-2.0, 2.0),
-           noise=st.floats(-2.0, 2.0))
-    def test_projection_properties(self, x, drift, noise):
-        beta = 1.0
-        x_next, dz = reflect_step(x, drift, noise, beta)
-        proposed = x + drift + noise
-        assert 0.0 <= x_next <= beta
-        assert dz >= 0.0
-        if proposed > beta:
-            # Harvest only at the boundary and only by the overshoot.
-            assert x_next == beta
-            assert dz == pytest.approx(proposed - beta, abs=1e-12)
-        elif proposed >= 0.0:
-            assert dz == 0.0
-            assert x_next == pytest.approx(proposed, abs=1e-12)
-        else:
-            assert x_next == 0.0
-            assert dz == 0.0
-
-    def test_vectorized_matches_scalar(self):
-        xs = np.array([0.2, 0.9, 0.99])
-        drifts = np.array([0.0, 0.2, -1.5])
-        noises = np.array([0.05, 0.0, 0.0])
-        xn, dz = reflect_step(xs, drifts, noises, 1.0)
-        for i in range(3):
-            sx, sdz = reflect_step(float(xs[i]), float(drifts[i]),
-                                   float(noises[i]), 1.0)
-            assert xn[i] == sx and dz[i] == sdz
 
 
 class TestWorstCaseKernel:

@@ -64,6 +64,12 @@ class TestSweep:
         with pytest.raises(InputDomainError):
             sweep(vp_model, [-1.0, 0.5])
 
+    @pytest.mark.parametrize("grid", [[float("nan")], [0.5, float("inf")]])
+    def test_non_finite_level_rejected(self, vp_model, grid):
+        # Caught before any row is solved, not reported as a failed row.
+        with pytest.raises(InputDomainError, match="'epsilon' must be"):
+            sweep(vp_model, grid)
+
     def test_failed_row_is_flagged_and_sweep_continues(self):
         # Decreasing noise scale violates (A1); the solve refuses, the row is
         # flagged, and later rows still solve.
