@@ -55,51 +55,76 @@ def write_fd_csv(path, sol: ThresholdSolution):
                  (g.fd_x, g.fd_h, g.fd_slope_minus, g.fd_slope_plus))
 
 
+def write_solution(out, sol: ThresholdSolution):
+    """A solution's two CSVs in directory ``out``; see ``load_solution``."""
+    write_solution_csv(out / SOLUTION_CSV, sol)
+    write_fd_csv(out / FD_CSV, sol)
+
+
+def solution_block(sol: ThresholdSolution) -> dict:
+    """The ``solution`` block of ``summary.json``; see ``load_solution``."""
+    return {
+        "beta_eps": sol.threshold,
+        "ell_eps": sol.long_run_yield,
+        "iterations": sol.iterations,
+        "beta_tolerance": sol.beta_tolerance,
+        "x_min": sol.x_min,
+        "regime": sol.regime,
+    }
+
+
 def _read_csv(path, columns):
+    """Float columns of a CSV table headed by ``columns``; a missing, empty,
+    ragged or non-numeric table raises ``MissingInputError`` naming it."""
     p = Path(path)
     if not p.exists():
         raise MissingInputError(f"required file {p} is missing")
     with open(p, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
         if header != columns:
             raise MissingInputError(
                 f"{p} has columns {header}, expected {columns}")
-        rows = [[float(v) for v in row] for row in r]
+        try:
+            rows = [[float(v) for v in row] for row in r]
+        except ValueError as exc:
+            raise MissingInputError(f"{p} holds a non-number: {exc}")
+    if not rows or any(len(row) != len(columns) for row in rows):
+        raise MissingInputError(
+            f"{p} needs one or more rows of {len(columns)} values")
     return [np.array(col) for col in zip(*rows)]
 
 
 def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
-    """Rebuild a usable solution from persisted artifacts.
+    """Rebuild the solution that ``write_solution`` and ``solution_block``
+    persisted in ``run_dir``.
 
-    The solve's nodes are the grid of ``solution.csv`` and the
-    finite-difference companions x +/- h of ``vprime_fd.csv``, with their
-    slopes, and ``PotentialGrid.from_slopes`` assembles the potential from
-    them as the solve does, so the reloaded potential is the solve's bit for
-    bit by construction.  Without ``vprime_fd.csv`` the reload interpolates
-    on the grid alone, and its slope and value differ from the solve's in
-    about the tenth digit.
+    The solve's nodes are the grid of ``solution.csv`` and the companions
+    x +/- h of ``vprime_fd.csv``, with their slopes, and
+    ``PotentialGrid.from_slopes`` assembles the potential from them as the
+    solve does, so the reload is the solve's potential bit for bit and its
+    ``solution_block`` is the solve's; only the probe trace is not kept.
+    A missing or malformed file raises ``MissingInputError``.
     """
     run = Path(run_dir)
     summary_path = run / SUMMARY_JSON
     if not summary_path.exists():
         raise MissingInputError(f"required file {summary_path} is missing")
-    summary = json.loads(summary_path.read_text())
     try:
-        threshold = float(summary["solution"]["beta_eps"])
-        long_run_yield = float(summary["solution"]["ell_eps"])
-        regime = summary["solution"]["regime"]
-    except KeyError as exc:
-        raise MissingInputError(f"{summary_path} lacks a solution block: {exc}")
+        block = json.loads(summary_path.read_text())["solution"]
+        threshold = float(block["beta_eps"])
+        long_run_yield = float(block["ell_eps"])
+        iterations = int(block["iterations"])
+        beta_tolerance = float(block["beta_tolerance"])
+        regime = block["regime"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MissingInputError(
+            f"{summary_path} lacks a readable solution block: {exc}")
 
     xs, _, vps = _read_csv(run / SOLUTION_CSV, ["x", "v", "vprime"])
+    fd_x, fd_h, fd_lo, fd_hi = _read_csv(
+        run / FD_CSV, ["x", "h", "vprime_minus", "vprime_plus"])
     left = xs <= threshold
-    fd_path = run / FD_CSV
-    if fd_path.exists():
-        fd_x, fd_h, fd_lo, fd_hi = _read_csv(
-            fd_path, ["x", "h", "vprime_minus", "vprime_plus"])
-    else:
-        fd_x = fd_h = fd_lo = fd_hi = np.array([])
     known = ((xs[left], vps[left]), (fd_x - fd_h, fd_lo), (fd_x + fd_h, fd_hi))
     nodes_x = np.unique(np.concatenate([x for x, _ in known]))
     nodes_slope = np.empty_like(nodes_x)
@@ -109,8 +134,8 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
                                      xs[left], xs[~left], fd_x, fd_h)
     return ThresholdSolution(
         problem=problem, threshold=threshold, long_run_yield=long_run_yield,
-        grid=grid, bisection_trace=(), beta_tolerance=float("nan"),
-        regime=regime)
+        grid=grid, bisection_trace=(), iterations=iterations,
+        beta_tolerance=beta_tolerance, regime=regime)
 
 
 def write_paths_csv(path, per_path):

@@ -105,22 +105,22 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _base_summary(cfg: RunConfig, problem: AmbiguityProblem) -> dict:
-    return {
-        "version": __version__,
-        "seed": cfg.seed,
-        "config": cfg.resolved,
-        "problem": {
+def _summary(cfg: RunConfig, problem: AmbiguityProblem | None,
+             **blocks) -> dict:
+    """``summary.json``: version, seed, config, problem if any, ``blocks``."""
+    summary = {"version": __version__, "seed": cfg.seed,
+               "config": cfg.resolved, **blocks}
+    if problem is not None:
+        summary["problem"] = {
             "epsilon": problem.epsilon,
             "x_eps": problem.drift_peak,
             "x_bar_eps": problem.drift_zero,
             "x_max": problem.x_max,
-        },
-    }
+        }
+    return summary
 
 
-def cmd_check(args) -> int:
-    cfg = _load(args)
+def cmd_check(args, cfg: RunConfig) -> int:
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
     report = check_assumptions(problem)
     print(f"model: {cfg.model.family}  epsilon: {problem.epsilon}")
@@ -148,30 +148,16 @@ def cmd_check(args) -> int:
     return EXIT_ASSUMPTION
 
 
-def _solution_summary(sol) -> dict:
-    return {
-        "beta_eps": sol.threshold,
-        "ell_eps": sol.long_run_yield,
-        "iterations": sol.iterations,
-        "beta_tolerance": sol.beta_tolerance,
-        "x_min": sol.x_min,
-        "regime": sol.regime,
-    }
-
-
-def cmd_solve(args) -> int:
-    cfg = _load(args)
+def cmd_solve(args, cfg: RunConfig) -> int:
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
     sol = solve_threshold(problem, **cfg.solver)
     report = verify_solution(problem, sol)
     out = _outdir(cfg)
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
-    artifacts.write_solution_csv(out / artifacts.SOLUTION_CSV, sol)
-    artifacts.write_fd_csv(out / artifacts.FD_CSV, sol)
-    summary = _base_summary(cfg, problem)
-    summary["solution"] = _solution_summary(sol)
-    summary["hjb"] = dataclasses.asdict(report)
-    artifacts.write_json(out / artifacts.SUMMARY_JSON, summary)
+    artifacts.write_solution(out, sol)
+    artifacts.write_json(out / artifacts.SUMMARY_JSON, _summary(
+        cfg, problem, solution=artifacts.solution_block(sol),
+        hjb=dataclasses.asdict(report)))
     print(f"beta = {sol.threshold!r}   (bracket: {problem.drift_peak!r} .. "
           f"{problem.drift_zero!r})")
     print(f"ell  = {sol.long_run_yield!r}   iterations = {sol.iterations}")
@@ -184,16 +170,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK if report.verdict else EXIT_NUMERIC
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
+def cmd_simulate(args, cfg: RunConfig) -> int:
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
     out = _outdir(cfg)
     if args.no_inline_solve:
         sol = artifacts.load_solution(out, problem)
     else:
         sol = solve_threshold(problem, **cfg.solver)
-        artifacts.write_solution_csv(out / artifacts.SOLUTION_CSV, sol)
-        artifacts.write_fd_csv(out / artifacts.FD_CSV, sol)
+        artifacts.write_solution(out, sol)
     sim = dict(cfg.sim)
     ci_multiple = sim.pop("ci_multiple")
     sim["x0"] = sol.threshold if sim["x0"] is None else sim["x0"]
@@ -207,9 +191,7 @@ def cmd_simulate(args) -> int:
     ell = sol.long_run_yield
     gap = est.mean - ell
     ci = ci_multiple * est.std_error
-    summary = _base_summary(cfg, problem)
-    summary["solution"] = _solution_summary(sol)
-    summary["simulation"] = {
+    simulation = {
         "measure": simcfg.measure,
         "x0": simcfg.x0,
         "mean": est.mean,
@@ -227,7 +209,9 @@ def cmd_simulate(args) -> int:
         "floor_clamps": sum(s.floor_clamps for s in est.per_path),
         "max_x": max(s.max_x for s in est.per_path if not s.aborted),
     }
-    artifacts.write_json(out / artifacts.SUMMARY_JSON, summary)
+    artifacts.write_json(out / artifacts.SUMMARY_JSON, _summary(
+        cfg, problem, solution=artifacts.solution_block(sol),
+        simulation=simulation))
     print(f"measure = {simcfg.measure}   x0 = {simcfg.x0!r}   "
           f"paths = {est.n_paths} (aborted {est.n_aborted})")
     print(f"payoff  = {est.mean!r} +- {est.std_error!r} (SE)")
@@ -248,8 +232,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
+def cmd_sweep(args, cfg: RunConfig) -> int:
     grid = cfg.eps_grid if cfg.eps_grid is not None else (_epsilon(cfg),)
     rows = sweep(cfg.model, grid, **cfg.solver)
     report = monotonicity_report(rows)
@@ -257,16 +240,10 @@ def cmd_sweep(args) -> int:
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
     artifacts.write_sweep_csv(out / artifacts.SWEEP_CSV, rows)
     artifacts.write_plot_script(out / artifacts.PLOT_SCRIPT)
-    summary = {
-        "version": __version__,
-        "seed": cfg.seed,
-        "config": cfg.resolved,
-        "rows": [dataclasses.asdict(r) for r in rows],
-        "monotone": report.passed,
-        "slack": report.slack,
-        "ell_slack": report.ell_slack,
-    }
-    artifacts.write_json(out / artifacts.SUMMARY_JSON, summary)
+    artifacts.write_json(out / artifacts.SUMMARY_JSON, _summary(
+        cfg, None, rows=[dataclasses.asdict(r) for r in rows],
+        monotone=report.passed, slack=report.slack,
+        ell_slack=report.ell_slack))
     print(f"{'epsilon':>10} {'x_eps':>12} {'x_bar_eps':>12} {'beta_eps':>12} "
           f"{'ell_eps':>12} {'iters':>6}")
     for r in rows:
@@ -283,8 +260,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _load(args)
+def cmd_verify(args, cfg: RunConfig) -> int:
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
     out = _outdir(cfg)
     sol = artifacts.load_solution(out, problem)
@@ -300,7 +276,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -102,8 +102,6 @@ def parse_config(raw: dict) -> RunConfig:
     params = mblock.get("params", {})
     _require(isinstance(params, dict), "'model.params' must be an object")
     x_max = mblock.get("x_max")
-    _require(x_max is None or (_is_number(x_max) and x_max > 0),
-             "'model.x_max' must be a positive finite number")
     try:
         model = model_from_config(family, params, x_max)
     except Exception as exc:

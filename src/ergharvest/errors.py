@@ -68,7 +68,7 @@ class MonotonicityViolationError(NumericsError):
 
 
 class MissingInputError(ErgharvestError, FileNotFoundError):
-    """A required input artifact (e.g. persisted solution) is absent."""
+    """A required input artifact is absent or malformed."""
 
 
 class SimulationAbortError(NumericsError):

@@ -89,7 +89,8 @@ class HjbReport:
     left residual uses the identity-based curvature and mainly captures
     assembly and rounding noise; ``fd_max_disagreement`` is the independent
     certification of that curvature, measured as |fd - ode| / (1 + |ode|)
-    over the recorded companion nodes.
+    over the recorded companion nodes.  Every solution carries companions,
+    so that check always runs and a NaN disagreement fails it.
     """
 
     max_abs_residual_left: float
@@ -126,7 +127,8 @@ def verify_solution(problem: AmbiguityProblem,
     """Audit a threshold solution against the free-boundary system.
 
     Residuals are evaluated on the solution's own grid (log-spaced below the
-    threshold, linear above).
+    threshold, linear above); the curvature is cross-checked by finite
+    differences on the companion nodes, which a solve and a reload both have.
     """
     grid = sol.grid
     beta = sol.threshold
@@ -144,12 +146,9 @@ def verify_solution(problem: AmbiguityProblem,
     pasting_slope = abs(float(sol.vprime(beta)) - 1.0)
     pasting_curv = abs(float(sol.vsecond(beta)))
 
-    if grid.fd_x.size:
-        v2_fd = (grid.fd_slope_plus - grid.fd_slope_minus) / (2.0 * grid.fd_h)
-        v2_ode = sol.vsecond(grid.fd_x)
-        fd_gap = float(np.max(np.abs(v2_fd - v2_ode) / (1.0 + np.abs(v2_ode))))
-    else:
-        fd_gap = float("nan")
+    v2_fd = (grid.fd_slope_plus - grid.fd_slope_minus) / (2.0 * grid.fd_h)
+    v2_ode = sol.vsecond(grid.fd_x)
+    fd_gap = float(np.max(np.abs(v2_fd - v2_ode) / (1.0 + np.abs(v2_ode))))
 
     t = TOLERANCES
     verdict = (residual_left <= t["residual_left"]
@@ -157,7 +156,7 @@ def verify_solution(problem: AmbiguityProblem,
                and min_vprime >= 1.0 - t["vprime"]
                and pasting_slope <= t["pasting_slope"]
                and pasting_curv <= t["pasting_curvature"]
-               and (not np.isfinite(fd_gap) or fd_gap <= t["fd_agreement"]))
+               and fd_gap <= t["fd_agreement"])
     return HjbReport(
         max_abs_residual_left=residual_left, max_excess_right=excess_right,
         min_vprime_left=min_vprime, pasting_slope_gap=pasting_slope,

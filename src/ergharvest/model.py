@@ -49,7 +49,8 @@ _N_DIVERGENCE = 8192    # log-grid nodes of the scale-divergence heuristic
 
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
-        if isinstance(value, bool) or not 0.0 < value < math.inf:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0.0 < value < math.inf):
             raise InputDomainError(
                 f"{name} must be a positive finite number, got {value!r}")
 
@@ -86,11 +87,6 @@ class GeneralLogistic:
                           sigma_bar=self.sigma_bar, theta=self.theta)
         if self.x_max is not None:
             _require_positive(x_max=self.x_max)
-
-    @property
-    def params(self):
-        return {"mu_bar": self.mu_bar, "gamma_bar": self.gamma_bar,
-                "sigma_bar": self.sigma_bar, "theta": self.theta}
 
     def mu(self, x):
         y = self.gamma_bar * x
@@ -139,11 +135,6 @@ class VerhulstPearl(GeneralLogistic):
 
     family = "verhulst_pearl"
 
-    @property
-    def params(self):
-        return {"mu_bar": self.mu_bar, "gamma_bar": self.gamma_bar,
-                "sigma_bar": self.sigma_bar}
-
     def analytic_bracket(self, epsilon):
         peak = self.mu_bar / (2.0 * self.mu_bar * self.gamma_bar
                               + epsilon * self.sigma_bar ** 2)
@@ -187,11 +178,6 @@ class TabulatedModel:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "mu_values", mu)
         object.__setattr__(self, "sigma_values", sg)
-
-    @property
-    def params(self):
-        return {"n_points": int(self.xs.size),
-                "x_lo": float(self.xs[0]), "x_hi": float(self.xs[-1])}
 
     @cached_property
     def _mu_interp(self):

@@ -511,7 +511,9 @@ def build_potential(problem: AmbiguityProblem,
 class ThresholdSolution:
     """Optimal threshold, long-run yield, and the tabulated potential.
 
-    ``bisection_trace`` holds the search probes as (b, "in"/"out");
+    ``bisection_trace`` holds the search probes as (b, "in"/"out") and
+    ``iterations`` their number; a solution reloaded by
+    ``artifacts.load_solution`` keeps the count and an empty trace.
     ``regime`` is ``"interior"`` or ``"extinction_bound"`` (see
     ``solve_threshold``).
     """
@@ -521,13 +523,9 @@ class ThresholdSolution:
     long_run_yield: float
     grid: PotentialGrid
     bisection_trace: tuple
+    iterations: int
     beta_tolerance: float
     regime: str
-
-    @property
-    def iterations(self) -> int:
-        """Number of probes in ``bisection_trace``."""
-        return len(self.bisection_trace)
 
     @property
     def x_min(self) -> float:
@@ -616,4 +614,5 @@ def solve_threshold(problem: AmbiguityProblem, *,
         problem=problem, threshold=threshold,
         long_run_yield=float(problem.drift(threshold)),
         grid=build_potential(problem, threshold),
-        bisection_trace=tuple(trace), beta_tolerance=beta_tol, regime=regime)
+        bisection_trace=tuple(trace), iterations=len(trace),
+        beta_tolerance=beta_tol, regime=regime)

@@ -119,7 +119,7 @@ class TestCheck:
         ("'sim.burn_in'", {"sim": {"burn_in": False}}),
         ("'sim.x0'", {"sim": {"x0": True}}),
         ("'solver.beta_rtol'", {"solver": {"beta_rtol": True}}),
-        ("'model.x_max'", {"model": {**VP_BLOCK, "x_max": True}}),
+        ("x_max", {"model": {**VP_BLOCK, "x_max": True}}),
         ("'eps_grid'", {"epsilon": None, "eps_grid": [False, True]}),
     ], ids=["epsilon", "seed", "n_paths", "dt", "burn_in", "x0", "beta_rtol",
             "x_max", "eps_grid"])
@@ -138,7 +138,8 @@ class TestCheck:
         ("'eps_grid'", {"epsilon": None, "eps_grid": [0.0, "VALUE"]}),
         ("'sim.horizon'", {"sim": {"horizon": "VALUE"}}),
         ("'solver.beta_rtol'", {"solver": {"beta_rtol": "VALUE"}}),
-        ("'model.x_max'", {"model": {**VP_BLOCK, "x_max": "VALUE"}}),
+        ("x_max must be a positive finite number",
+         {"model": {**VP_BLOCK, "x_max": "VALUE"}}),
     ], ids=["epsilon", "eps_grid", "horizon", "beta_rtol", "x_max"])
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, key,
                                          overrides, literal):
@@ -161,7 +162,9 @@ class TestCheck:
         ("mu_bar", {"family": "verhulst_pearl",
                     "params": {"mu_bar": float("inf")}}),
         ("mu_values", _table_with_nan()),
-    ], ids=["boolean", "infinite", "tabulated_nan"])
+        ("mu_bar must be", {**VP_BLOCK, "params": {"mu_bar": "abc"}}),
+        ("x_max must be", {**VP_BLOCK, "x_max": "abc"}),
+    ], ids=["boolean", "infinite", "tabulated_nan", "string", "string_x_max"])
     def test_model_parameters_finite_and_not_boolean(self, tmp_path, capsys,
                                                      name, model):
         rc = main(["check", "--config",
@@ -328,6 +331,24 @@ class TestSolve:
                                                                 abs=1e-6)
         assert summary["config"]["solver"]["beta_rtol"] == 5e-9
 
+    def test_csv_writers_called_through_the_module(self, tmp_path,
+                                                   monkeypatch):
+        # perfbench and tools/bench_solve.py time the two writers by
+        # replacing these module attributes.
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("write_solution_csv", "write_fd_csv"):
+            monkeypatch.setattr(artifacts, name,
+                                counted(name, getattr(artifacts, name)))
+        assert main(["solve", "--config", str(write_cfg(tmp_path))]) == 0
+        assert sorted(calls) == ["write_fd_csv", "write_solution_csv"]
+
     def test_regime_reported_and_restored(self, tmp_path, capsys):
         # VP at eps=5 sits on the extinction bound: stdout gains one line,
         # summary.json records the regime and verify reads it back.
@@ -452,6 +473,25 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(cfg), "--no-inline-solve"])
         assert rc == 0
 
+    def test_no_inline_solve_needs_the_companions(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        (tmp_path / "run" / "vprime_fd.csv").unlink()
+        rc = main(["simulate", "--config", str(cfg), "--no-inline-solve"])
+        assert rc == 66
+        assert "vprime_fd.csv" in capsys.readouterr().err
+
+    def test_reload_keeps_the_solution_block(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        summary = tmp_path / "run" / "summary.json"
+        assert main(["solve", "--config", str(cfg)]) == 0
+        solved = json.loads(summary.read_text())["solution"]
+        assert main(["simulate", "--config", str(cfg),
+                     "--no-inline-solve"]) == 0
+        text = summary.read_text()
+        assert "NaN" not in text
+        assert json.loads(text)["solution"] == solved
+
     def test_reloaded_run_writes_the_inline_paths(self, tmp_path):
         # The worst-case table reads the slope between grid nodes, so this
         # needs the reload to be the solve's potential bit for bit.
@@ -565,33 +605,39 @@ class TestVerify:
             assert np.array_equal(getattr(restored.grid, name),
                                   getattr(sol.grid, name)), name
         assert restored.x_min == sol.x_min
+        assert (artifacts.solution_block(restored)
+                == artifacts.solution_block(sol))
         xs = np.geomspace(sol.x_min, 2.0 * sol.threshold, 20000)
         assert np.array_equal(restored.vprime(xs), sol.vprime(xs))
         assert np.array_equal(restored.v(xs), sol.v(xs))
-
-    def test_reload_without_companions_is_close(self, tmp_path,
-                                                solutions_by_eps):
-        # Without the fd companions the reload interpolates on the grid
-        # alone: the slope between nodes moves in ~1e-10.
-        problem, sol = solutions_by_eps[1.0]
-        cfg = write_cfg(tmp_path, epsilon=1.0)
-        assert main(["solve", "--config", str(cfg)]) == 0
-        (tmp_path / "run" / "vprime_fd.csv").unlink()
-        restored = artifacts.load_solution(tmp_path / "run", problem)
-        xs = np.geomspace(sol.x_min, sol.threshold, 20000)
-        np.testing.assert_allclose(restored.vprime(xs), sol.vprime(xs),
-                                   rtol=1e-9, atol=0.0)
 
     def test_verify_missing_solution(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "nowhere"))
         assert main(["verify", "--config", str(cfg)]) == 66
 
     def test_verify_without_companion_file(self, tmp_path, capsys):
-        # The curvature cross-check is skipped when companions are absent;
-        # the persisted audit still runs and passes.
+        # The companions carry the curvature cross-check: a solution
+        # without them is incomplete, not a lesser audit.
         cfg = write_cfg(tmp_path)
         assert main(["solve", "--config", str(cfg)]) == 0
+        capsys.readouterr()
         (tmp_path / "run" / "vprime_fd.csv").unlink()
-        rc = main(["verify", "--config", str(cfg)])
-        assert rc == 0
-        assert "verdict        pass" in capsys.readouterr().out
+        assert main(["verify", "--config", str(cfg)]) == 66
+        captured = capsys.readouterr()
+        assert "vprime_fd.csv" in captured.err
+        assert "verdict" not in captured.out
+
+    @pytest.mark.parametrize("name, edit", [
+        ("vprime_fd.csv", lambda text: text.splitlines(True)[0]),
+        ("solution.csv", lambda text: text.replace("\n", "\nabc", 1)),
+    ], ids=["header_only_fd", "non_numeric_cell"])
+    def test_malformed_artifact_is_missing_input(self, tmp_path, capsys,
+                                                 name, edit):
+        cfg = write_cfg(tmp_path)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        path = tmp_path / "run" / name
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        assert main(["verify", "--config", str(cfg)]) == 66
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -165,8 +166,8 @@ class TestModelFactory:
             "verhulst_pearl", {"mu_bar": 2.0, "gamma_bar": 0.5,
                                "sigma_bar": 1.5})
         assert isinstance(model, VerhulstPearl)
-        assert model.params == {"mu_bar": 2.0, "gamma_bar": 0.5,
-                                "sigma_bar": 1.5}
+        assert (model.mu_bar, model.gamma_bar, model.sigma_bar,
+                model.theta) == (2.0, 0.5, 1.5, 1.0)
 
     def test_unknown_family(self):
         with pytest.raises(InputDomainError, match="unknown model family"):
@@ -203,8 +204,7 @@ class TestModelFactory:
         peak = 1.3 / (2.0 * 1.3 * 0.7 + 2.0 * 0.9 ** 2)
         assert vp.analytic_bracket(2.0) == (peak, 2.0 * peak)
         assert gl.analytic_bracket(2.0) is None
-        assert vp.params == {"mu_bar": 1.3, "gamma_bar": 0.7,
-                             "sigma_bar": 0.9}
+        assert dataclasses.asdict(vp) == dataclasses.asdict(gl)
         with pytest.raises(TypeError):
             VerhulstPearl(theta=1.0)
 
