@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingInputError
+from .errors import InputDomainError, MissingInputError
 from .model import AmbiguityProblem
 from .shooting import PotentialGrid, ThresholdSolution
 
@@ -61,6 +61,16 @@ def write_solution(out, sol: ThresholdSolution):
     write_fd_csv(out / FD_CSV, sol)
 
 
+def problem_block(problem: AmbiguityProblem) -> dict:
+    """The ``problem`` block of ``summary.json``; ``load_solution`` checks it."""
+    return {
+        "epsilon": problem.epsilon,
+        "x_eps": problem.drift_peak,
+        "x_bar_eps": problem.drift_zero,
+        "x_max": problem.x_max,
+    }
+
+
 def solution_block(sol: ThresholdSolution) -> dict:
     """The ``solution`` block of ``summary.json``; see ``load_solution``."""
     return {
@@ -104,14 +114,19 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     ``PotentialGrid.from_slopes`` assembles the potential from them as the
     solve does, so the reload is the solve's potential bit for bit and its
     ``solution_block`` is the solve's; only the probe trace is not kept.
-    A missing or malformed file raises ``MissingInputError``.
+    A missing or malformed file raises ``MissingInputError``, and a run
+    whose ``problem`` block is not ``problem_block(problem)`` (solved at
+    another level or for another model) raises ``InputDomainError``.
     """
     run = Path(run_dir)
     summary_path = run / SUMMARY_JSON
     if not summary_path.exists():
         raise MissingInputError(f"required file {summary_path} is missing")
+    expected = problem_block(problem)
     try:
-        block = json.loads(summary_path.read_text())["solution"]
+        summary = json.loads(summary_path.read_text())
+        solved_for = {key: summary["problem"][key] for key in expected}
+        block = summary["solution"]
         threshold = float(block["beta_eps"])
         long_run_yield = float(block["ell_eps"])
         iterations = int(block["iterations"])
@@ -119,7 +134,12 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
         regime = block["regime"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MissingInputError(
-            f"{summary_path} lacks a readable solution block: {exc}")
+            f"{summary_path} lacks a readable problem or solution: {exc}")
+    for key, value in expected.items():
+        if solved_for[key] != value:
+            raise InputDomainError(
+                f"{summary_path} holds a solution for {key} = "
+                f"{solved_for[key]!r}, not the configured {value!r}")
 
     xs, _, vps = _read_csv(run / SOLUTION_CSV, ["x", "v", "vprime"])
     fd_x, fd_h, fd_lo, fd_hi = _read_csv(
@@ -184,4 +204,7 @@ unset output
 
 
 def write_json(path, payload: dict):
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: ``NaN`` and the infinities are written as ``null``."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    Path(path).write_text(json.dumps(strict, indent=2, sort_keys=True,
+                                     allow_nan=False) + "\n")

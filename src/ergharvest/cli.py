@@ -36,6 +36,15 @@ EXIT_NUMERIC = 65
 EXIT_MISSING = 66
 EXIT_INTERNAL = 70
 
+CI_MULTIPLE = 3.0  # standard errors --assert-value allows the gap
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -63,7 +72,7 @@ def _build_parser():
     # sched_getaffinity exists on Linux only.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    p_sim.add_argument("--jobs", type=int, default=cpus,
+    p_sim.add_argument("--jobs", type=_positive_int, default=cpus,
                        help="worker processes for path batches (default: the "
                             "CPUs this process may use; results do not "
                             "depend on it)")
@@ -105,19 +114,10 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _summary(cfg: RunConfig, problem: AmbiguityProblem | None,
-             **blocks) -> dict:
-    """``summary.json``: version, seed, config, problem if any, ``blocks``."""
-    summary = {"version": __version__, "seed": cfg.seed,
-               "config": cfg.resolved, **blocks}
-    if problem is not None:
-        summary["problem"] = {
-            "epsilon": problem.epsilon,
-            "x_eps": problem.drift_peak,
-            "x_bar_eps": problem.drift_zero,
-            "x_max": problem.x_max,
-        }
-    return summary
+def _summary(cfg: RunConfig, **blocks) -> dict:
+    """``summary.json``: version, seed, config and ``blocks``."""
+    return {"version": __version__, "seed": cfg.seed, "config": cfg.resolved,
+            **blocks}
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
@@ -150,13 +150,14 @@ def cmd_check(args, cfg: RunConfig) -> int:
 
 def cmd_solve(args, cfg: RunConfig) -> int:
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
-    sol = solve_threshold(problem, **cfg.solver)
+    sol = solve_threshold(problem)
     report = verify_solution(problem, sol)
     out = _outdir(cfg)
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
     artifacts.write_solution(out, sol)
     artifacts.write_json(out / artifacts.SUMMARY_JSON, _summary(
-        cfg, problem, solution=artifacts.solution_block(sol),
+        cfg, problem=artifacts.problem_block(problem),
+        solution=artifacts.solution_block(sol),
         hjb=dataclasses.asdict(report)))
     print(f"beta = {sol.threshold!r}   (bracket: {problem.drift_peak!r} .. "
           f"{problem.drift_zero!r})")
@@ -176,21 +177,20 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     if args.no_inline_solve:
         sol = artifacts.load_solution(out, problem)
     else:
-        sol = solve_threshold(problem, **cfg.solver)
+        sol = solve_threshold(problem)
         artifacts.write_solution(out, sol)
     sim = dict(cfg.sim)
-    ci_multiple = sim.pop("ci_multiple")
     sim["x0"] = sol.threshold if sim["x0"] is None else sim["x0"]
     simcfg = SimConfig(problem=problem, beta=sol.threshold, solution=sol,
                        seed=cfg.seed, **sim)
-    est = estimate_payoff(simcfg, jobs=max(1, args.jobs))
+    est = estimate_payoff(simcfg, jobs=args.jobs)
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
     artifacts.write_paths_csv(out / artifacts.PATHS_CSV, est.per_path)
     artifacts.write_histogram_csv(out / artifacts.HISTOGRAM_CSV,
                                   simcfg.beta, simcfg.n_bins, est.per_path)
     ell = sol.long_run_yield
     gap = est.mean - ell
-    ci = ci_multiple * est.std_error
+    ci = CI_MULTIPLE * est.std_error
     simulation = {
         "measure": simcfg.measure,
         "x0": simcfg.x0,
@@ -201,7 +201,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         "n_aborted": est.n_aborted,
         "ell_ref": ell,
         "gap": gap,
-        "ci_multiple": ci_multiple,
+        "ci_multiple": CI_MULTIPLE,
         "first_half_mean": est.first_half_mean,
         "second_half_mean": est.second_half_mean,
         "split_consistent": est.split_consistent,
@@ -210,8 +210,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         "max_x": max(s.max_x for s in est.per_path if not s.aborted),
     }
     artifacts.write_json(out / artifacts.SUMMARY_JSON, _summary(
-        cfg, problem, solution=artifacts.solution_block(sol),
-        simulation=simulation))
+        cfg, problem=artifacts.problem_block(problem),
+        solution=artifacts.solution_block(sol), simulation=simulation))
     print(f"measure = {simcfg.measure}   x0 = {simcfg.x0!r}   "
           f"paths = {est.n_paths} (aborted {est.n_aborted})")
     print(f"payoff  = {est.mean!r} +- {est.std_error!r} (SE)")
@@ -234,14 +234,14 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
     grid = cfg.eps_grid if cfg.eps_grid is not None else (_epsilon(cfg),)
-    rows = sweep(cfg.model, grid, **cfg.solver)
+    rows = sweep(cfg.model, grid)
     report = monotonicity_report(rows)
     out = _outdir(cfg)
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
     artifacts.write_sweep_csv(out / artifacts.SWEEP_CSV, rows)
     artifacts.write_plot_script(out / artifacts.PLOT_SCRIPT)
     artifacts.write_json(out / artifacts.SUMMARY_JSON, _summary(
-        cfg, None, rows=[dataclasses.asdict(r) for r in rows],
+        cfg, rows=[dataclasses.asdict(r) for r in rows],
         monotone=report.passed, slack=report.slack,
         ell_slack=report.ell_slack))
     print(f"{'epsilon':>10} {'x_eps':>12} {'x_bar_eps':>12} {'beta_eps':>12} "

@@ -14,26 +14,20 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import shooting
 from .errors import ConfigError, InputDomainError
 from .model import CoefficientModel, model_from_config, require_epsilon
 from .simulate import SimConfig, range_error
 
 _MODEL_KEYS = {"family", "params", "x_max"}
-_SOLVER_KEYS = {"beta_rtol"}
-_TOP_KEYS = {"model", "epsilon", "eps_grid", "solver", "sim", "seed",
-             "output_dir"}
-
-_SOLVER_DEFAULTS = {"beta_rtol": shooting.BETA_RTOL}
+_TOP_KEYS = {"model", "epsilon", "eps_grid", "sim", "seed", "output_dir"}
 
 # SimConfig's fields less the four a run supplies, with the defaults the
-# command line sets itself, plus the confidence multiple of the value check.
+# command line sets itself.
 _SIM_DEFAULTS = {
     **{f.name: f.default for f in fields(SimConfig)
        if f.name not in ("problem", "beta", "solution", "seed")},
     "x0": None,          # resolved to the solved threshold
     "measure": "worstcase",
-    "ci_multiple": 3.0,
 }
 _SIM_KEYS = set(_SIM_DEFAULTS)
 
@@ -69,7 +63,6 @@ class RunConfig:
     model_block: dict
     epsilon: float | None
     eps_grid: tuple | None
-    solver: dict
     sim: dict
     seed: int
     output_dir: str | None
@@ -81,7 +74,6 @@ class RunConfig:
             "model": self.model_block,
             "epsilon": self.epsilon,
             "eps_grid": None if self.eps_grid is None else list(self.eps_grid),
-            "solver": dict(self.solver),
             "sim": dict(self.sim),
             "seed": self.seed,
             "output_dir": self.output_dir,
@@ -123,15 +115,6 @@ def parse_config(raw: dict) -> RunConfig:
         except InputDomainError as exc:
             raise ConfigError(f"'eps_grid' must be a list of levels: {exc}")
 
-    solver = dict(_SOLVER_DEFAULTS)
-    sblock = raw.get("solver", {})
-    _require(isinstance(sblock, dict), "'solver' must be an object")
-    _reject_unknown(sblock, _SOLVER_KEYS, "'solver'")
-    for key, value in sblock.items():
-        _require(_is_number(value) and value > 0,
-                 f"'solver.{key}' must be a positive finite number")
-        solver[key] = float(value)
-
     sim = dict(_SIM_DEFAULTS)
     simblock = raw.get("sim", {})
     _require(isinstance(simblock, dict), "'sim' must be an object")
@@ -145,7 +128,6 @@ def parse_config(raw: dict) -> RunConfig:
             _require(_is_number(value), f"'sim.{key}' must be a finite number")
             value = float(value)
         sim[key] = value
-    _require(sim["ci_multiple"] > 0, "'sim.ci_multiple' must be positive")
     bad = range_error(sim)
     if bad is not None:
         raise ConfigError(f"'sim.{bad[0]}' {bad[1]}")
@@ -160,7 +142,7 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(
         model=model,
         model_block={"family": family, "params": dict(params), "x_max": x_max},
-        epsilon=epsilon, eps_grid=eps_grid, solver=solver, sim=sim, seed=seed,
+        epsilon=epsilon, eps_grid=eps_grid, sim=sim, seed=seed,
         output_dir=output_dir)
 
 

@@ -546,12 +546,11 @@ class ThresholdSolution:
                           lambda xa: 0.0, closed=True)
 
 
-def solve_threshold(problem: AmbiguityProblem, *,
-                    beta_rtol=BETA_RTOL) -> ThresholdSolution:
+def solve_threshold(problem: AmbiguityProblem) -> ThresholdSolution:
     """Root-find the optimal threshold and assemble its potential.
 
     The threshold is the ``brentq`` root of ``tail_coefficient`` to within
-    ``beta_rtol * drift_zero``, between the drift peak (never admissible)
+    ``BETA_RTOL * drift_zero``, between the drift peak (never admissible)
     and the drift zero (validated admissible).  When the drift at the peak
     exceeds c* = a^2 / (2 eps sigma_bar^2), boundaries up to b*, the root
     of lam = c*, are inadmissible without an integration, and the search
@@ -575,7 +574,7 @@ def solve_threshold(problem: AmbiguityProblem, *,
         raise AssumptionViolationError(
             f"assumption check failed: ({failure.assumption}) "
             f"{failure.name}")
-    beta_tol = beta_rtol * problem.drift_zero
+    beta_tol = BETA_RTOL * problem.drift_zero
     lo = problem.drift_peak
     hi = problem.drift_zero
     probes = {}

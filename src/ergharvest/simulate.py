@@ -510,12 +510,6 @@ class X0IndependenceReport:
     std_errors: tuple[float, ...]
     consistent: bool
 
-    def worst_pair_gap(self):
-        """Largest |mean gap| over three combined SEs (over 1 at zero SE)."""
-        gaps = [gap / (limit if limit > 0.0 else 1.0)
-                for gap, limit in _pair_gaps(self.means, self.std_errors)]
-        return max(gaps) if gaps else 0.0
-
 
 def _pair_gaps(means, ses):
     """|mean_i - mean_j| and three combined standard errors, for i < j."""

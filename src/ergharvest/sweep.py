@@ -38,7 +38,7 @@ class SweepRow:
     failure: str = ""
 
 
-def sweep(model, eps_grid, **solver_kwargs) -> list[SweepRow]:
+def sweep(model, eps_grid) -> list[SweepRow]:
     """Solve the threshold problem for every level in an ascending grid.
 
     Rows are computed independently (no cross-level state) and returned in
@@ -53,7 +53,7 @@ def sweep(model, eps_grid, **solver_kwargs) -> list[SweepRow]:
         t0 = time.perf_counter()
         try:
             problem = AmbiguityProblem.build(model, eps)
-            sol = solve_threshold(problem, **solver_kwargs)
+            sol = solve_threshold(problem)
             wall_ms = 1000.0 * (time.perf_counter() - t0)
             beta, tol = sol.threshold, sol.beta_tolerance
             rows.append(SweepRow(
@@ -106,7 +106,7 @@ def monotonicity_report(rows) -> MonotonicityReport:
     """Check that threshold and yield never increase along ascending levels.
 
     The threshold slack is ten times the widest threshold tolerance among
-    the solved rows, whatever ``beta_rtol`` the solves ran with, and the
+    the solved rows (each row's ``beta_tolerance`` as its solve ran), and the
     yield slack ten times the widest ``ell_tolerance``, the drift change
     across one threshold tolerance: monotonicity is exact for the true
     quantities, but the solver resolves them only to its tolerance, so

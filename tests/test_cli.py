@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import inspect
 import json
 import os
 from pathlib import Path
@@ -66,17 +65,24 @@ class TestCheck:
         assert rc == 64
         err = capsys.readouterr().err
         assert "extra_knob" in err and "accepted keys" in err
-        for key in ("dip_floor", "dip_tolerance", "overflow_guard"):
-            path = write_cfg(tmp_path, solver={key: 1e-8})
+        for block in ({}, {"dip_floor": 1e-8}, {"overflow_guard": 1e8}):
+            path = write_cfg(tmp_path, solver=block)
+            assert main(["check", "--config", str(path)]) == 64
+            err = capsys.readouterr().err
+            assert "'solver'" in err and "accepted keys" in err
+
+    def test_retired_tolerance_keys_rejected(self, tmp_path, capsys):
+        # The solver's tolerances are constants of the method and the
+        # --assert-value multiple is cli's: neither is a config key.
+        retired = [("'solver'", {"solver": {key: 1e-8}})
+                   for key in ("rtol", "atol", "n_grid_left", "n_grid_right",
+                               "beta_rtol")]
+        retired.append(("'ci_multiple'", {"sim": {"ci_multiple": 3.0}}))
+        for key, overrides in retired:
+            path = write_cfg(tmp_path, **overrides)
             assert main(["check", "--config", str(path)]) == 64
             err = capsys.readouterr().err
             assert key in err and "accepted keys" in err
-
-    def test_retired_tolerance_keys_rejected(self, tmp_path, capsys):
-        for key in ("rtol", "atol", "n_grid_left", "n_grid_right"):
-            path = write_cfg(tmp_path, solver={key: 1e-8})
-            assert main(["check", "--config", str(path)]) == 64
-            assert key in capsys.readouterr().err
 
     def test_no_extinction_line_at_zero_ambiguity(self, tmp_path, capsys):
         assert main(["check", "--config", str(write_cfg(tmp_path))]) == 0
@@ -118,11 +124,10 @@ class TestCheck:
         ("'sim.dt'", {"sim": {"dt": True}}),
         ("'sim.burn_in'", {"sim": {"burn_in": False}}),
         ("'sim.x0'", {"sim": {"x0": True}}),
-        ("'solver.beta_rtol'", {"solver": {"beta_rtol": True}}),
         ("x_max", {"model": {**VP_BLOCK, "x_max": True}}),
         ("'eps_grid'", {"epsilon": None, "eps_grid": [False, True]}),
-    ], ids=["epsilon", "seed", "n_paths", "dt", "burn_in", "x0", "beta_rtol",
-            "x_max", "eps_grid"])
+    ], ids=["epsilon", "seed", "n_paths", "dt", "burn_in", "x0", "x_max",
+            "eps_grid"])
     def test_booleans_are_not_numbers(self, tmp_path, capsys, key,
                                       overrides):
         # bool is an int in Python; JSON true must not read as 1.
@@ -137,10 +142,9 @@ class TestCheck:
         ("'epsilon'", {"epsilon": "VALUE"}),
         ("'eps_grid'", {"epsilon": None, "eps_grid": [0.0, "VALUE"]}),
         ("'sim.horizon'", {"sim": {"horizon": "VALUE"}}),
-        ("'solver.beta_rtol'", {"solver": {"beta_rtol": "VALUE"}}),
         ("x_max must be a positive finite number",
          {"model": {**VP_BLOCK, "x_max": "VALUE"}}),
-    ], ids=["epsilon", "eps_grid", "horizon", "beta_rtol", "x_max"])
+    ], ids=["epsilon", "eps_grid", "horizon", "x_max"])
     def test_non_finite_numbers_rejected(self, tmp_path, capsys, key,
                                          overrides, literal):
         # Python's json reads all four literals as non-finite floats.
@@ -243,15 +247,7 @@ class TestSimRanges:
     def test_config_keys_are_the_sim_fields(self):
         run_supplied = {"problem", "beta", "solution", "seed"}
         fields = {f.name for f in dataclasses.fields(SimConfig)}
-        assert config._SIM_KEYS == fields - run_supplied | {"ci_multiple"}
-
-
-class TestSolverKeys:
-    def test_config_keys_are_the_solver_keywords(self):
-        params = inspect.signature(solve_threshold).parameters.values()
-        keywords = {p.name for p in params if p.kind is p.KEYWORD_ONLY}
-        assert keywords == config._SOLVER_KEYS
-        assert set(config._SOLVER_DEFAULTS) == config._SOLVER_KEYS
+        assert config._SIM_KEYS == fields - run_supplied
 
 
 def _real_table():
@@ -299,6 +295,13 @@ class TestJobsDefault:
             parser.parse_args(["solve", "--config", "c.json", "--jobs", "2"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+        for value in ("0", "-4"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["simulate", "--config", "c.json",
+                                   "--jobs", value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--jobs" in err and "positive integer" in err
 
     def test_works_without_sched_getaffinity(self, tmp_path, capsys,
                                              monkeypatch):
@@ -329,7 +332,8 @@ class TestSolve:
         assert summary["hjb"]["verdict"] is True
         assert summary["solution"]["beta_eps"] == pytest.approx(0.7968121,
                                                                 abs=1e-6)
-        assert summary["config"]["solver"]["beta_rtol"] == 5e-9
+        assert "solver" not in summary["config"]
+        assert "ci_multiple" not in summary["config"]["sim"]
 
     def test_csv_writers_called_through_the_module(self, tmp_path,
                                                    monkeypatch):
@@ -580,6 +584,22 @@ class TestSweepCommand:
         cfg = write_cfg(tmp_path, eps_grid=[0.0], epsilon=None)
         assert main(["sweep", "--config", str(cfg)]) == 0
 
+    def test_failed_levels_write_strict_json(self, tmp_path):
+        # theta = 1/2 fails (A1) at every level, so every row is NaN.
+        model = {"family": "general_logistic", "params": {"theta": 0.5}}
+        cfg = write_cfg(tmp_path, model=model, eps_grid=[0.0, 1.0],
+                        epsilon=None)
+        assert main(["sweep", "--config", str(cfg)]) == 65
+
+        def refuse(literal):
+            raise ValueError(f"non-standard JSON constant {literal}")
+
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert [r["failed"] for r in summary["rows"]] == [True, True]
+        assert all(r["beta_eps"] is None and r["beta_tolerance"] is None
+                   for r in summary["rows"])
+
 
 class TestVerify:
     def test_verify_persisted_solution(self, tmp_path, capsys):
@@ -610,6 +630,20 @@ class TestVerify:
         xs = np.geomspace(sol.x_min, 2.0 * sol.threshold, 20000)
         assert np.array_equal(restored.vprime(xs), sol.vprime(xs))
         assert np.array_equal(restored.v(xs), sol.v(xs))
+
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["simulate", "--no-inline-solve"]],
+        ids=["verify", "simulate"])
+    def test_reload_refuses_another_problem(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, epsilon=1.0)
+        assert main(["solve", "--config", str(cfg)]) == 0
+        run = tmp_path / "run"
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg), "--eps", "0.5"]) == 64
+        err = capsys.readouterr().err
+        assert "epsilon = 1.0" in err and "0.5" in err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     def test_verify_missing_solution(self, tmp_path):
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "nowhere"))

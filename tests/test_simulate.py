@@ -382,7 +382,6 @@ class TestX0Independence:
         beta = sol0.threshold
         report = x0_independence_check(cfg, [0.1 * beta, beta, 2.0 * beta])
         assert report.consistent
-        assert report.worst_pair_gap() <= 1.0
 
     def test_batched_starts_equal_separate_runs(self, problem0, sol0):
         cfg = _small_cfg(problem0, sol0, n_paths=8, horizon=4.0)
@@ -408,8 +407,7 @@ class TestX0Independence:
             x0_independence_check(cfg, [sol0.threshold] * 9 + [math.inf])
 
     def test_zero_standard_errors_compare_raw_gaps(self, problem0, sol0):
-        # One path per start: no SE, so any gap is inconsistent and the
-        # worst gap is reported unscaled.
+        # One path per start: no SE, so any gap is inconsistent.
         cfg = _small_cfg(problem0, sol0, n_paths=1, horizon=2.0)
         beta = sol0.threshold
         report = x0_independence_check(cfg, [0.1 * beta, beta, 2.0 * beta])
@@ -418,7 +416,6 @@ class TestX0Independence:
         gaps = [abs(m[0] - m[1]), abs(m[0] - m[2]), abs(m[1] - m[2])]
         assert max(gaps) > 0.0
         assert not report.consistent
-        assert report.worst_pair_gap() == max(gaps)
 
     def test_start_above_boundary_projects_immediately(self, problem0, sol0):
         cfg = _small_cfg(problem0, sol0, n_paths=2, horizon=2.0,

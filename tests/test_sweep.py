@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ergharvest import (AmbiguityProblem, InputDomainError, TabulatedModel,
-                        monotonicity_report, solve_threshold, sweep)
+                        monotonicity_report, shooting, solve_threshold, sweep)
 
 import oracles
 
@@ -122,10 +122,13 @@ class TestMonotonicityReport:
         assert report.ell_violations and not report.beta_violations
         assert any("yield slack" in line for line in report.lines())
 
-    def test_slack_follows_the_configured_tolerance(self, vp_model):
-        # A coarse beta_rtol leaves adjacent thresholds 2e-5 apart on a grid
+    def test_slack_follows_the_configured_tolerance(self, vp_model,
+                                                     monkeypatch):
+        # A coarse BETA_RTOL leaves adjacent thresholds 2e-5 apart on a grid
         # this fine; the module default's slack would be 3e-8.
-        rows = sweep(vp_model, [1.0, 1.0001, 1.0002, 1.0003], beta_rtol=1e-4)
+        monkeypatch.setattr(shooting, "BETA_RTOL", 1e-4)
+        rows = sweep(vp_model, [1.0, 1.0001, 1.0002, 1.0003])
+        assert all(r.beta_tolerance == 1e-4 * r.x_bar_eps for r in rows)
         report = monotonicity_report(rows)
         assert report.slack == 10.0 * max(r.beta_tolerance for r in rows)
         assert report.passed
