@@ -19,10 +19,9 @@ from .model import (AmbiguityProblem, AssumptionCheck, AssumptionReport,
                     GeneralLogistic, TabulatedModel, VerhulstPearl,
                     bracket_points, check_assumptions, model_from_config,
                     scale_density)
-from .shooting import (BoundaryClass, PotentialGrid, ShootingGrid,
-                       ThresholdSolution, build_potential, classify_boundary,
-                       cole_hopf_slope, integrate_slope, slope_above_boundary,
-                       solve_threshold, tail_coefficient)
+from .shooting import (BoundaryClass, PotentialGrid, ThresholdSolution,
+                       build_potential, classify_boundary, cole_hopf_slope,
+                       integrate_slope, solve_threshold, tail_coefficient)
 from .simulate import (PathStats, PayoffEstimate, SimConfig,
                        X0IndependenceReport, estimate_payoff, path_rng,
                        simulate_path, x0_independence_check)

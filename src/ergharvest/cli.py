@@ -46,8 +46,19 @@ def _positive_int(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit ``EXIT_USAGE``, not argparse's 2.
+
+    Exit 2 is ``EXIT_ASSUMPTION``; subparsers inherit this class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ergharvest",
         description="Robust ergodic harvesting: solve, verify, simulate.")
     parser.add_argument("--version", action="version", version=__version__)

@@ -32,9 +32,8 @@ import numpy as np
 from . import ivp
 from .errors import InputDomainError
 from .model import AmbiguityProblem
-from .shooting import (DIP_FLOOR, ShootingGrid, ThresholdSolution,
-                       _piecewise, _slope_rhs, integrate_slope,
-                       tail_coefficient)
+from .shooting import (DIP_FLOOR, ThresholdSolution, _piecewise, _slope_rhs,
+                       integrate_slope, tail_coefficient)
 
 __all__ = [
     "HjbReport",
@@ -184,7 +183,7 @@ class TruncatedPotential:
     dip_x: float
     slope_at_dip: float
     yield_ref: float
-    grid: ShootingGrid
+    grid: ivp.IntegrationResult
     dips_below_one: bool
 
     def vprime(self, x):
@@ -192,8 +191,8 @@ class TruncatedPotential:
         return _piecewise(
             x, self.dip_x,
             lambda xb: self.slope_at_dip * (xb - self.dip_x) + 1.0,
-            lambda xa: ivp.hermite_interp(g.xs[::-1], g.slopes[::-1],
-                                          g.slope_derivs[::-1], xa))
+            lambda xa: ivp.hermite_interp(g.xs[::-1], g.ys[::-1],
+                                          g.dys[::-1], xa))
 
     def vsecond(self, problem: AmbiguityProblem, x):
         """Constant under the dip, ODE identity at the boundary's level above."""
@@ -222,11 +221,11 @@ def build_truncated(problem: AmbiguityProblem, boundary: float,
             "potential")
     x_min = DIP_FLOOR * problem.drift_peak
     grid = integrate_slope(problem, boundary, 0.0, x_min)
-    if not grid.terminated_early or grid.dip_crossing is None:
+    if grid.status != "dip":
         raise InputDomainError(
             f"boundary {boundary!r} is inadmissible, but its dip lies below "
             f"the grid floor {x_min!r}")
-    alpha = float(grid.dip_crossing)
+    alpha = grid.crossing_x
     slope = float(_slope_rhs(problem, boundary, 0.0)(alpha, 1.0))
     return TruncatedPotential(
         boundary=boundary, dip_x=alpha, slope_at_dip=slope,

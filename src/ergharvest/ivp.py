@@ -12,9 +12,9 @@ time, which is what the shooting cross-checks need beyond ``solve_ivp``:
 * failures: a step the solver cannot take raises
   ``SingularIntegrationError`` carrying the last accepted state.
 
-Integration may run in either direction (the shooting solver steps
-downward).  ``hermite_eval`` and ``hermite_interp`` are the piecewise cubic
-the potential interpolates with.
+Integration may run in either direction: ``shooting.integrate_slope``
+steps down from a boundary, or up from it.  ``hermite_eval`` and
+``hermite_interp`` are the piecewise cubic the potential interpolates with.
 """
 
 from __future__ import annotations

@@ -35,10 +35,12 @@ reads the end state at the floor, ``build_potential`` the slope
 g = psi'/(1 - eps psi) at every grid node from the threshold down to
 ``DIP_FLOOR * drift_peak``, and ``cole_hopf_slope`` any boundary's slope.
 The independent cross-check, ``integrate_slope``, shoots the quadratic
-equation with DOP853 stepped through ``ivp.integrate``;
-``classify_boundary`` keeps its dip verdict down to a fixed floor: a dip
-below one is inadmissible, and growth past the overflow guard counts as
-admissible with a warning.
+equation with DOP853 stepped through ``ivp.integrate``, down from the
+boundary toward zero or up from it toward ``x_max``; every slope table, from
+either formulation, is an ``ivp.IntegrationResult``.  ``classify_boundary``
+keeps its dip verdict down to a fixed floor: a dip below one is
+inadmissible, and growth past the overflow guard counts as admissible with
+a warning.
 """
 
 from __future__ import annotations
@@ -58,12 +60,10 @@ from .errors import (AssumptionViolationError, InputDomainError,
 from .model import AmbiguityProblem, check_assumptions
 
 __all__ = [
-    "ShootingGrid",
     "BoundaryClass",
     "PotentialGrid",
     "ThresholdSolution",
     "integrate_slope",
-    "slope_above_boundary",
     "classify_boundary",
     "tail_coefficient",
     "extinction_level",
@@ -85,24 +85,6 @@ FD_STEP_ABS = 1e-6         # companion offset, relative to the threshold
 FD_STEP_REL = 2.5e-4       # companion offset cap, relative to the abscissa
 
 
-@dataclass
-class ShootingGrid:
-    """Slope solution tabulated on a descending grid from the boundary.
-
-    ``terminated_early`` marks a dip stop (final value below one minus the
-    dip tolerance); ``blew_up`` marks an overflow-guard stop.  On a dip,
-    ``dip_crossing`` is the largest abscissa where the slope crossed below
-    one, found on its step's dense output; it is a node, with slope one.
-    """
-
-    xs: np.ndarray
-    slopes: np.ndarray
-    slope_derivs: np.ndarray
-    terminated_early: bool
-    blew_up: bool
-    dip_crossing: float | None
-
-
 def _slope_rhs(problem: AmbiguityProblem, boundary: float, gamma: float):
     mu = problem.model.mu
     sigma = problem.model.sigma
@@ -117,50 +99,37 @@ def _slope_rhs(problem: AmbiguityProblem, boundary: float, gamma: float):
     return rhs
 
 
-def integrate_slope(problem: AmbiguityProblem, boundary: float, gamma: float = 0.0,
-                    x_min: float | None = None, *, forced_nodes=None,
-                    stop_on_dip=True) -> ShootingGrid:
-    """Integrate the slope ODE from the boundary down to x_min.
+def integrate_slope(problem: AmbiguityProblem, boundary: float,
+                    gamma: float = 0.0, x_end: float | None = None, *,
+                    forced_nodes=None,
+                    stop_on_dip=True) -> ivp.IntegrationResult:
+    """Integrate the slope ODE from g(boundary) = 1 toward x_end.
 
-    Steps scipy's DOP853 through ``ivp.integrate`` at that function's
-    default tolerances, and stops after the first step that ends below
-    ``1 - DIP_TOLERANCE`` (recording the unit crossing as a node) or past
-    the overflow guard.  A failed step raises ``SingularIntegrationError``.
+    ``x_end`` defaults to the floor ``DIP_FLOOR * drift_peak``; below the
+    boundary the table descends toward zero, above it the table ascends
+    toward ``x_max`` (the region where the slope must stay at or above
+    one).  Steps scipy's DOP853 through ``ivp.integrate`` at that
+    function's default tolerances, and stops after the first step that ends
+    below ``1 - DIP_TOLERANCE`` (status ``"dip"``, the unit crossing
+    recorded as a node and in ``crossing_x``) or past the overflow guard
+    (status ``"guard"``).  A failed step raises ``SingularIntegrationError``.
     """
-    if x_min is None:
-        x_min = DIP_FLOOR * problem.drift_peak
-    if not 0.0 < x_min < boundary <= problem.x_max:
+    if x_end is None:
+        x_end = DIP_FLOOR * problem.drift_peak
+    if (not (0.0 < x_end <= problem.x_max and 0.0 < boundary <= problem.x_max)
+            or x_end == boundary):
         raise InputDomainError(
-            f"need 0 < x_min < boundary <= x_max, got x_min={x_min!r}, "
-            f"boundary={boundary!r}, x_max={problem.x_max!r}")
-    res = ivp.integrate(
-        _slope_rhs(problem, boundary, gamma), boundary, 1.0, x_min,
+            f"need 0 < x_end, boundary <= x_max and x_end != boundary, got "
+            f"x_end={x_end!r}, boundary={boundary!r}, x_max={problem.x_max!r}")
+    return ivp.integrate(
+        _slope_rhs(problem, boundary, gamma), boundary, 1.0, x_end,
         forced_nodes=forced_nodes,
         dip_level=(1.0 - DIP_TOLERANCE) if stop_on_dip else None,
         crossing_level=1.0, guard=OVERFLOW_GUARD)
-    return ShootingGrid(
-        xs=res.xs, slopes=res.ys, slope_derivs=res.dys,
-        terminated_early=res.status == "dip",
-        blew_up=res.status == "guard", dip_crossing=res.crossing_x)
-
-
-def slope_above_boundary(problem: AmbiguityProblem, boundary: float,
-                         x_top: float, *, forced_nodes=None):
-    """Forward extension of the slope on (boundary, x_top]; ascending arrays.
-
-    Used by the property checks on the region above the boundary, where the
-    slope must stay at or above one.
-    """
-    if not boundary < x_top <= problem.x_max:
-        raise InputDomainError(
-            f"need boundary < x_top <= x_max, got {boundary!r}, {x_top!r}")
-    rhs = _slope_rhs(problem, boundary, 0.0)
-    res = ivp.integrate(rhs, boundary, 1.0, x_top, forced_nodes=forced_nodes)
-    return res.xs, res.ys, res.dys
 
 
 def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
-                    *, eval_xs=None) -> ShootingGrid:
+                    *, eval_xs=None) -> ivp.IntegrationResult:
     """Slope via the linear form, read off the potential's LSODA run.
 
     With phi = 1 - eps psi the Cole-Hopf base function of the slope,
@@ -202,20 +171,20 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
             crossing_x=x_cross, derivative_sign=dphi_sign)
     slopes = dpsi / eval_xs / phi
     derivs = _slope_rhs(problem, boundary, 0.0)(eval_xs, slopes)
-    return ShootingGrid(
-        xs=eval_xs, slopes=slopes, slope_derivs=derivs,
-        terminated_early=False, blew_up=False, dip_crossing=None)
+    return ivp.IntegrationResult(eval_xs, slopes, derivs, "reached")
 
 
 @dataclass(frozen=True)
 class BoundaryClass:
-    """Admissibility verdict for one candidate boundary."""
+    """Admissibility verdict for one candidate boundary.
 
-    boundary: float
+    ``grid`` is the slope table shot down from ``grid.xs[0]``, the boundary;
+    on a dip, ``grid.crossing_x`` is the slope's unit crossing.
+    """
+
     in_set: bool
-    dip_crossing: float | None
     blowup_warning: bool
-    grid: ShootingGrid
+    grid: ivp.IntegrationResult
 
 
 def classify_boundary(problem: AmbiguityProblem,
@@ -240,10 +209,8 @@ def classify_boundary(problem: AmbiguityProblem,
             f"boundary {boundary!r} exceeds the drift zero "
             f"{problem.drift_zero!r}")
     grid = integrate_slope(problem, boundary, 0.0)
-    return BoundaryClass(
-        boundary=boundary, in_set=not grid.terminated_early,
-        dip_crossing=grid.dip_crossing, blowup_warning=grid.blew_up,
-        grid=grid)
+    return BoundaryClass(in_set=grid.status != "dip",
+                         blowup_warning=grid.status == "guard", grid=grid)
 
 
 def _tail_modes(problem: AmbiguityProblem, level: float):

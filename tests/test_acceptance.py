@@ -15,9 +15,8 @@ import pytest
 
 from ergharvest import (AmbiguityProblem, SimConfig, VerhulstPearl,
                         build_truncated, cole_hopf_slope, estimate_payoff,
-                        integrate_slope, monotonicity_report,
-                        slope_above_boundary, solve_threshold, sweep,
-                        verify_solution, violation_delta,
+                        integrate_slope, monotonicity_report, solve_threshold,
+                        sweep, verify_solution, violation_delta,
                         x0_independence_check)
 from ergharvest.cli import main
 from ergharvest.shooting import BETA_RTOL
@@ -31,7 +30,7 @@ def _report(num, name, ok, detail=""):
 
 
 def _slopes_at(grid, xs):
-    table = dict(zip(grid.xs, grid.slopes))
+    table = dict(zip(grid.xs, grid.ys))
     return np.array([table[x] for x in xs])
 
 
@@ -191,9 +190,9 @@ def test_criterion_8_solver_property_suite(problem1, sol1, solutions_by_eps):
     checks["perturbation_first_order"] = max(ratios) <= 1.05 * min(ratios)
 
     # Slope at least one above any boundary in the bracket.
-    xs_up, gs_up, _ = slope_above_boundary(problem1, sol1.threshold,
-                                           problem1.drift_zero * 1.8)
-    checks["past_boundary_floor"] = bool(np.min(gs_up) >= 1.0 - 1e-9)
+    up = integrate_slope(problem1, sol1.threshold, 0.0,
+                         problem1.drift_zero * 1.8, stop_on_dip=False)
+    checks["past_boundary_floor"] = bool(np.min(up.ys) >= 1.0 - 1e-9)
 
     # Comparison ordering below the smaller boundary.
     low_nodes = np.linspace(0.42, 0.2, 23)
@@ -209,7 +208,7 @@ def test_criterion_8_solver_property_suite(problem1, sol1, solutions_by_eps):
     hs_ok = True
     for b in (0.45, 0.5, sol1.threshold):
         grid = integrate_slope(problem1, b, 0.0, sol1.x_min)
-        hs_ok &= bool(np.max(problem1.model.sigma(grid.xs) * grid.slopes)
+        hs_ok &= bool(np.max(problem1.model.sigma(grid.xs) * grid.ys)
                       <= bound)
     checks["noise_weighted_bound"] = hs_ok
 
@@ -218,9 +217,9 @@ def test_criterion_8_solver_property_suite(problem1, sol1, solutions_by_eps):
     ch = cole_hopf_slope(problem1, 0.6, 0.2, eval_xs=eval_xs)
     direct = integrate_slope(problem1, 0.6, 0.0, 0.2,
                              forced_nodes=ch.xs[1:-1])
-    table = dict(zip(direct.xs, direct.slopes))
+    table = dict(zip(direct.xs, direct.ys))
     rel = max(abs(table[x] - g) / abs(table[x])
-              for x, g in zip(ch.xs, ch.slopes) if x in table)
+              for x, g in zip(ch.xs, ch.ys) if x in table)
     checks["formulation_agreement"] = rel <= 1e-7
 
     # Bisection trace monotone for every solved level.

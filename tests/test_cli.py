@@ -293,13 +293,13 @@ class TestJobsDefault:
         assert args.jobs == 2
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["solve", "--config", "c.json", "--jobs", "2"])
-        assert exc.value.code == 2
+        assert exc.value.code == 64
         assert "--jobs" in capsys.readouterr().err
         for value in ("0", "-4"):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(["simulate", "--config", "c.json",
                                    "--jobs", value])
-            assert exc.value.code == 2
+            assert exc.value.code == 64
             err = capsys.readouterr().err
             assert "--jobs" in err and "positive integer" in err
 
@@ -314,6 +314,29 @@ class TestJobsDefault:
         assert exc.value.code == 0
         assert main(["solve", "--config", str(write_cfg(tmp_path))]) == 0
         assert "verdict        pass" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """A bad command line exits 64, apart from a failed assumption's 2.
+
+    ``TestCheck::test_constant_sigma_fails_with_a1_named`` pins the 2.
+    """
+
+    @pytest.mark.parametrize("argv", [["check", "--config", "c.json",
+                                       "--bogus"], ["solve"]],
+                             ids=["unknown-flag", "no-config"])
+    def test_usage_error_exits_64(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 64
+        assert "usage: ergharvest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["solve", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
 
 
 class TestSolve:

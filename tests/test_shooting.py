@@ -15,8 +15,7 @@ from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
                         MonotonicityViolationError, SingularIntegrationError,
                         TransformBreakdownError, VerhulstPearl,
                         classify_boundary, cole_hopf_slope, integrate_slope,
-                        ivp, shooting, slope_above_boundary, solve_threshold,
-                        tail_coefficient)
+                        ivp, shooting, solve_threshold, tail_coefficient)
 from ergharvest.shooting import BETA_RTOL
 
 import oracles
@@ -30,7 +29,7 @@ class NanBelow(VerhulstPearl):
 
 
 def slopes_at(grid, xs):
-    table = dict(zip(grid.xs, grid.slopes))
+    table = dict(zip(grid.xs, grid.ys))
     return np.array([table[x] for x in xs])
 
 
@@ -38,18 +37,18 @@ class TestSlopeIntegration:
     def test_boundary_condition_exact(self, problem0):
         grid = integrate_slope(problem0, 0.9, 0.0, 0.4)
         assert grid.xs[0] == 0.9
-        assert grid.slopes[0] == 1.0
+        assert grid.ys[0] == 1.0
 
     def test_unperturbed_derivative_vanishes_at_boundary(self, problem1):
         grid = integrate_slope(problem1, 0.5, 0.0, 0.3)
-        assert abs(grid.slope_derivs[0]) <= 1e-6
+        assert abs(grid.dys[0]) <= 1e-6
 
     def test_perturbed_derivative_matches_forcing(self, problem1):
         for gamma in (1e-3, -1e-2, 0.05):
             grid = integrate_slope(problem1, 0.5, gamma, 0.3,
                                    stop_on_dip=False)
             sigma2 = problem1.model.sigma(0.5) ** 2
-            assert 0.5 * sigma2 * grid.slope_derivs[0] == pytest.approx(
+            assert 0.5 * sigma2 * grid.dys[0] == pytest.approx(
                 gamma, rel=1e-6)
 
     def test_matches_linear_closed_form(self, problem0):
@@ -76,15 +75,24 @@ class TestSlopeIntegration:
         grid = integrate_slope(problem0, 0.7, 0.0, 1e-3)
         assert grid.xs[0] == 0.7
         assert np.all(np.diff(grid.xs) < 0.0)
-        assert grid.xs[-1] >= 1e-3 or grid.terminated_early
-        if grid.terminated_early:
-            assert grid.slopes[-1] < 1.0 - 1e-8
+        assert grid.xs[-1] >= 1e-3 or grid.status == "dip"
+        if grid.status == "dip":
+            assert grid.ys[-1] < 1.0 - 1e-8
+
+    def test_upward_from_boundary(self, problem1):
+        grid = integrate_slope(problem1, 0.6, 0.0, 0.7, stop_on_dip=False)
+        assert (grid.xs[0], grid.ys[0]) == (0.6, 1.0)
+        assert grid.xs[-1] == 0.7
+        assert np.all(np.diff(grid.xs) > 0.0)
+        assert grid.status == "reached"
 
     def test_input_validation(self, problem0):
+        # x_end at the boundary, not positive, beyond x_max, or NaN.
+        for x_end in (0.9, 0.0, -0.1, 20.0, math.nan):
+            with pytest.raises(InputDomainError):
+                integrate_slope(problem0, 0.9, 0.0, x_end)
         with pytest.raises(InputDomainError):
-            integrate_slope(problem0, 0.9, 0.0, 0.9)   # x_min >= boundary
-        with pytest.raises(InputDomainError):
-            integrate_slope(problem0, 20.0, 0.0, 0.1)  # beyond x_max
+            integrate_slope(problem0, 20.0, 0.0, 0.1)  # boundary beyond x_max
 
 
 class TestPerturbationScaling:
@@ -108,12 +116,12 @@ class TestPerturbationScaling:
         y = 0.3
         probe = np.array([y * (1.0 + 1e-12)])
         base = integrate_slope(problem1, 0.6, 0.0, y, forced_nodes=probe,
-                               stop_on_dip=False).slopes[-1]
+                               stop_on_dip=False).ys[-1]
         ratios = []
         for delta in (1e-2, 1e-3, 1e-4):
             moved = integrate_slope(problem1, 0.6 + delta, 0.0, y,
                                     forced_nodes=probe,
-                                    stop_on_dip=False).slopes[-1]
+                                    stop_on_dip=False).ys[-1]
             ratios.append(abs(moved - base) / delta)
         assert max(ratios) <= 1.1 * min(ratios)
 
@@ -130,7 +138,7 @@ class TestClassification:
         assert oracles.tail_coefficient(b) < 0.0
         verdict = classify_boundary(problem0, b)
         assert not verdict.in_set
-        assert verdict.dip_crossing is not None
+        assert verdict.grid.crossing_x is not None
 
     def test_at_or_below_peak_rejected(self, problem0):
         with pytest.raises(InputDomainError):
@@ -151,10 +159,10 @@ class TestClassification:
                                          - problem.drift_peak)
         grid = classify_boundary(problem, b).grid
         assert grid.xs[0] == b
-        assert grid.slopes[0] == 1.0
+        assert grid.ys[0] == 1.0
         assert np.all(np.diff(grid.xs) < 0.0)
-        if grid.terminated_early:
-            assert grid.slopes[-1] < 1.0 - 1e-8
+        if grid.status == "dip":
+            assert grid.ys[-1] < 1.0 - 1e-8
 
 
 class TestThresholdSolve:
@@ -368,9 +376,9 @@ class TestPotential:
 class TestAboveBoundary:
     def test_slope_stays_at_least_one(self, solutions_by_eps):
         for eps, (problem, sol) in solutions_by_eps.items():
-            xs, gs, _ = slope_above_boundary(problem, sol.threshold,
-                                             problem.drift_zero * 1.8)
-            assert np.min(gs) >= 1.0 - 1e-9
+            up = integrate_slope(problem, sol.threshold, 0.0,
+                                 problem.drift_zero * 1.8, stop_on_dip=False)
+            assert np.min(up.ys) >= 1.0 - 1e-9
 
     def test_comparison_ordering(self, problem1):
         # For peak <= a < b: g_a <= g_b below a and g_a >= g_b above b.
@@ -385,14 +393,12 @@ class TestAboveBoundary:
         assert np.all(ga_vals <= gb_vals + 1e-9)
 
         high_nodes = np.linspace(0.62, 0.66, 9)
-        ga_hi = slope_above_boundary(problem1, a, 0.661,
-                                     forced_nodes=high_nodes)
-        gb_hi = slope_above_boundary(problem1, b, 0.661,
-                                     forced_nodes=high_nodes)
-        table_a = dict(zip(ga_hi[0], ga_hi[1]))
-        table_b = dict(zip(gb_hi[0], gb_hi[1]))
-        for x in high_nodes:
-            assert table_a[x] >= table_b[x] - 1e-9
+        ga_hi = integrate_slope(problem1, a, 0.0, 0.661,
+                                forced_nodes=high_nodes, stop_on_dip=False)
+        gb_hi = integrate_slope(problem1, b, 0.0, 0.661,
+                                forced_nodes=high_nodes, stop_on_dip=False)
+        assert np.all(slopes_at(ga_hi, high_nodes)
+                      >= slopes_at(gb_hi, high_nodes) - 1e-9)
 
     def test_noise_weighted_slope_bounded_by_threshold_noise(
             self, problem1, sol1):
@@ -400,7 +406,7 @@ class TestAboveBoundary:
         bound = problem1.model.sigma(sol1.threshold) + 1e-8
         for b in (0.45, 0.5, sol1.threshold):
             grid = integrate_slope(problem1, b, 0.0, sol1.x_min)
-            hs = problem1.model.sigma(grid.xs) * grid.slopes
+            hs = problem1.model.sigma(grid.xs) * grid.ys
             assert np.max(hs) <= bound
 
 
@@ -408,16 +414,16 @@ class TestColeHopf:
     def test_boundary_condition(self, problem1):
         grid = cole_hopf_slope(problem1, 0.6, 0.2)
         assert grid.xs[0] == 0.6
-        assert grid.slopes[0] == pytest.approx(1.0, abs=1e-12)
+        assert grid.ys[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_agrees_with_direct_integration(self, problem1):
         eval_xs = np.geomspace(0.6, 0.2, 120)
         ch = cole_hopf_slope(problem1, 0.6, 0.2, eval_xs=eval_xs)
         direct = integrate_slope(problem1, 0.6, 0.0, 0.2,
                                  forced_nodes=ch.xs[1:-1])
-        table = dict(zip(direct.xs, direct.slopes))
+        table = dict(zip(direct.xs, direct.ys))
         rel = max(abs(table[x] - g) / abs(table[x])
-                  for x, g in zip(ch.xs, ch.slopes) if x in table)
+                  for x, g in zip(ch.xs, ch.ys) if x in table)
         assert rel < 1e-7
 
     def test_requires_positive_ambiguity(self, problem0):
@@ -433,7 +439,7 @@ class TestColeHopf:
         for nodes in (eval_xs[::-1], shuffled, np.tile(eval_xs, 2)):
             grid = cole_hopf_slope(problem1, 0.6, 0.2, eval_xs=nodes)
             assert np.array_equal(grid.xs, ref.xs)
-            assert np.array_equal(grid.slopes, ref.slopes)
+            assert np.array_equal(grid.ys, ref.ys)
 
     def test_breakdown_on_inadmissible_boundary(self, problem1):
         # Just above the peak the slope dives to -inf; the linear form's base
@@ -489,7 +495,7 @@ class TestLinearPotential:
         grid = sol.grid
         ref = integrate_slope(problem, sol.threshold, 0.0, grid.x_min,
                               forced_nodes=grid.grid_x[-2:0:-1])
-        assert not (ref.terminated_early or ref.blew_up)
+        assert ref.status == "reached"
         expected = slopes_at(ref, grid.grid_x)
         ours = grid.nodes_slope[np.searchsorted(grid.nodes_x, grid.grid_x)]
         assert np.max(np.abs(ours - expected) / expected) <= 1e-7
