@@ -25,7 +25,7 @@ from .errors import (AssumptionViolationError, ConfigError, ErgharvestError,
                      InputDomainError, NumericsError)
 from .hjb import verify_solution
 from .model import AmbiguityProblem, check_assumptions
-from .simulate import SimConfig, estimate_payoff
+from .simulate import CI_MULTIPLE, SimConfig, estimate_payoff
 from .shooting import extinction_level, solve_threshold
 from .sweep import monotonicity_report, sweep
 
@@ -35,8 +35,6 @@ EXIT_USAGE = 64
 EXIT_NUMERIC = 65
 EXIT_MISSING = 66
 EXIT_INTERNAL = 70
-
-CI_MULTIPLE = 3.0  # standard errors --assert-value allows the gap
 
 
 def _positive_int(text):
@@ -144,8 +142,9 @@ def cmd_check(args, cfg: RunConfig) -> int:
         mark = "pass" if c.passed else "FAIL"
         print(f"  ({c.assumption}) {c.name}: {mark}  [{c.detail}]")
     if report.all_passed:
+        # The solver's own precondition (a > 0), asked at every level.
+        c_star, b_star = extinction_level(problem)
         if problem.epsilon > 0.0:
-            c_star, b_star = extinction_level(problem)
             lam_peak = float(problem.drift(problem.drift_peak))
             line = f"lam_eps(peak) = {lam_peak!r}  c* = {c_star!r}"
             if b_star is not None:
@@ -162,7 +161,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
 def cmd_solve(args, cfg: RunConfig) -> int:
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
     sol = solve_threshold(problem)
-    report = verify_solution(problem, sol)
+    report = verify_solution(sol)
     out = _outdir(cfg)
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
     artifacts.write_solution(out, sol)
@@ -203,19 +202,13 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     gap = est.mean - ell
     ci = CI_MULTIPLE * est.std_error
     simulation = {
+        **{f.name: getattr(est, f.name) for f in dataclasses.fields(est)
+           if f.name != "per_path"},
         "measure": simcfg.measure,
         "x0": simcfg.x0,
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "se_defined": est.se_defined,
-        "n_paths": est.n_paths,
-        "n_aborted": est.n_aborted,
         "ell_ref": ell,
         "gap": gap,
         "ci_multiple": CI_MULTIPLE,
-        "first_half_mean": est.first_half_mean,
-        "second_half_mean": est.second_half_mean,
-        "split_consistent": est.split_consistent,
         "negative_proposals": sum(s.negative_proposals for s in est.per_path),
         "floor_clamps": sum(s.floor_clamps for s in est.per_path),
         "max_x": max(s.max_x for s in est.per_path if not s.aborted),
@@ -275,7 +268,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
     out = _outdir(cfg)
     sol = artifacts.load_solution(out, problem)
-    report = verify_solution(problem, sol)
+    report = verify_solution(sol)
     print(f"persisted solution: beta = {sol.threshold!r}, "
           f"ell = {sol.long_run_yield!r}")
     for line in report.summary_lines():

@@ -10,13 +10,13 @@ run can be reproduced from its artifacts alone.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, InputDomainError
-from .model import CoefficientModel, model_from_config, require_epsilon
-from .simulate import SimConfig, range_error
+from .model import (CoefficientModel, is_number, model_from_config,
+                    require_epsilon)
+from .simulate import SimConfig, range_error, require_seed
 
 _MODEL_KEYS = {"family", "params", "x_max"}
 _TOP_KEYS = {"model", "epsilon", "eps_grid", "sim", "seed", "output_dir"}
@@ -43,16 +43,6 @@ def _reject_unknown(section: dict, accepted: set, where: str):
 def _require(condition, message):
     if not condition:
         raise ConfigError(message)
-
-
-def _is_number(value):
-    """A finite JSON number; ``true`` is not, though ``bool`` is an ``int``.
-
-    ``json`` reads ``Infinity``, ``NaN`` and ``1e999`` as floats, and an
-    integer beyond the largest float would overflow one.
-    """
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -122,19 +112,20 @@ def parse_config(raw: dict) -> RunConfig:
     # Types here; the ranges are simulate's, checked on the filled block.
     for key, value in simblock.items():
         if isinstance(_SIM_DEFAULTS[key], int):
-            _require(_is_number(value) and isinstance(value, int),
+            _require(is_number(value) and isinstance(value, int),
                      f"'sim.{key}' must be an integer")
         elif key != "measure" and not (key == "x0" and value is None):
-            _require(_is_number(value), f"'sim.{key}' must be a finite number")
+            _require(is_number(value), f"'sim.{key}' must be a finite number")
             value = float(value)
         sim[key] = value
     bad = range_error(sim)
     if bad is not None:
         raise ConfigError(f"'sim.{bad[0]}' {bad[1]}")
 
-    seed = raw.get("seed", 0)
-    _require(_is_number(seed) and isinstance(seed, int) and seed >= 0,
-             "'seed' must be a nonnegative integer")
+    try:
+        seed = require_seed(raw.get("seed", 0))
+    except InputDomainError as exc:
+        raise ConfigError(str(exc))
     output_dir = raw.get("output_dir")
     _require(output_dir is None or isinstance(output_dir, str),
              "'output_dir' must be a string")
@@ -157,7 +148,7 @@ def load_config(path, **overrides) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"cannot parse {path}: {exc.msg} at line {exc.lineno}, "
-            f"column {exc.colno}", line=exc.lineno)
+            f"column {exc.colno}")
     if isinstance(raw, dict):  # parse_config refuses any other root
         for key, value in overrides.items():
             if isinstance(value, dict) and isinstance(raw.get(key), dict):

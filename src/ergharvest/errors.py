@@ -16,10 +16,6 @@ class InputDomainError(ErgharvestError, ValueError):
 class ConfigError(ErgharvestError, ValueError):
     """Run configuration is malformed or contains unknown keys."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
-
 
 class AssumptionViolationError(ErgharvestError, RuntimeError):
     """A structural model assumption fails where the solver requires it."""
@@ -30,12 +26,7 @@ class NumericsError(ErgharvestError, RuntimeError):
 
 
 class QuadratureError(NumericsError):
-    """Adaptive quadrature did not converge; carries diagnostics."""
-
-    def __init__(self, message, estimate=None, error_estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_estimate = error_estimate
+    """Adaptive quadrature did not converge; the message gives the estimate."""
 
 
 class SingularIntegrationError(NumericsError):

@@ -121,14 +121,15 @@ class HjbReport:
         ]
 
 
-def verify_solution(problem: AmbiguityProblem,
-                    sol: ThresholdSolution) -> HjbReport:
+def verify_solution(sol: ThresholdSolution) -> HjbReport:
     """Audit a threshold solution against the free-boundary system.
 
+    The operator is that of ``sol.problem``, the problem it was solved for.
     Residuals are evaluated on the solution's own grid (log-spaced below the
     threshold, linear above); the curvature is cross-checked by finite
     differences on the companion nodes, which a solve and a reload both have.
     """
+    problem = sol.problem
     grid = sol.grid
     beta = sol.threshold
     ell = sol.long_run_yield

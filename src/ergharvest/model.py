@@ -40,6 +40,7 @@ __all__ = [
     "bracket_points",
     "scale_density",
     "check_assumptions",
+    "is_number",
     "model_from_config",
     "require_epsilon",
 ]
@@ -47,18 +48,26 @@ __all__ = [
 _N_DIVERGENCE = 8192    # log-grid nodes of the scale-divergence heuristic
 
 
+def is_number(value) -> bool:
+    """A finite real number; ``True`` is not, though ``bool`` is an ``int``.
+
+    ``json`` reads ``Infinity``, ``NaN`` and ``1e999`` as floats, and an
+    integer beyond the largest float would overflow one.
+    """
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _require_positive(**kwargs):
     for name, value in kwargs.items():
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not 0.0 < value < math.inf):
+        if not (is_number(value) and value > 0.0):
             raise InputDomainError(
                 f"{name} must be a positive finite number, got {value!r}")
 
 
 def require_epsilon(epsilon) -> float:
     """The ambiguity level as a float, refused unless 0 <= epsilon < inf."""
-    if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
-            or not 0.0 <= epsilon <= sys.float_info.max):
+    if not (is_number(epsilon) and epsilon >= 0.0):
         raise InputDomainError(
             f"'epsilon' must be a finite number >= 0, got {epsilon!r}")
     return float(epsilon)
@@ -345,7 +354,7 @@ def scale_density(problem: AmbiguityProblem, x, anchor=None):
 
     ``anchor`` defaults to the drift peak.  The exponent integral is computed
     by adaptive quadrature; non-convergence raises ``QuadratureError`` with
-    the estimate and its error bound attached.
+    the estimate and its error bound in the message.
     """
     if anchor is None:
         anchor = problem.drift_peak
@@ -358,8 +367,7 @@ def scale_density(problem: AmbiguityProblem, x, anchor=None):
     if not math.isfinite(value) or err > max(1e-7, 1e-5 * abs(value)):
         raise QuadratureError(
             f"scale-density exponent quadrature did not converge on "
-            f"[{anchor}, {x}]: estimate {value}, error bound {err}",
-            estimate=value, error_estimate=err)
+            f"[{anchor}, {x}]: estimate {value}, error bound {err}")
     return math.exp(-value)
 
 

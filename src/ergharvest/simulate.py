@@ -51,6 +51,7 @@ moves a lone path's totals in the last bits, so a lone lane is run twice.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import InputDomainError, SimulationAbortError
 from .hjb import minimizing_kernel
-from .model import AmbiguityProblem
+from .model import AmbiguityProblem, is_number
 from .shooting import ThresholdSolution
 
 __all__ = [
@@ -67,6 +68,7 @@ __all__ = [
     "PayoffEstimate",
     "X0IndependenceReport",
     "path_rng",
+    "require_seed",
     "simulate_path",
     "estimate_payoff",
     "x0_independence_check",
@@ -76,11 +78,26 @@ _MASK64 = (1 << 64) - 1
 
 MEASURES = ("reference", "worstcase")
 
+CI_MULTIPLE = 3.0  # combined standard errors that count as a disagreement
+
 
 def path_rng(seed: int, path_id: int) -> np.random.Generator:
     """Counter-based generator for one path: Philox keyed by (seed, path)."""
     key = ((seed & _MASK64) << 64) | (path_id & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def require_seed(seed) -> int:
+    """The master seed, refused unless an integer with 0 <= seed < 2**64.
+
+    ``path_rng`` keys on the seed's low 64 bits, so a larger seed would
+    repeat the paths of a smaller one.
+    """
+    if not (is_number(seed) and isinstance(seed, numbers.Integral)
+            and 0 <= seed <= _MASK64):
+        raise InputDomainError(
+            f"'seed' must be an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
 def _project(proposed, beta, out):
@@ -226,6 +243,7 @@ class SimConfig:
         bad = range_error(vars(self))
         if bad is not None:
             raise InputDomainError(f"{bad[0]} {bad[1]}")
+        require_seed(self.seed)
         if self.measure == "worstcase" and self.solution is None:
             raise InputDomainError("worstcase measure needs a solved potential")
 
@@ -421,8 +439,8 @@ class PayoffEstimate:
 
     ``std_error`` is zero with ``se_defined`` False when only one path ran.
     ``split_consistent`` reports the first-half/second-half window check
-    (within three combined standard errors), a guard on treating the plain
-    long-window average as the ergodic limit.
+    (within ``CI_MULTIPLE`` combined standard errors), a guard on treating
+    the plain long-window average as the ergodic limit.
     """
 
     mean: float
@@ -480,8 +498,8 @@ def _aggregate(stats) -> PayoffEstimate:
     se_defined = payoffs.size >= 2
     if se_defined:
         se = _std_error(payoffs)
-        split_ok = abs(fm - sm) <= 3.0 * math.hypot(_std_error(firsts),
-                                                    _std_error(seconds))
+        split_ok = abs(fm - sm) <= CI_MULTIPLE * math.hypot(
+            _std_error(firsts), _std_error(seconds))
     else:
         se, split_ok = 0.0, True
     return PayoffEstimate(
@@ -511,16 +529,11 @@ class X0IndependenceReport:
     consistent: bool
 
 
-def _pair_gaps(means, ses):
-    """|mean_i - mean_j| and three combined standard errors, for i < j."""
-    return [(abs(means[i] - means[j]), 3.0 * math.hypot(ses[i], ses[j]))
-            for i in range(len(means)) for j in range(i + 1, len(means))]
-
-
 def x0_independence_check(cfg: SimConfig, x0_list, *,
                           jobs: int = 1) -> X0IndependenceReport:
     """Ergodic start-insensitivity: estimates across x0 agree pairwise.
 
+    Two estimates agree within ``CI_MULTIPLE`` combined standard errors.
     Each starting point reuses the same seed, so the comparison is between
     runs driven by identical noise.  All starts run as one batch of lanes
     (start, path); each start's estimate equals a separate
@@ -535,7 +548,9 @@ def x0_independence_check(cfg: SimConfig, x0_list, *,
             for i in range(len(starts))]
     means = [est.mean for est in ests]
     ses = [est.std_error for est in ests]
-    consistent = not any(gap > limit for gap, limit in _pair_gaps(means, ses))
+    consistent = not any(
+        abs(means[i] - means[j]) > CI_MULTIPLE * math.hypot(ses[i], ses[j])
+        for i in range(len(means)) for j in range(i + 1, len(means)))
     return X0IndependenceReport(
         x0_values=tuple(starts), means=tuple(means),
         std_errors=tuple(ses), consistent=bool(consistent))

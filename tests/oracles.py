@@ -22,13 +22,25 @@ LSODA solve behind ``shooting.build_potential``.
 ``dip_crossing`` is the unit crossing of an inadmissible boundary's slope,
 from a tight implicit (Radau) solve of the quadratic slope equation.
 
+``envelope_slope`` is d ell / d eps at eps = 0 for the unit general
+logistic model with theta = 1 (VP) or 2, from the envelope theorem: the
+adversary's first-order answer to the risk-neutral policy moves the yield by
+-(1/2) int sigma^2 v0'^2 dpi0 while beta0's own shift drops out, so
+
+    d ell / d eps = -ell0^2 int_0^beta0 s'(x) M(x)^2 dx / M(beta0),
+
+with s' the scale density, m = 2 / (sigma^2 s') the speed density and
+M(x) = int_0^x m.  Both are closed forms here, the integral is a ``quad``,
+and beta0 solves beta mu(beta) s'(beta) M(beta) = 1 (the slope
+v0' = ell0 s' M reaching one where ell0 = beta mu(beta)).
+
 ``step_paths`` is the Monte Carlo engine's one-step-at-a-time form: it
 updates every accumulator after each step, the reference the chunk-settled
 engine in ``ergharvest.simulate`` must match bit for bit.
 """
 
 import math
-from math import exp
+from math import erf, exp, expm1, pi, sqrt
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -96,6 +108,41 @@ def optimal_vprime_integral(a, b, c):
                     epsabs=1e-14, epsrel=1e-13)
     assert err < 1e-10
     return val
+
+
+# theta -> (s'(x), M(x)) of the unit general logistic, mu = 1 - x^theta and
+# sigma = x: s'(x) = e^{2 x^theta / theta} / x^2 and
+# m(x) = 2 e^{-2 x^theta / theta}.
+_UNIT_SCALE_SPEED = {
+    1.0: (lambda x: exp(2.0 * x) / (x * x), lambda x: -expm1(-2.0 * x)),
+    2.0: (lambda x: exp(x * x) / (x * x), lambda x: sqrt(pi) * erf(x)),
+}
+
+
+def zero_ambiguity_optimum(theta):
+    """(beta0, ell0) of the unit general logistic at eps = 0.
+
+    beta0 is the root of beta mu(beta) s'(beta) M(beta) = 1 between the
+    drift peak (theta + 1)^(-1/theta) and the drift zero 1.
+    """
+    sprime, speed = _UNIT_SCALE_SPEED[theta]
+
+    def drift(b):
+        return b * (1.0 - b ** theta)
+    beta = brentq(lambda b: drift(b) * sprime(b) * speed(b) - 1.0,
+                  (theta + 1.0) ** (-1.0 / theta), 1.0, xtol=1e-15,
+                  rtol=4.0 * np.finfo(float).eps)
+    return beta, drift(beta)
+
+
+def envelope_slope(theta):
+    """d ell / d eps at eps = 0 of the unit general logistic, theta 1 or 2."""
+    sprime, speed = _UNIT_SCALE_SPEED[theta]
+    beta, ell = zero_ambiguity_optimum(theta)
+    integral, err = quad(lambda x: sprime(x) * speed(x) ** 2, 0.0, beta,
+                         epsabs=1e-15, epsrel=1e-13)
+    assert err < 1e-12
+    return -ell * ell * integral / speed(beta)
 
 
 def _linear_form(problem, b):

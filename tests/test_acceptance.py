@@ -69,7 +69,7 @@ def test_criterion_3_hjb_verification(vp_model):
     for eps in (0.0, 0.5, 1.0, 5.0):
         problem = AmbiguityProblem.build(vp_model, eps)
         sol = solve_threshold(problem)
-        rep = verify_solution(problem, sol)
+        rep = verify_solution(sol)
         verdicts.append(rep.verdict
                         and rep.max_abs_residual_left <= 1e-6
                         and rep.max_excess_right <= 1e-8

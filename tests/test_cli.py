@@ -168,7 +168,11 @@ class TestCheck:
         ("mu_values", _table_with_nan()),
         ("mu_bar must be", {**VP_BLOCK, "params": {"mu_bar": "abc"}}),
         ("x_max must be", {**VP_BLOCK, "x_max": "abc"}),
-    ], ids=["boolean", "infinite", "tabulated_nan", "string", "string_x_max"])
+        # An integer beyond the largest float would overflow the solver.
+        ("mu_bar must be", {**VP_BLOCK, "params": {"mu_bar": 10 ** 400}}),
+        ("x_max must be", {**VP_BLOCK, "x_max": 10 ** 400}),
+    ], ids=["boolean", "infinite", "tabulated_nan", "string", "string_x_max",
+            "huge_integer", "huge_integer_x_max"])
     def test_model_parameters_finite_and_not_boolean(self, tmp_path, capsys,
                                                      name, model):
         rc = main(["check", "--config",
@@ -176,6 +180,15 @@ class TestCheck:
         err = capsys.readouterr().err
         assert rc == 64
         assert "bad model block" in err and name in err
+
+    @pytest.mark.parametrize("seed, rc", [(2 ** 64 + 7, 64), (2 ** 64 - 1, 0)],
+                             ids=["aliases_seed_7", "largest"])
+    def test_seed_below_two_to_the_64(self, tmp_path, capsys, seed, rc):
+        # path_rng keys on the seed's low 64 bits: 2**64 + 7 would replay
+        # the paths of seed 7 while the summary recorded the larger seed.
+        cfg = write_cfg(tmp_path, seed=seed)
+        assert main(["check", "--config", str(cfg)]) == rc
+        assert ("'seed' must be" in capsys.readouterr().err) == (rc == 64)
 
     def test_theta_rejected_for_verhulst_pearl(self, tmp_path, capsys):
         model = {"family": "verhulst_pearl", "params": {"theta": 1.0}}
@@ -397,14 +410,18 @@ class TestSolve:
     def test_nonpositive_log_drift_is_an_assumption_failure(self, tmp_path,
                                                             capsys):
         # mu_bar = sigma_bar^2 / 2 passes (A0) but leaves the tail modes
-        # without a dominant one: a named error, not a number or exit 70.
+        # without a dominant one: a named error, not a number or exit 70,
+        # and check refuses what solve refuses at every level.
         model = {"family": "verhulst_pearl",
                  "params": {"mu_bar": 0.5, "sigma_bar": 1.0}}
-        rc = main(["solve", "--config",
-                   str(write_cfg(tmp_path, model=model, epsilon=0.5))])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "mu_bar - sigma_bar^2/2" in err and "Traceback" not in err
+        for command in ("check", "solve"):
+            for eps in (0.0, 0.5):
+                rc = main([command, "--config",
+                           str(write_cfg(tmp_path, model=model, epsilon=eps))])
+                err = capsys.readouterr().err
+                assert rc == 2, (command, eps)
+                assert ("mu_bar - sigma_bar^2/2" in err
+                        and "Traceback" not in err), (command, eps)
 
     def test_bracket_echoed_at_unit_ambiguity(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, epsilon=1.0)
@@ -640,8 +657,8 @@ class TestVerify:
         cfg = write_cfg(tmp_path, epsilon=eps)
         assert main(["solve", "--config", str(cfg)]) == 0
         restored = artifacts.load_solution(tmp_path / "run", problem)
-        assert (dataclasses.asdict(verify_solution(problem, restored))
-                == dataclasses.asdict(verify_solution(problem, sol)))
+        assert (dataclasses.asdict(verify_solution(restored))
+                == dataclasses.asdict(verify_solution(sol)))
         for name in ("nodes_x", "nodes_slope", "nodes_slope_deriv",
                      "nodes_value", "grid_x", "grid_right_x", "fd_x", "fd_h",
                      "fd_slope_minus", "fd_slope_plus"):

@@ -62,7 +62,7 @@ class TestOperator:
 class TestVerification:
     def test_full_reports_pass(self, solutions_by_eps):
         for eps, (problem, sol) in solutions_by_eps.items():
-            report = verify_solution(problem, sol)
+            report = verify_solution(sol)
             assert report.verdict, (eps, report.summary_lines())
             assert report.max_abs_residual_left <= 1e-6
             assert report.max_excess_right <= 1e-8

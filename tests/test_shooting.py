@@ -345,6 +345,35 @@ class TestTailCoefficient:
         assert checked >= 12
 
 
+class TestSmallAmbiguityLimit:
+    @pytest.mark.parametrize("name, theta", [("vp", 1.0), ("gl2", 2.0)])
+    def test_yield_slope_matches_envelope_theorem(self, name, theta):
+        # Richardson quotient 2 q(h) - q(2h), q(eps) = (ell(eps) - ell0)/eps,
+        # removes the O(eps) term of q.  Each solved yield lam(beta) is off
+        # by at most |lam'(beta)| beta_tolerance, so that error, weighted by
+        # the quotient's coefficients on ell(h), ell(2h) and ell0, bounds
+        # the residual.
+        h = 1e-3
+        weights = {0.0: 1.5 / h, h: 2.0 / h, 2.0 * h: 0.5 / h}
+        sols = {eps: solve_threshold(AmbiguityProblem.build(_model(name), eps))
+                for eps in weights}
+        ell = {eps: sol.long_run_yield for eps, sol in sols.items()}
+
+        def q(eps):
+            return (ell[eps] - ell[0.0]) / eps
+
+        def drift_slope(x, eps):  # lam' of the unit general logistic
+            return 1.0 - (theta + 1.0) * x ** theta - eps * x
+
+        error = {eps: abs(drift_slope(sol.threshold, eps)) * sol.beta_tolerance
+                 for eps, sol in sols.items()}
+        _, ell0 = oracles.zero_ambiguity_optimum(theta)
+        assert abs(ell[0.0] - ell0) <= error[0.0]
+        bound = sum(weights[eps] * error[eps] for eps in weights)
+        residual = 2.0 * q(h) - q(2.0 * h) - oracles.envelope_slope(theta)
+        assert abs(residual) <= bound
+
+
 class TestPotential:
     def test_anchoring_and_linear_extension(self, sol0):
         beta = sol0.threshold

@@ -452,6 +452,15 @@ class TestConfigValidation:
         with pytest.raises(InputDomainError):
             SimConfig(problem=problem0, beta=1.0, **{"x0": 0.5, **fields})
 
+    def test_seed_must_key_its_own_streams(self, problem0):
+        # path_rng keeps the seed's low 64 bits, so 2**64 + 7 replays 7.
+        assert np.array_equal(path_rng(2 ** 64 + 7, 0).standard_normal(4),
+                              path_rng(7, 0).standard_normal(4))
+        for seed in (2 ** 64 + 7, -1, True):
+            with pytest.raises(InputDomainError, match="'seed' must be"):
+                SimConfig(problem=problem0, beta=1.0, x0=0.5, seed=seed)
+        SimConfig(problem=problem0, beta=1.0, x0=0.5, seed=2 ** 64 - 1)
+
     def test_path_rng_streams_are_distinct(self):
         a = path_rng(1, 0).standard_normal(4)
         b = path_rng(1, 1).standard_normal(4)
