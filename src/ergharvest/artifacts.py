@@ -166,11 +166,9 @@ def write_paths_csv(path, per_path):
                            for s in per_path]).T)
 
 
-def write_histogram_csv(path, beta, n_bins, per_path):
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for s in per_path:
-        counts += s.occupation_histogram
-    edges = np.linspace(0.0, beta, n_bins + 1)
+def write_histogram_csv(path, beta, per_path):
+    counts = np.sum([s.occupation_histogram for s in per_path], axis=0)
+    edges = np.linspace(0.0, beta, len(counts) + 1)
     _write_table(path, ["bin_lo", "bin_hi", "count"],
                  (edges[:-1], edges[1:], counts))
 

@@ -119,7 +119,10 @@ def _epsilon(cfg: RunConfig) -> float:
 
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir) if cfg.output_dir else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot make the output directory {out}: {exc}")
     return out
 
 
@@ -160,9 +163,9 @@ def cmd_check(args, cfg: RunConfig) -> int:
 
 def cmd_solve(args, cfg: RunConfig) -> int:
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
+    out = _outdir(cfg)
     sol = solve_threshold(problem)
     report = verify_solution(sol)
-    out = _outdir(cfg)
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
     artifacts.write_solution(out, sol)
     artifacts.write_json(out / artifacts.SUMMARY_JSON, _summary(
@@ -189,15 +192,13 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     else:
         sol = solve_threshold(problem)
         artifacts.write_solution(out, sol)
-    sim = dict(cfg.sim)
-    sim["x0"] = sol.threshold if sim["x0"] is None else sim["x0"]
     simcfg = SimConfig(problem=problem, beta=sol.threshold, solution=sol,
-                       seed=cfg.seed, **sim)
+                       seed=cfg.seed, **cfg.sim)
     est = estimate_payoff(simcfg, jobs=args.jobs)
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
     artifacts.write_paths_csv(out / artifacts.PATHS_CSV, est.per_path)
     artifacts.write_histogram_csv(out / artifacts.HISTOGRAM_CSV,
-                                  simcfg.beta, simcfg.n_bins, est.per_path)
+                                  simcfg.beta, est.per_path)
     ell = sol.long_run_yield
     gap = est.mean - ell
     ci = CI_MULTIPLE * est.std_error
@@ -238,9 +239,9 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
     grid = cfg.eps_grid if cfg.eps_grid is not None else (_epsilon(cfg),)
+    out = _outdir(cfg)
     rows = sweep(cfg.model, grid)
     report = monotonicity_report(rows)
-    out = _outdir(cfg)
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
     artifacts.write_sweep_csv(out / artifacts.SWEEP_CSV, rows)
     artifacts.write_plot_script(out / artifacts.PLOT_SCRIPT)

@@ -14,19 +14,17 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, InputDomainError
-from .model import (CoefficientModel, is_number, model_from_config,
-                    require_epsilon)
-from .simulate import SimConfig, range_error, require_seed
+from .model import CoefficientModel, model_from_config, require_epsilon
+from .simulate import SimConfig, require_seed, require_settings
 
 _MODEL_KEYS = {"family", "params", "x_max"}
 _TOP_KEYS = {"model", "epsilon", "eps_grid", "sim", "seed", "output_dir"}
 
-# SimConfig's fields less the four a run supplies, with the defaults the
-# command line sets itself.
+# SimConfig's fields less the four a run supplies, with the command line's
+# own default measure.
 _SIM_DEFAULTS = {
     **{f.name: f.default for f in fields(SimConfig)
        if f.name not in ("problem", "beta", "solution", "seed")},
-    "x0": None,          # resolved to the solved threshold
     "measure": "worstcase",
 }
 _SIM_KEYS = set(_SIM_DEFAULTS)
@@ -93,10 +91,6 @@ def parse_config(raw: dict) -> RunConfig:
     eps_grid = raw.get("eps_grid")
     _require(not (epsilon is not None and eps_grid is not None),
              "give either 'epsilon' or 'eps_grid', not both")
-    try:
-        epsilon = None if epsilon is None else require_epsilon(epsilon)
-    except InputDomainError as exc:
-        raise ConfigError(str(exc))
     if eps_grid is not None:
         _require(isinstance(eps_grid, list) and len(eps_grid) >= 1,
                  "'eps_grid' must be a non-empty list")
@@ -105,24 +99,12 @@ def parse_config(raw: dict) -> RunConfig:
         except InputDomainError as exc:
             raise ConfigError(f"'eps_grid' must be a list of levels: {exc}")
 
-    sim = dict(_SIM_DEFAULTS)
     simblock = raw.get("sim", {})
     _require(isinstance(simblock, dict), "'sim' must be an object")
     _reject_unknown(simblock, _SIM_KEYS, "'sim'")
-    # Types here; the ranges are simulate's, checked on the filled block.
-    for key, value in simblock.items():
-        if isinstance(_SIM_DEFAULTS[key], int):
-            _require(is_number(value) and isinstance(value, int),
-                     f"'sim.{key}' must be an integer")
-        elif key != "measure" and not (key == "x0" and value is None):
-            _require(is_number(value), f"'sim.{key}' must be a finite number")
-            value = float(value)
-        sim[key] = value
-    bad = range_error(sim)
-    if bad is not None:
-        raise ConfigError(f"'sim.{bad[0]}' {bad[1]}")
-
     try:
+        epsilon = None if epsilon is None else require_epsilon(epsilon)
+        sim = require_settings(_SIM_DEFAULTS | simblock, where="sim.")
         seed = require_seed(raw.get("seed", 0))
     except InputDomainError as exc:
         raise ConfigError(str(exc))
@@ -142,13 +124,14 @@ def load_config(path, **overrides) -> RunConfig:
 
     An override replaces its top-level key; an object updates a block.
     """
-    text = Path(path).read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"cannot parse {path}: {exc.msg} at line {exc.lineno}, "
             f"column {exc.colno}")
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
     if isinstance(raw, dict):  # parse_config refuses any other root
         for key, value in overrides.items():
             if isinstance(value, dict) and isinstance(raw.get(key), dict):

@@ -36,7 +36,7 @@ its own contiguous row.  Once per chunk of ``_CHUNK_STEPS`` steps the noise
 is scaled into (steps, lanes) rows, and the harvest max(P - beta, 0), the
 KL increments (from the stored cells and states), the negative-proposal
 and floor-clamp counts, the running maximum and the strided occupation
-histogram (one ``bincount`` over lane * n_bins + bin) are computed over
+histogram (one ``bincount`` over lane * N_BINS + bin) are computed over
 the chunk's buffers, whose rows are split at the burn-in and mid-window
 steps for the snapshots.
 
@@ -69,6 +69,7 @@ __all__ = [
     "X0IndependenceReport",
     "path_rng",
     "require_seed",
+    "require_settings",
     "simulate_path",
     "estimate_payoff",
     "x0_independence_check",
@@ -79,6 +80,11 @@ _MASK64 = (1 << 64) - 1
 MEASURES = ("reference", "worstcase")
 
 CI_MULTIPLE = 3.0  # combined standard errors that count as a disagreement
+
+# The occupation histogram: N_BINS equal bins on [0, beta], sampled every
+# OCCUPATION_STRIDE-th retained step.
+N_BINS = 50
+OCCUPATION_STRIDE = 8
 
 
 def path_rng(seed: int, path_id: int) -> np.random.Generator:
@@ -189,44 +195,51 @@ def _step_counts(sim):
     return n_steps, int(round(sim["burn_in"] * n_steps))
 
 
-def range_error(sim):
-    """(key, reason) of the first SimConfig field in ``sim`` out of range.
-
-    None when all hold; an ``x0`` of None stands for the solved threshold.
+def require_settings(sim, where=""):
+    """``sim``'s six settings checked and normalized: floats, an int
+    ``n_paths``, a ``measure`` and ``x0`` None (start at beta) or a float.
+    The first bad value raises ``InputDomainError`` naming '<where><key>'.
     """
-    x0, dt, horizon, burn_in = map(sim.get, ("x0", "dt", "horizon", "burn_in"))
-    if x0 is not None and not x0 > 0.0:
-        return "x0", f"must be positive, got {x0!r}"
-    if not (0.0 < dt < horizon and horizon / dt < math.inf):
-        return "dt", (f"must be in (0, horizon) with finitely many steps, "
-                      f"got dt={dt!r}, horizon={horizon!r}")
-    if not 0.0 <= burn_in <= 0.5:
-        return "burn_in", f"must be in [0, 0.5], got {burn_in!r}"
-    n_steps, burn = _step_counts(sim)
-    if n_steps - burn < 2:
-        return "horizon", (f"leaves a retained window of {n_steps - burn} "
-                           "step(s); the split-half check needs at least 2")
-    for key in ("n_paths", "n_bins", "occupation_stride"):
-        if not sim[key] >= 1:
-            return key, f"must be at least 1, got {sim[key]!r}"
-    if sim["measure"] not in MEASURES:
-        return "measure", f"must be one of {MEASURES}, got {sim['measure']!r}"
-    return None
+    def check(key, ok, rule):
+        if not ok:
+            raise InputDomainError(
+                f"'{where}{key}' must be {rule}, got {sim[key]!r}")
+        return sim[key]
+
+    out = {key: float(check(key, is_number(sim[key]), "a finite number"))
+           for key in ("dt", "horizon", "burn_in")}
+    x0, n = sim["x0"], sim["n_paths"]
+    out["x0"] = x0 if x0 is None else float(check(
+        "x0", is_number(x0) and x0 > 0.0, "a positive finite number"))
+    out["n_paths"] = int(check(
+        "n_paths", is_number(n) and isinstance(n, numbers.Integral) and n >= 1,
+        "an integer of at least 1"))
+    out["measure"] = check("measure", sim["measure"] in MEASURES,
+                           f"one of {MEASURES}")
+    dt, horizon = out["dt"], out["horizon"]
+    check("dt", 0.0 < dt < horizon and horizon / dt < math.inf,
+          f"in (0, horizon = {horizon!r}) with finitely many steps")
+    check("burn_in", 0.0 <= out["burn_in"] <= 0.5, "in [0, 0.5]")
+    n_steps, burn = _step_counts(out)
+    check("horizon", n_steps - burn >= 2, "long enough for a retained "
+          "window of 2 steps after burn-in (the split-half check)")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Monte Carlo configuration for one threshold policy.
+    """Monte Carlo configuration for one threshold policy from ``x0``
+    (default ``beta``), its settings normalized by ``require_settings``.
 
     ``measure`` selects the simulated drift: the reference dynamics or the
-    worst-case change of measure, whose step table is built from the solved
-    slope ``solution.vprime``.  ``burn_in`` is the fraction of the horizon
-    discarded before time averaging.
+    worst-case change of measure, whose step table is built from the slope
+    ``solution.vprime`` of ``problem`` itself.  ``burn_in`` is the fraction
+    of the horizon discarded before time averaging.
     """
 
     problem: AmbiguityProblem
     beta: float
-    x0: float
+    x0: float | None = None
     dt: float = 1e-4
     horizon: float = 200.0
     n_paths: int = 256
@@ -234,16 +247,21 @@ class SimConfig:
     measure: str = "reference"
     solution: ThresholdSolution | None = None
     seed: int = 0
-    n_bins: int = 50
-    occupation_stride: int = 8
 
     def __post_init__(self):
-        if not self.beta > 0.0:
-            raise InputDomainError(f"beta must be positive, got {self.beta!r}")
-        bad = range_error(vars(self))
-        if bad is not None:
-            raise InputDomainError(f"{bad[0]} {bad[1]}")
+        if not (is_number(self.beta) and self.beta > 0.0):
+            raise InputDomainError(f"'beta' must be > 0, got {self.beta!r}")
+        settings = require_settings(vars(self))
+        settings["beta"] = float(self.beta)
+        settings["x0"] = settings["x0"] or settings["beta"]
+        for name, value in settings.items():
+            object.__setattr__(self, name, value)
         require_seed(self.seed)
+        solved = self.solution
+        if solved is not None and solved.problem is not self.problem:
+            raise InputDomainError(
+                "'solution' was solved for another problem (epsilon "
+                f"{solved.problem.epsilon!r}), not this one")
         if self.measure == "worstcase" and self.solution is None:
             raise InputDomainError("worstcase measure needs a solved potential")
 
@@ -309,8 +327,8 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     burn = cfg.burn_steps
     retained = n_steps - burn
     mid = burn + retained // 2
-    stride = cfg.occupation_stride
-    n_bins = cfg.n_bins
+    stride = OCCUPATION_STRIDE
+    n_bins = N_BINS
     table = (_WorstCaseStep(problem, cfg.solution, beta, dt)
              if cfg.measure == "worstcase" and eps > 0.0 else None)
 
@@ -540,7 +558,7 @@ def x0_independence_check(cfg: SimConfig, x0_list, *,
     ``estimate_payoff`` at that x0, and raises like it when more than 10%
     of that start's paths abort.
     """
-    starts = [replace(cfg, x0=float(v)).x0 for v in x0_list]
+    starts = [replace(cfg, x0=v).x0 for v in x0_list]
     ids = list(range(cfg.n_paths))
     stats = _run_lanes(cfg, ids * len(starts),
                        [x0 for x0 in starts for _ in ids], jobs)

@@ -271,11 +271,11 @@ def step_paths(cfg, path_ids):
     KL = np.zeros(n)
     neg = np.zeros(n, dtype=np.int64)
     clamps = np.zeros(n, dtype=np.int64)
-    occ = np.zeros((n, cfg.n_bins), dtype=np.int64)
+    occ = np.zeros((n, simulate.N_BINS), dtype=np.int64)
     max_x = x.copy()
     aborted = np.zeros(n, dtype=bool)
     rows = np.arange(n)
-    bin_scale = cfg.n_bins / beta
+    bin_scale = simulate.N_BINS / beta
 
     Z_burn = KL_burn = Z_mid = KL_mid = None
     if burn == 0:
@@ -312,9 +312,9 @@ def step_paths(cfg, path_ids):
                 np.maximum(proposed, 0.0, out=proposed)
                 x = proposed
                 np.maximum(max_x, x, out=max_x)
-                if k >= burn and (k - burn) % cfg.occupation_stride == 0:
+                if k >= burn and (k - burn) % simulate.OCCUPATION_STRIDE == 0:
                     bins = np.clip((x * bin_scale).astype(np.int64), 0,
-                                   cfg.n_bins - 1)
+                                   simulate.N_BINS - 1)
                     occ[rows, bins] += 1
                 if k + 1 == burn:
                     Z_burn, KL_burn = Z.copy(), KL.copy()

@@ -12,6 +12,8 @@ from ergharvest import (AmbiguityProblem, SimConfig, VerhulstPearl,
                         solve_threshold, verify_solution)
 from ergharvest.cli import main
 
+from bad_settings import BAD_SETTINGS, IDS
+
 VP_BLOCK = {"family": "verhulst_pearl",
             "params": {"mu_bar": 1.0, "gamma_bar": 1.0, "sigma_bar": 1.0}}
 
@@ -77,7 +79,8 @@ class TestCheck:
         retired = [("'solver'", {"solver": {key: 1e-8}})
                    for key in ("rtol", "atol", "n_grid_left", "n_grid_right",
                                "beta_rtol")]
-        retired.append(("'ci_multiple'", {"sim": {"ci_multiple": 3.0}}))
+        retired += [(f"'{key}'", {"sim": {key: 3}})
+                    for key in ("ci_multiple", "n_bins", "occupation_stride")]
         for key, overrides in retired:
             path = write_cfg(tmp_path, **overrides)
             assert main(["check", "--config", str(path)]) == 64
@@ -229,6 +232,10 @@ class TestCheck:
         assert "ValueError" not in text and "Traceback" not in text
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran")
+
+
 class TestSimRanges:
     """``check`` refuses every sim block ``simulate`` would, before solving."""
 
@@ -236,18 +243,29 @@ class TestSimRanges:
     @pytest.mark.parametrize("key, sim", [
         ("'sim.dt'", {"dt": 2.0, "horizon": 1.0}),
         ("'sim.horizon'", {"dt": 1e-3, "horizon": 2e-3, "burn_in": 0.5}),
-        ("'sim.n_bins'", {"n_bins": 0}),
+        # The histogram's bins and stride are retired keys.
+        ("'n_bins'", {"n_bins": 50}),
+        ("'occupation_stride'", {"occupation_stride": 8}),
         ("'sim.measure'", {"measure": "optimist"}),
-    ], ids=["dt_above_horizon", "one_step_window", "no_bins", "measure"])
+    ], ids=["dt_above_horizon", "one_step_window", "no_bins", "no_stride",
+            "measure"])
     def test_refused_before_any_solve(self, tmp_path, capsys, monkeypatch,
                                       command, key, sim):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve ran")
-
-        monkeypatch.setattr(cli, "solve_threshold", no_solve)
+        monkeypatch.setattr(cli, "solve_threshold", _no_solve)
         rc = main([command, "--config", str(write_cfg(tmp_path, sim=sim))])
         assert rc == 64
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("key, value", BAD_SETTINGS, ids=IDS)
+    def test_bad_value_named(self, tmp_path, capsys, monkeypatch, command,
+                             key, value):
+        # The same table SimConfig refuses (tests/test_simulate.py).
+        monkeypatch.setattr(cli, "solve_threshold", _no_solve)
+        sim = {"dt": 1e-3, "horizon": 5.0, key: value}
+        rc = main([command, "--config", str(write_cfg(tmp_path, sim=sim))])
+        assert rc == 64
+        assert f"'sim.{key}' must be" in capsys.readouterr().err
 
     def test_measure_flag_checked_like_the_file_key(self, tmp_path, capsys,
                                                     monkeypatch):
@@ -351,6 +369,29 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
 
+    def test_output_dir_that_is_a_file_refused_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve_threshold", _no_solve)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["solve", "--config", str(write_cfg(tmp_path)),
+                   "--output-dir", str(taken)])
+        err = capsys.readouterr().err
+        assert rc == 64
+        assert str(taken) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, rc", [
+        ("directory", 64), ("not_utf8", 64), ("missing", 66)])
+    def test_unreadable_config(self, tmp_path, capsys, kind, rc):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b'{"model": "\xff"}')
+        assert main(["check", "--config", str(path)]) == rc
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
 
 class TestSolve:
     def test_writes_artifacts_and_passes(self, tmp_path, capsys):
@@ -369,7 +410,8 @@ class TestSolve:
         assert summary["solution"]["beta_eps"] == pytest.approx(0.7968121,
                                                                 abs=1e-6)
         assert "solver" not in summary["config"]
-        assert "ci_multiple" not in summary["config"]["sim"]
+        assert summary["config"]["sim"].keys() == {
+            "x0", "dt", "horizon", "n_paths", "burn_in", "measure"}
 
     def test_csv_writers_called_through_the_module(self, tmp_path,
                                                    monkeypatch):
@@ -591,8 +633,7 @@ class TestSimulate:
             problem=problem, beta=sol.threshold, x0=sol.threshold,
             dt=sim["dt"], horizon=sim["horizon"], n_paths=sim["n_paths"],
             burn_in=sim["burn_in"], measure="worstcase", solution=sol,
-            seed=5, n_bins=sim["n_bins"],
-            occupation_stride=sim["occupation_stride"]))
+            seed=5))
         neg = sum(s.negative_proposals for s in est.per_path)
         clamps = sum(s.floor_clamps for s in est.per_path)
         assert got["negative_proposals"] == neg > 0

@@ -11,6 +11,7 @@ from ergharvest import (AmbiguityProblem, InputDomainError, SimConfig,
 from ergharvest import simulate
 
 import oracles
+from bad_settings import BAD_SETTINGS, IDS
 
 
 class TestWorstCaseKernel:
@@ -106,10 +107,6 @@ class TestWorstCaseTable:
         cfg = _small_cfg(problem1, sol1, n_paths=12, horizon=1.0,
                          measure="worstcase", solution=sol1)
         clean = estimate_payoff(cfg)
-
-        class _NanStream:
-            def standard_normal(self, m):
-                return np.full(m, np.nan)
 
         real_rng = simulate.path_rng
         monkeypatch.setattr(
@@ -228,11 +225,11 @@ class TestSimulatePath:
 
     def test_occupation_histogram_counts_retained_samples(self, problem0,
                                                           sol0):
-        cfg = _small_cfg(problem0, sol0, n_paths=2, horizon=4.0,
-                         occupation_stride=4)
+        cfg = _small_cfg(problem0, sol0, n_paths=2, horizon=4.0)
         stats = simulate_path(cfg, 0)
+        assert stats.occupation_histogram.shape == (simulate.N_BINS,)
         retained = cfg.n_steps - cfg.burn_steps
-        expected = math.ceil(retained / cfg.occupation_stride)
+        expected = math.ceil(retained / simulate.OCCUPATION_STRIDE)
         assert stats.occupation_histogram.sum() == expected
 
     def test_negativity_counter_small_at_defaults(self, problem0, sol0):
@@ -241,6 +238,13 @@ class TestSimulatePath:
         steps = (cfg.n_steps - cfg.burn_steps) * cfg.n_paths
         frac = sum(s.negative_proposals for s in est.per_path) / steps
         assert frac < 1e-3
+
+
+class _NanStream:
+    """A stream of NaN draws."""
+
+    def standard_normal(self, m):
+        return np.full(m, np.nan)
 
 
 class _PoisonedStream:
@@ -261,13 +265,16 @@ class TestChunkedSettlement:
 
     @pytest.mark.parametrize("measure", simulate.MEASURES)
     @pytest.mark.parametrize("kw", [
-        dict(burn_in=0.0, occupation_stride=1, n_paths=3),
-        dict(burn_in=0.024, occupation_stride=3),
-        dict(x0=2.0, occupation_stride=8),
+        dict(burn_in=0.0, stride=1, n_paths=3),
+        dict(burn_in=0.024, stride=3),
+        dict(x0=2.0, stride=8),
         dict(n_paths=1),
     ], ids=["no_burn_in", "mid_on_chunk_edge", "x0_above_beta", "one_lane"])
-    def test_matches_step_by_step_oracle(self, kw, measure, problem1, sol1):
+    def test_matches_step_by_step_oracle(self, kw, measure, problem1, sol1,
+                                         monkeypatch):
         kw = dict(kw)
+        monkeypatch.setattr(simulate, "OCCUPATION_STRIDE",
+                            kw.pop("stride", simulate.OCCUPATION_STRIDE))
         x0 = kw.pop("x0", 1.0) * sol1.threshold
         cfg = _small_cfg(problem1, sol1, x0=x0, dt=2e-3, horizon=5.0,
                          n_paths=kw.pop("n_paths", 4), measure=measure,
@@ -297,9 +304,9 @@ class TestChunkedSettlement:
             simulate, "path_rng",
             lambda seed, pid: (_PoisonedStream(real_rng(seed, pid))
                                if pid == 1 else real_rng(seed, pid)))
+        monkeypatch.setattr(simulate, "OCCUPATION_STRIDE", 1)
         cfg = _small_cfg(problem1, sol1, dt=2e-3, horizon=5.0, n_paths=4,
-                         occupation_stride=1, measure=measure,
-                         solution=sol1)
+                         measure=measure, solution=sol1)
         ids = list(range(cfg.n_paths))
         got = simulate._run_paths(cfg, ids)
         want = oracles.step_paths(cfg, ids)
@@ -336,10 +343,6 @@ class TestEstimate:
         cfg = SimConfig(problem=problem1, beta=sol1.threshold,
                         x0=sol1.threshold, dt=1e-3, horizon=1.0, n_paths=4,
                         seed=9, measure="worstcase", solution=sol1)
-
-        class _NanStream:
-            def standard_normal(self, m):
-                return np.full(m, np.nan)
 
         monkeypatch.setattr(simulate, "path_rng",
                             lambda seed, pid: _NanStream())
@@ -397,14 +400,20 @@ class TestX0Independence:
         report = x0_independence_check(cfg, [], jobs=2)
         assert report.means == () and report.consistent
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_abort_rule_applies_per_start(self, problem0, sol0):
-        # An infinite start is harvested down to beta at once with an
-        # infinite harvest, so all its paths abort: 10% of all lanes but
+    def test_abort_rule_applies_per_start(self, problem0, sol0,
+                                          monkeypatch):
+        # The batch opens one stream per lane in lane order, start by start;
+        # NaN draws in the last start's two lanes abort 10% of all lanes but
         # every lane of that start.
+        lanes = iter(range(20))
+        real_rng = simulate.path_rng
+        monkeypatch.setattr(
+            simulate, "path_rng",
+            lambda seed, pid: (_NanStream() if next(lanes) >= 18
+                               else real_rng(seed, pid)))
         cfg = _small_cfg(problem0, sol0, n_paths=2, horizon=0.1)
         with pytest.raises(SimulationAbortError):
-            x0_independence_check(cfg, [sol0.threshold] * 9 + [math.inf])
+            x0_independence_check(cfg, [sol0.threshold] * 10)
 
     def test_zero_standard_errors_compare_raw_gaps(self, problem0, sol0):
         # One path per start: no SE, so any gap is inconsistent.
@@ -438,10 +447,35 @@ class TestConfigValidation:
             SimConfig(problem=problem0, beta=1.0, x0=0.5, measure="custom")
         with pytest.raises(InputDomainError):
             SimConfig(problem=problem0, beta=1.0, x0=0.5, measure="worstcase")
-        with pytest.raises(InputDomainError):
-            SimConfig(problem=problem0, beta=1.0, x0=0.5, n_bins=0)
-        with pytest.raises(InputDomainError):
-            SimConfig(problem=problem0, beta=1.0, x0=0.5, occupation_stride=0)
+        # The histogram's bins and stride are simulate's constants.
+        for retired in ("n_bins", "occupation_stride"):
+            with pytest.raises(TypeError, match=retired):
+                SimConfig(problem=problem0, beta=1.0, **{retired: 8})
+
+    @pytest.mark.parametrize("key, value", BAD_SETTINGS, ids=IDS)
+    def test_refuses_each_bad_setting(self, problem0, key, value):
+        with pytest.raises(InputDomainError, match=f"'{key}' must be"):
+            SimConfig(problem=problem0, beta=1.0, **{key: value})
+
+    def test_settings_normalized_and_x0_defaults_to_beta(self, problem0):
+        cfg = SimConfig(problem=problem0, beta=np.float64(0.75), dt=1,
+                        horizon=200, burn_in=0, n_paths=np.int64(3))
+        assert (cfg.beta, cfg.x0, cfg.dt, cfg.horizon, cfg.burn_in,
+                cfg.n_paths) == (0.75, 0.75, 1.0, 200.0, 0.0, 3)
+        assert all(type(v) is float for v in (cfg.beta, cfg.x0, cfg.dt,
+                                               cfg.horizon, cfg.burn_in))
+        assert type(cfg.n_paths) is int
+        assert dataclasses.replace(cfg, x0=None).x0 == 0.75
+
+    @pytest.mark.parametrize("measure", simulate.MEASURES)
+    def test_refuses_a_solution_of_another_problem(self, solutions_by_eps,
+                                                   sol1, measure):
+        # An eps-1 solution simulated at eps 0.5 would estimate neither
+        # level's yield.
+        problem = solutions_by_eps[0.5][0]
+        with pytest.raises(InputDomainError, match="another problem"):
+            SimConfig(problem=problem, beta=sol1.threshold, dt=1e-3,
+                      horizon=5.0, n_paths=8, measure=measure, solution=sol1)
 
     @pytest.mark.parametrize("fields", [
         {"horizon": math.inf}, {"dt": math.nan}, {"dt": 1e-320},
