@@ -117,10 +117,11 @@ def _epsilon(cfg: RunConfig) -> float:
     return grid[0]
 
 
-def _outdir(cfg: RunConfig) -> Path:
+def _outdir(cfg: RunConfig, *, make=True) -> Path:
     out = Path(cfg.output_dir) if cfg.output_dir else Path(".")
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        if make:
+            out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ConfigError(f"cannot make the output directory {out}: {exc}")
     return out
@@ -186,7 +187,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
-    out = _outdir(cfg)
+    out = _outdir(cfg, make=not args.no_inline_solve)
     if args.no_inline_solve:
         sol = artifacts.load_solution(out, problem)
     else:
@@ -195,10 +196,12 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     simcfg = SimConfig(problem=problem, beta=sol.threshold, solution=sol,
                        seed=cfg.seed, **cfg.sim)
     est = estimate_payoff(simcfg, jobs=args.jobs)
+    # Aborted paths stay out of every aggregate; paths.csv flags them.
+    kept = [s for s in est.per_path if not s.aborted]
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
     artifacts.write_paths_csv(out / artifacts.PATHS_CSV, est.per_path)
     artifacts.write_histogram_csv(out / artifacts.HISTOGRAM_CSV,
-                                  simcfg.beta, est.per_path)
+                                  simcfg.beta, kept)
     ell = sol.long_run_yield
     gap = est.mean - ell
     ci = CI_MULTIPLE * est.std_error
@@ -210,9 +213,9 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         "ell_ref": ell,
         "gap": gap,
         "ci_multiple": CI_MULTIPLE,
-        "negative_proposals": sum(s.negative_proposals for s in est.per_path),
-        "floor_clamps": sum(s.floor_clamps for s in est.per_path),
-        "max_x": max(s.max_x for s in est.per_path if not s.aborted),
+        "negative_proposals": sum(s.negative_proposals for s in kept),
+        "floor_clamps": sum(s.floor_clamps for s in kept),
+        "max_x": max(s.max_x for s in kept),
     }
     artifacts.write_json(out / artifacts.SUMMARY_JSON, _summary(
         cfg, problem=artifacts.problem_block(problem),
@@ -267,8 +270,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
-    out = _outdir(cfg)
-    sol = artifacts.load_solution(out, problem)
+    sol = artifacts.load_solution(_outdir(cfg, make=False), problem)
     report = verify_solution(sol)
     print(f"persisted solution: beta = {sol.threshold!r}, "
           f"ell = {sol.long_run_yield!r}")

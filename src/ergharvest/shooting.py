@@ -31,9 +31,10 @@ threshold and the yield is c* (the ``extinction_bound`` regime).
 Every integration of the linear form is one run of scipy's compiled LSODA
 (``scipy.integrate.odeint``, rtol 1e-13, atol 1e-15) in ``_linear_rows``,
 which steps and interpolates to its output nodes in compiled code: a probe
-reads the end state at the floor, ``build_potential`` the slope
-g = psi'/(1 - eps psi) at every grid node from the threshold down to
-``DIP_FLOOR * drift_peak``, and ``cole_hopf_slope`` any boundary's slope.
+reads the end state at the floor, and ``cole_hopf_slope`` the slope
+g = psi'/(1 - eps psi) at any nodes below a boundary, the threshold's
+potential grid among them.  Every boundary must pass
+``AmbiguityProblem.validate_x``, 0 < b <= x_max.
 The independent cross-check, ``integrate_slope``, shoots the quadratic
 equation with DOP853 stepped through ``ivp.integrate``, down from the
 boundary toward zero or up from it toward ``x_max``; every slope table, from
@@ -116,11 +117,9 @@ def integrate_slope(problem: AmbiguityProblem, boundary: float,
     """
     if x_end is None:
         x_end = DIP_FLOOR * problem.drift_peak
-    if (not (0.0 < x_end <= problem.x_max and 0.0 < boundary <= problem.x_max)
-            or x_end == boundary):
-        raise InputDomainError(
-            f"need 0 < x_end, boundary <= x_max and x_end != boundary, got "
-            f"x_end={x_end!r}, boundary={boundary!r}, x_max={problem.x_max!r}")
+    problem.validate_x((x_end, boundary))
+    if x_end == boundary:
+        raise InputDomainError(f"need x_end != boundary, got {x_end!r}")
     return ivp.integrate(
         _slope_rhs(problem, boundary, gamma), boundary, 1.0, x_end,
         forced_nodes=forced_nodes,
@@ -130,36 +129,35 @@ def integrate_slope(problem: AmbiguityProblem, boundary: float,
 
 def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
                     *, eval_xs=None) -> ivp.IntegrationResult:
-    """Slope via the linear form, read off the potential's LSODA run.
+    """Slope via the linear form, read off one ``_linear_rows`` run.
 
     With phi = 1 - eps psi the Cole-Hopf base function of the slope,
 
         (1/2) sigma^2 phi'' + x mu phi' = -lam(b) eps phi,
         phi(b) = 1,  phi'(b) = -eps,
 
-    and ``_linear_rows`` gives psi, psi_s = x psi' at ``eval_xs`` (default
-    400 log-spaced nodes; any order, as ``ivp.integrate``'s forced nodes),
-    tabulated descending from b to x_min, so g = psi_s / x / phi and
-    g(b) = 1.  Where phi is not positive the slope has blown up:
-    ``TransformBreakdownError`` gives the first such node down from b
-    (0.015668 against phi's root 0.015700 at VP eps 1, b = 1.02 drift_peak,
-    x_min = 1e-4) and the sign of phi' there, -sign(psi_s): positive is a
-    dip to -infinity, negative admissible growth to +infinity.
+    at every eps >= 0 (phi is one at eps = 0), and ``_linear_rows`` gives
+    psi, psi_s = x psi' at ``eval_xs`` (default 400 log-spaced nodes; any
+    order, as ``ivp.integrate``'s forced nodes), tabulated descending from b
+    to x_min, so g = psi_s / x / phi and g(b) = 1.  Where phi is not
+    positive the slope has blown up: ``TransformBreakdownError`` gives the
+    first such node down from b (0.015668 against phi's root 0.015700 at VP
+    eps 1, b = 1.02 drift_peak, x_min = 1e-4) and the sign of phi' there,
+    -sign(psi_s): positive is a dip to -infinity, negative admissible growth
+    to +infinity.
     """
-    eps = problem.epsilon
-    if eps <= 0.0:
-        raise InputDomainError("the linear form requires epsilon > 0")
-    if not 0.0 < x_min < boundary:
+    problem.validate_x((x_min, boundary))
+    if not x_min < boundary:
         raise InputDomainError(
-            f"need 0 < x_min < boundary, got {x_min!r}, {boundary!r}")
+            f"need x_min < boundary, got {x_min!r}, {boundary!r}")
     if eval_xs is None:
         eval_xs = np.geomspace(boundary, x_min, 400)
     eval_xs = np.asarray(eval_xs, dtype=float)
-    inside = np.unique(eval_xs[(eval_xs < boundary) & (eval_xs > x_min)])
-    eval_xs = np.concatenate(([boundary], inside[::-1], [x_min]))
-    psi, dpsi = _linear_rows(problem, boundary, float(problem.drift(boundary)),
-                             eval_xs)
-    phi = 1.0 - eps * psi
+    inside = eval_xs[(eval_xs > x_min) & (eval_xs < boundary)]
+    # A reversed view: np.log of a descending copy can differ in the last bit.
+    eval_xs = np.unique(np.concatenate(([x_min, boundary], inside)))[::-1]
+    psi, dpsi = _linear_rows(problem, boundary, eval_xs)
+    phi = 1.0 - problem.epsilon * psi
     down = np.flatnonzero(phi <= 0.0)
     if down.size:
         x_cross = float(eval_xs[down[0]])
@@ -260,9 +258,8 @@ def _psi_rhs(s, y, level, eps_level, model):
             / (q * q))
 
 
-def _linear_rows(problem: AmbiguityProblem, boundary: float, level: float,
-                 xs_descending):
-    """(psi, psi_s) of the linear form at drift ``level`` on descending nodes.
+def _linear_rows(problem: AmbiguityProblem, boundary: float, xs_descending):
+    """(psi, psi_s) of the linear form at lam(boundary) on descending nodes.
 
     One compiled LSODA run (``odeint``, rtol 1e-13, atol 1e-15) with log x
     as output times; the first, log(boundary), is the initial point.  Raises
@@ -270,6 +267,7 @@ def _linear_rows(problem: AmbiguityProblem, boundary: float, level: float,
     the boundary: a failed run leaves its later rows unset) or a row is not
     finite (``last_x`` is the smallest node whose row is).
     """
+    level = float(problem.drift(boundary))
     with warnings.catch_warnings():
         # A failure also sets the message.
         warnings.simplefilter("ignore", ODEintWarning)
@@ -298,6 +296,7 @@ def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
     decade apart: one span from b to the floor exceeds LSODA's default
     budget of 500 steps per output interval (GL theta=2, eps 0, b = 0.70).
     """
+    problem.validate_x(boundary)
     level = float(problem.drift(boundary))
     a, sigma_bar, disc = _tail_modes(problem, level)
     if disc < 0.0:
@@ -311,7 +310,7 @@ def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
     floor = TAIL_FLOOR * problem.drift_peak
     xs = np.geomspace(boundary, floor,
                       2 + math.ceil(math.log10(boundary / floor)))
-    y = _linear_rows(problem, boundary, level, xs)[:, -1]
+    y = _linear_rows(problem, boundary, xs)[:, -1]
     s_min = math.log(floor)
     ddpsi = _psi_rhs(s_min, y, level, problem.epsilon * level,
                      problem.model)[1]
@@ -427,21 +426,20 @@ def build_potential(problem: AmbiguityProblem,
                     threshold: float) -> PotentialGrid:
     """Tabulate the potential for an admissible threshold.
 
-    The linear form of ``tail_coefficient`` is integrated once by
-    ``_linear_rows`` (the LSODA run ``cole_hopf_slope`` also reads), from
-    the threshold down to the floor ``DIP_FLOOR * drift_peak``, with the
-    nodes as output times: a log-spaced grid plus finite-difference
-    companion nodes.  Its rows give psi and psi_s at each node, where the
-    slope is g = (psi_s / x) / phi, phi = 1 - eps psi (g = 1 at the
-    threshold).  Above the threshold g is one.
+    The slope is ``cole_hopf_slope`` from the threshold down to the floor
+    ``DIP_FLOOR * drift_peak``, one ``_linear_rows`` run with the nodes as
+    output times: a log-spaced grid plus finite-difference companion nodes
+    (g = 1 at the threshold).  Above the threshold g is one.
     ``PotentialGrid.from_slopes`` integrates the value from
     value(threshold) = 0; it is linear above.
 
     Raises ``SingularIntegrationError`` when the LSODA run fails (see
-    ``_linear_rows``), ``TransformBreakdownError`` when phi is not positive
-    at a node (the slope blows up above the floor) and ``InputDomainError``
-    when the threshold is inadmissible (the slope dips below one).
+    ``_linear_rows``), ``TransformBreakdownError`` when the slope grows to
+    +infinity above the floor, and ``InputDomainError`` when the threshold
+    lies outside (0, x_max] or is inadmissible: the slope dips below one, or
+    dives through it to -infinity.
     """
+    problem.validate_x(threshold)
     x_min = DIP_FLOOR * problem.drift_peak
     grid_x = np.geomspace(x_min, threshold, N_GRID_LEFT)
     h = np.minimum(FD_STEP_ABS * threshold, FD_STEP_REL * grid_x)
@@ -450,23 +448,18 @@ def build_potential(problem: AmbiguityProblem,
     fd_h = h[interior]
     nodes_x = np.unique(np.concatenate([grid_x, fd_x - fd_h, fd_x + fd_h]))
 
-    psi, dpsi = _linear_rows(problem, threshold,
-                             float(problem.drift(threshold)),
-                             nodes_x[::-1])[:, ::-1]
-    phi = 1.0 - problem.epsilon * psi
-    nodes_g = dpsi / nodes_x / phi
-    nodes_g[-1] = 1.0
-    bad = np.flatnonzero(~(phi > 0.0) | (nodes_g < 1.0 - DIP_TOLERANCE))
-    if bad.size:  # the largest failing node tells a dip from a blow-up
-        x_bad = float(nodes_x[bad[-1]])
-        if phi[bad[-1]] > 0.0:
-            raise InputDomainError(
-                f"threshold {threshold!r} is not admissible: slope dipped "
-                f"below one near x={x_bad!r}")
-        raise TransformBreakdownError(
-            f"base function 1 - eps psi is not positive at x={x_bad!r}; the "
-            "slope blew up above the grid floor", crossing_x=x_bad,
-            derivative_sign=-float(np.sign(dpsi[bad[-1]])))
+    try:
+        nodes_g = cole_hopf_slope(problem, threshold, x_min,
+                                  eval_xs=nodes_x).ys[::-1]
+        dips = nodes_x[nodes_g < 1.0 - DIP_TOLERANCE]
+    except TransformBreakdownError as exc:
+        if not exc.derivative_sign > 0.0:
+            raise
+        dips = [exc.crossing_x]   # the slope dived through one to -inf
+    if len(dips):
+        raise InputDomainError(
+            f"threshold {threshold!r} is not admissible: slope dipped "
+            f"below one near x={float(dips[-1])!r}")
 
     x_plot_max = min(2.0 * problem.drift_zero, problem.x_max)
     right = np.linspace(threshold, x_plot_max, N_GRID_RIGHT + 1)[1:]

@@ -480,8 +480,12 @@ def _std_error(values):
 def _run_lanes(cfg: SimConfig, path_ids, x0s, jobs: int) -> list[PathStats]:
     """Per-lane results in lane order; ``jobs > 1`` deals lanes to processes.
 
-    Per-path streams make the result independent of the batching.
+    ``jobs`` must be an int >= 1 (``InputDomainError`` naming it otherwise).
     """
+    if not (is_number(jobs) and isinstance(jobs, numbers.Integral)
+            and jobs >= 1):
+        raise InputDomainError(
+            f"'jobs' must be an integer of at least 1, got {jobs!r}")
     n = len(path_ids)
     if n == 0:
         return []

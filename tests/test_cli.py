@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ergharvest import (AmbiguityProblem, SimConfig, VerhulstPearl,
-                        artifacts, cli, config, estimate_payoff,
+                        artifacts, cli, config, estimate_payoff, simulate,
                         solve_threshold, verify_solution)
 from ergharvest.cli import main
 
@@ -27,6 +27,13 @@ def write_cfg(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+class _NanStream:
+    """A stream of NaN draws: the path that reads it aborts."""
+
+    def standard_normal(self, m):
+        return np.full(m, np.nan)
 
 
 def _table_with_nan():
@@ -552,6 +559,47 @@ class TestSimulate:
         cfg = write_cfg(tmp_path, output_dir=str(tmp_path / "empty"))
         rc = main(["simulate", "--config", str(cfg), "--no-inline-solve"])
         assert rc == 66
+
+    @pytest.mark.parametrize("argv", [["verify"],
+                                      ["simulate", "--no-inline-solve"]],
+                             ids=["verify", "simulate-no-inline-solve"])
+    def test_read_only_commands_make_no_directory(self, tmp_path, argv):
+        out = tmp_path / "nothere" / "deeper"
+        cfg = write_cfg(tmp_path, output_dir=str(out))
+        assert main([*argv, "--config", str(cfg)]) == 66
+        assert not (tmp_path / "nothere").exists()
+
+    def test_aborted_path_stays_out_of_the_aggregates(self, tmp_path,
+                                                      monkeypatch):
+        # Path 0 draws NaN noise and aborts; paths.csv keeps it, flagged,
+        # while occupation.csv and the counters sum the other paths only.
+        sim = {"dt": 1e-3, "horizon": 5.0, "n_paths": 12,
+               "measure": "worstcase"}
+        cfg = write_cfg(tmp_path, epsilon=1.0, sim=sim)
+        real_rng = simulate.path_rng
+        monkeypatch.setattr(simulate, "path_rng", lambda seed, pid: (
+            _NanStream() if pid == 0 else real_rng(seed, pid)))
+        assert main(["simulate", "--config", str(cfg), "--jobs", "1"]) == 0
+        run = tmp_path / "run"
+        problem = AmbiguityProblem.build(VerhulstPearl(), 1.0)
+        sol = artifacts.load_solution(run, problem)
+        est = estimate_payoff(SimConfig(problem=problem, beta=sol.threshold,
+                                        solution=sol, seed=5, **sim))
+        assert [s.aborted for s in est.per_path] == [True] + [False] * 11
+        kept = est.per_path[1:]
+        with open(run / "occupation.csv") as fh:
+            counts = [float(row["count"]) for row in csv.DictReader(fh)]
+        assert counts == list(np.sum([s.occupation_histogram for s in kept],
+                                     axis=0))
+        assert counts != list(np.sum([s.occupation_histogram
+                                      for s in est.per_path], axis=0))
+        summary = json.loads((run / "summary.json").read_text())["simulation"]
+        assert summary["negative_proposals"] == sum(
+            s.negative_proposals for s in kept)
+        assert summary["floor_clamps"] == sum(s.floor_clamps for s in kept)
+        with open(run / "paths.csv") as fh:
+            flags = [float(row["aborted_flag"]) for row in csv.DictReader(fh)]
+        assert flags == [1.0] + [0.0] * 11
 
     def test_persisted_solution_reused(self, tmp_path):
         cfg = write_cfg(tmp_path)

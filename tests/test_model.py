@@ -25,12 +25,13 @@ class TestAdjustedDrift:
         assert p.drift_peak == pytest.approx(0.25, rel=1e-12)
 
     def test_domain_validation(self, problem0):
+        # NaN is outside the domain, alone or inside an array.
+        for x in (0.0, -1.0, problem0.x_max * 1.01, math.nan,
+                  [0.5, math.nan, 0.7], [math.nan, math.nan]):
+            with pytest.raises(InputDomainError):
+                problem0.validate_x(x)
         with pytest.raises(InputDomainError):
-            problem0.validate_x(0.0)
-        with pytest.raises(InputDomainError):
-            problem0.validate_x(-1.0)
-        with pytest.raises(InputDomainError):
-            problem0.validate_x(problem0.x_max * 1.01)
+            scale_density(problem0, math.nan)
 
     def test_nonincreasing_in_ambiguity(self, vp_model):
         xs = np.geomspace(0.01, 2.0, 64)

@@ -14,8 +14,9 @@ from scipy.optimize import brentq
 from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
                         MonotonicityViolationError, SingularIntegrationError,
                         TransformBreakdownError, VerhulstPearl,
-                        classify_boundary, cole_hopf_slope, integrate_slope,
-                        ivp, shooting, solve_threshold, tail_coefficient)
+                        build_truncated, classify_boundary, cole_hopf_slope,
+                        integrate_slope, ivp, shooting, solve_threshold,
+                        tail_coefficient)
 from ergharvest.shooting import BETA_RTOL
 
 import oracles
@@ -455,9 +456,31 @@ class TestColeHopf:
                   for x, g in zip(ch.xs, ch.ys) if x in table)
         assert rel < 1e-7
 
-    def test_requires_positive_ambiguity(self, problem0):
-        with pytest.raises(InputDomainError):
-            cole_hopf_slope(problem0, 0.9, 0.4)
+    def test_matches_zero_ambiguity_closed_form(self, problem0, sol0):
+        # At eps = 0 the base function is one and the slope is psi' itself,
+        # held to the bounds of test_slope_matches_zero_ambiguity_closed_form.
+        b = sol0.threshold
+        grid = cole_hopf_slope(problem0, b, sol0.x_min,
+                               eval_xs=sol0.grid.grid_x)
+        expected = oracles.slope_closed_form(grid.xs, b)
+        rel = np.abs(grid.ys - expected) / expected
+        assert np.max(rel[grid.xs >= 1e-4 * b]) <= 1e-9
+        assert np.max(rel) <= 1e-6
+
+    def test_solve_reads_the_slopes_through_the_module_attribute(
+            self, problem1, monkeypatch):
+        # perfbench's tracer wraps shooting.cole_hopf_slope; a solve must
+        # reach the wrapper, once, at the threshold.
+        calls = []
+        real = shooting.cole_hopf_slope
+
+        def spy(problem, boundary, *args, **kwargs):
+            calls.append(boundary)
+            return real(problem, boundary, *args, **kwargs)
+
+        monkeypatch.setattr(shooting, "cole_hopf_slope", spy)
+        sol = solve_threshold(problem1)
+        assert calls == [sol.threshold]
 
     def test_eval_xs_in_any_order(self, problem1):
         # Ascending, shuffled or repeated nodes give the descending table.
@@ -493,6 +516,30 @@ class TestColeHopf:
             crossings.append(err.value.crossing_x)
         coarse, fine = crossings
         assert 0.0 <= math.log(fine / coarse) < math.log(b / 1e-4) / 399
+
+
+# Candidate boundaries outside the working domain (0, x_max]; None stands for
+# 2 x_max of the problem at hand.
+BAD_BOUNDARIES = {"zero": 0.0, "negative": -1.0, "nan": math.nan,
+                  "inf": math.inf, "-inf": -math.inf, "2x_max": None}
+BOUNDARY_ENTRY_POINTS = {
+    "tail_coefficient": tail_coefficient,
+    "build_potential": shooting.build_potential,
+    "cole_hopf_slope": lambda problem, b: cole_hopf_slope(problem, b, 1e-3),
+    "integrate_slope": integrate_slope,
+    "classify_boundary": classify_boundary,
+    "build_truncated": lambda problem, b: build_truncated(problem, b, 0.09),
+}
+
+
+@pytest.mark.parametrize("entry", BOUNDARY_ENTRY_POINTS)
+@pytest.mark.parametrize("label", BAD_BOUNDARIES)
+def test_boundary_outside_the_domain_raises(problem1, entry, label):
+    b = BAD_BOUNDARIES[label]
+    if b is None:
+        b = 2.0 * problem1.x_max
+    with pytest.raises(InputDomainError):
+        BOUNDARY_ENTRY_POINTS[entry](problem1, b)
 
 
 def test_bisection_tolerance_default(sol0, problem0):

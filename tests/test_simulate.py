@@ -395,6 +395,17 @@ class TestX0Independence:
             est = estimate_payoff(dataclasses.replace(cfg, x0=x0))
             assert (mean, se) == (est.mean, est.std_error)
 
+    @pytest.mark.parametrize("jobs", [2.5, True, False, 0, -3, "2", None])
+    def test_jobs_must_be_a_positive_integer(self, problem0, sol0, jobs):
+        # The rule is checked before any lane runs, also with no starts.
+        cfg = _small_cfg(problem0, sol0, n_paths=4, horizon=2.0)
+        for run in (lambda: estimate_payoff(cfg, jobs=jobs),
+                    lambda: x0_independence_check(cfg, [sol0.threshold],
+                                                  jobs=jobs),
+                    lambda: x0_independence_check(cfg, [], jobs=jobs)):
+            with pytest.raises(InputDomainError, match="'jobs'"):
+                run()
+
     def test_no_starts_no_lanes(self, problem0, sol0):
         cfg = _small_cfg(problem0, sol0, n_paths=4, horizon=2.0)
         report = x0_independence_check(cfg, [], jobs=2)
