@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputDomainError, MissingInputError
-from .model import AmbiguityProblem
+from .model import AmbiguityProblem, is_number
 from .shooting import PotentialGrid, ThresholdSolution
 
 SOLUTION_CSV = "solution.csv"
@@ -105,6 +106,17 @@ def _read_csv(path, columns):
     return [np.array(col) for col in zip(*rows)]
 
 
+# What ``load_solution`` accepts in each key of the ``solution`` block.
+_SOLUTION_RULES = {
+    "beta_eps": is_number,
+    "ell_eps": is_number,
+    "iterations": lambda v: (is_number(v) and isinstance(v, numbers.Integral)
+                             and v >= 1),
+    "beta_tolerance": is_number,
+    "regime": lambda v: v in ("interior", "extinction_bound"),
+}
+
+
 def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     """Rebuild the solution that ``write_solution`` and ``solution_block``
     persisted in ``run_dir``.
@@ -114,7 +126,8 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     ``PotentialGrid.from_slopes`` assembles the potential from them as the
     solve does, so the reload is the solve's potential bit for bit and its
     ``solution_block`` is the solve's; only the probe trace is not kept.
-    A missing or malformed file raises ``MissingInputError``, and a run
+    A missing or malformed file, or a ``solution`` value that breaks its
+    ``_SOLUTION_RULES`` entry, raises ``MissingInputError``, and a run
     whose ``problem`` block is not ``problem_block(problem)`` (solved at
     another level or for another model) raises ``InputDomainError``.
     """
@@ -127,11 +140,9 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
         summary = json.loads(summary_path.read_text())
         solved_for = {key: summary["problem"][key] for key in expected}
         block = summary["solution"]
-        threshold = float(block["beta_eps"])
-        long_run_yield = float(block["ell_eps"])
-        iterations = int(block["iterations"])
-        beta_tolerance = float(block["beta_tolerance"])
-        regime = block["regime"]
+        for key, ok in _SOLUTION_RULES.items():
+            if not ok(block[key]):
+                raise ValueError(f"malformed {key} {block[key]!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise MissingInputError(
             f"{summary_path} lacks a readable problem or solution: {exc}")
@@ -144,6 +155,7 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     xs, _, vps = _read_csv(run / SOLUTION_CSV, ["x", "v", "vprime"])
     fd_x, fd_h, fd_lo, fd_hi = _read_csv(
         run / FD_CSV, ["x", "h", "vprime_minus", "vprime_plus"])
+    threshold = float(block["beta_eps"])
     left = xs <= threshold
     known = ((xs[left], vps[left]), (fd_x - fd_h, fd_lo), (fd_x + fd_h, fd_hi))
     nodes_x = np.unique(np.concatenate([x for x, _ in known]))
@@ -153,9 +165,10 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     grid = PotentialGrid.from_slopes(problem, threshold, nodes_x, nodes_slope,
                                      xs[left], xs[~left], fd_x, fd_h)
     return ThresholdSolution(
-        problem=problem, threshold=threshold, long_run_yield=long_run_yield,
-        grid=grid, bisection_trace=(), iterations=iterations,
-        beta_tolerance=beta_tolerance, regime=regime)
+        problem=problem, threshold=threshold,
+        long_run_yield=float(block["ell_eps"]), grid=grid, bisection_trace=(),
+        iterations=block["iterations"],
+        beta_tolerance=float(block["beta_tolerance"]), regime=block["regime"])
 
 
 def write_paths_csv(path, per_path):

@@ -38,10 +38,13 @@ EXIT_INTERNAL = 70
 
 
 def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -32,8 +32,9 @@ import numpy as np
 from . import ivp
 from .errors import InputDomainError
 from .model import AmbiguityProblem
-from .shooting import (DIP_FLOOR, ThresholdSolution, _piecewise, _slope_rhs,
-                       integrate_slope, tail_coefficient)
+from .shooting import (DIP_FLOOR, DIP_TOLERANCE, ThresholdSolution,
+                       _piecewise, _slope_rhs, integrate_slope,
+                       tail_coefficient)
 
 __all__ = [
     "HjbReport",
@@ -48,7 +49,7 @@ __all__ = [
 TOLERANCES = {
     "residual_left": 1e-6,
     "excess_right": 1e-8,
-    "vprime": 1e-8,           # v' >= 1 - tol below the threshold
+    "vprime": DIP_TOLERANCE,  # v' >= 1 - tol below the threshold
     "pasting_slope": 1e-10,
     "pasting_curvature": 1e-6,
     "fd_agreement": 1e-4,

@@ -283,15 +283,18 @@ class AmbiguityProblem:
         """Adjusted drift without domain validation (internal hot paths)."""
         return _drift(self.model, self.epsilon, x)
 
-    def validate_x(self, x):
-        """Refuse any state or boundary that is NaN or outside (0, x_max]."""
+    def validate_x(self, x, name="state"):
+        """Refuse any state or boundary that is NaN or outside (0, x_max].
+
+        The error calls the refused value ``name``.
+        """
         arr = np.asarray(x, dtype=float)
         if arr.size == 0:
             raise InputDomainError("empty state array")
         lo, hi = float(np.min(arr)), float(np.max(arr))
         if not 0.0 < lo <= hi <= self.x_max:
             raise InputDomainError(
-                f"state out of working domain (0, {self.x_max}]: "
+                f"{name} out of working domain (0, {self.x_max}]: "
                 f"range [{lo}, {hi}]")
 
 

@@ -37,8 +37,9 @@ is scaled into (steps, lanes) rows, and the harvest max(P - beta, 0), the
 KL increments (from the stored cells and states), the negative-proposal
 and floor-clamp counts, the running maximum and the strided occupation
 histogram (one ``bincount`` over lane * N_BINS + bin) are computed over
-the chunk's buffers, whose rows are split at the burn-in and mid-window
-steps for the snapshots.
+the chunk's buffers.  Chunks also end at the burn-in and mid-window steps,
+so each lies wholly before or wholly inside the retained window and settles
+whole.
 
 The settled sums stay bit-identical to adding one step at a time: each
 sum is ``np.add.reduce(rows, axis=0)`` over C-ordered (steps, lanes) rows
@@ -119,9 +120,9 @@ def _project(proposed, beta, out):
 # once per block of this many steps.
 _BLOCK_STEPS = 2048
 
-# Steps per chunk: harvest, KL, counters and occupation are settled once per
-# chunk.  Chunks never cross a block end, so the quarantine there sees
-# settled totals.  128 steps settle as fast as 256 and hold less memory.
+# Steps per chunk at most; each chunk settles its harvest, KL, counters and
+# occupation at once.  Chunks end at block ends (the quarantine sees settled
+# totals) and at the burn-in and mid-window steps; 128 is as fast as 256.
 _CHUNK_STEPS = 128
 
 # The worst-case table's nodes are the doubles whose low _CELL_SHIFT bits are
@@ -251,6 +252,7 @@ class SimConfig:
     def __post_init__(self):
         if not (is_number(self.beta) and self.beta > 0.0):
             raise InputDomainError(f"'beta' must be > 0, got {self.beta!r}")
+        self.problem.validate_x(self.beta, "'beta'")
         settings = require_settings(vars(self))
         settings["beta"] = float(self.beta)
         settings["x0"] = settings["x0"] or settings["beta"]
@@ -294,12 +296,10 @@ class PathStats:
 def _ordered_sum(total, rows):
     """total + rows[0] + rows[1] + ... per lane, added in step order.
 
-    ``rows`` is C-ordered (steps, lanes) with at least two lanes, so the
-    reduction along axis 0 adds whole rows in turn; its first row is
-    overwritten.
+    ``rows`` is C-ordered (steps, lanes), non-empty and with at least two
+    lanes, so the reduction along axis 0 adds whole rows in turn; its first
+    row is overwritten.
     """
-    if len(rows) == 0:
-        return total
     rows[0] += total
     return np.add.reduce(rows, axis=0)
 
@@ -315,7 +315,6 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     beta = cfg.beta
     dt = cfg.dt
     sqdt = math.sqrt(dt)
-    eps = problem.epsilon
     n_out = len(path_ids)
     ids = list(path_ids)
     x0 = np.full(n_out, cfg.x0) if x0 is None else np.array(x0, dtype=float)
@@ -327,10 +326,8 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     burn = cfg.burn_steps
     retained = n_steps - burn
     mid = burn + retained // 2
-    stride = OCCUPATION_STRIDE
-    n_bins = N_BINS
     table = (_WorstCaseStep(problem, cfg.solution, beta, dt)
-             if cfg.measure == "worstcase" and eps > 0.0 else None)
+             if cfg.measure == "worstcase" and problem.epsilon > 0.0 else None)
 
     chunk = _CHUNK_STEPS
     states = np.empty((chunk + 1, n))  # row r: the state before chunk step r
@@ -339,11 +336,11 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     KL = np.zeros(n)
     neg = np.zeros(n, dtype=np.int64)
     clamps = np.zeros(n, dtype=np.int64)
-    occ = np.zeros((n, n_bins), dtype=np.int64)
+    occ = np.zeros((n, N_BINS), dtype=np.int64)
     max_x = states[0].copy()
     aborted = np.zeros(n, dtype=bool)
-    bin_scale = n_bins / beta
-    lane_bins = np.arange(n) * n_bins
+    bin_scale = N_BINS / beta
+    lane_bins = np.arange(n) * N_BINS
 
     # No step before burn-in ends adds to Z or KL.  A window starting at
     # time zero counts the instant initial harvest.
@@ -365,8 +362,11 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
             m = min(_BLOCK_STEPS, n_steps - done)
             for j, gen in enumerate(gens):
                 drawn[j, :m] = gen.standard_normal(m)
-            for c0 in range(0, m, chunk):
-                rows = min(chunk, m - c0)
+            c0 = 0
+            while c0 < m:
+                k0 = done + c0
+                rows = min(chunk, m - c0,
+                           *(k - k0 for k in (burn, mid) if k > k0))
                 np.multiply(drawn[:, c0:c0 + rows].T, sqdt, out=noise[:rows])
                 for r in range(rows):
                     x = state_rows[r]
@@ -386,40 +386,33 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
                     _project(proposed, beta, state_rows[r + 1])
 
                 # Settle the chunk: step k = k0 + r moved states[r] to
-                # states[r + 1] through the proposal noise[r].
-                k0 = done + c0
+                # states[r + 1] through the proposal noise[r].  The chunk
+                # lies wholly before the retained window or wholly in it.
                 after = states[1:rows + 1]
                 np.maximum(max_x, after.max(axis=0), out=max_x)
-                r0 = min(max(burn - k0, 0), rows)
-                proposals = noise[r0:rows]
-                neg += np.count_nonzero(proposals < 0.0, axis=0)
-                harvest = proposals - beta
-                np.maximum(harvest, 0.0, out=harvest)
-                kl = None
-                if table is not None:
-                    clamps += np.count_nonzero(states[r0:rows] < table.lo,
-                                               axis=0)
-                    kl = table.kl_at(cells[r0:rows], states[r0:rows])
-                sample = after[r0 + (burn - k0 - r0) % stride::stride]
-                if len(sample):
+                if k0 >= burn:
+                    proposals = noise[:rows]
+                    neg += np.count_nonzero(proposals < 0.0, axis=0)
+                    harvest = proposals - beta
+                    np.maximum(harvest, 0.0, out=harvest)
+                    Z = _ordered_sum(Z, harvest)
+                    if table is not None:
+                        clamps += np.count_nonzero(states[:rows] < table.lo,
+                                                   axis=0)
+                        KL = _ordered_sum(
+                            KL, table.kl_at(cells[:rows], states[:rows]))
+                    stride = OCCUPATION_STRIDE
+                    sample = after[(burn - k0) % stride::stride]
                     # Clip from below too: a NaN state casts to INT64_MIN.
                     bins = (sample * bin_scale).astype(np.int64)
-                    np.clip(bins, 0, n_bins - 1, out=bins)
+                    np.clip(bins, 0, N_BINS - 1, out=bins)
                     bins += lane_bins
-                    counts = np.bincount(bins.ravel(), minlength=n * n_bins)
-                    occ += counts.reshape(n, n_bins)
-                split = mid - k0 - r0
-                if 0 < split <= rows - r0:
-                    Z = _ordered_sum(Z, harvest[:split])
-                    harvest = harvest[split:]
-                    if kl is not None:
-                        KL = _ordered_sum(KL, kl[:split])
-                        kl = kl[split:]
-                    Z_mid, KL_mid = Z, KL
-                Z = _ordered_sum(Z, harvest)
-                if kl is not None:
-                    KL = _ordered_sum(KL, kl)
+                    counts = np.bincount(bins.ravel(), minlength=n * N_BINS)
+                    occ += counts.reshape(n, N_BINS)
+                    if k0 + rows == mid:
+                        Z_mid, KL_mid = Z, KL
                 states[0] = states[rows]
+                c0 += rows
             x = states[0]
             bad = ~(np.isfinite(x) & np.isfinite(Z) & np.isfinite(KL))
             if np.any(bad):

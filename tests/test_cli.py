@@ -36,6 +36,15 @@ class _NanStream:
         return np.full(m, np.nan)
 
 
+def _set_solution(key, value):
+    """An edit of ``summary.json`` text that sets one ``solution`` value."""
+    def edit(text):
+        summary = json.loads(text)
+        summary["solution"][key] = value
+        return json.dumps(summary)
+    return edit
+
+
 def _table_with_nan():
     """A tabulated model block with one NaN in ``mu_values``."""
     xs = list(np.geomspace(1e-4, 3.0, 64))
@@ -333,13 +342,14 @@ class TestJobsDefault:
             parser.parse_args(["solve", "--config", "c.json", "--jobs", "2"])
         assert exc.value.code == 64
         assert "--jobs" in capsys.readouterr().err
-        for value in ("0", "-4"):
+        for value in ("0", "-4", "2.5", "two"):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(["simulate", "--config", "c.json",
                                    "--jobs", value])
             assert exc.value.code == 64
             err = capsys.readouterr().err
             assert "--jobs" in err and "positive integer" in err
+            assert "_positive_int" not in err
 
     def test_works_without_sched_getaffinity(self, tmp_path, capsys,
                                              monkeypatch):
@@ -793,7 +803,12 @@ class TestVerify:
     @pytest.mark.parametrize("name, edit", [
         ("vprime_fd.csv", lambda text: text.splitlines(True)[0]),
         ("solution.csv", lambda text: text.replace("\n", "\nabc", 1)),
-    ], ids=["header_only_fd", "non_numeric_cell"])
+        ("summary.json", _set_solution("iterations", 3.7)),
+        ("summary.json", _set_solution("iterations", -4)),
+        ("summary.json", _set_solution("regime", 5)),
+        ("summary.json", _set_solution("beta_tolerance", True)),
+    ], ids=["header_only_fd", "non_numeric_cell", "fractional_iterations",
+            "negative_iterations", "numeric_regime", "boolean_tolerance"])
     def test_malformed_artifact_is_missing_input(self, tmp_path, capsys,
                                                  name, edit):
         cfg = write_cfg(tmp_path)

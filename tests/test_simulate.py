@@ -269,26 +269,38 @@ class TestChunkedSettlement:
         dict(burn_in=0.024, stride=3),
         dict(x0=2.0, stride=8),
         dict(n_paths=1),
-    ], ids=["no_burn_in", "mid_on_chunk_edge", "x0_above_beta", "one_lane"])
+        dict(horizon=10.0, burn_in=0.4096, stride=3),
+        dict(horizon=6.0, burn_in=1096 / 3000, stride=3),
+    ], ids=["no_burn_in", "mid_on_chunk_edge", "x0_above_beta", "one_lane",
+            "burn_on_block_edge", "mid_on_block_edge"])
     def test_matches_step_by_step_oracle(self, kw, measure, problem1, sol1,
                                          monkeypatch):
         kw = dict(kw)
         monkeypatch.setattr(simulate, "OCCUPATION_STRIDE",
                             kw.pop("stride", simulate.OCCUPATION_STRIDE))
         x0 = kw.pop("x0", 1.0) * sol1.threshold
-        cfg = _small_cfg(problem1, sol1, x0=x0, dt=2e-3, horizon=5.0,
+        cfg = _small_cfg(problem1, sol1, x0=x0, dt=2e-3,
+                         horizon=kw.pop("horizon", 5.0),
                          n_paths=kw.pop("n_paths", 4), measure=measure,
                          solution=sol1, **kw)
         # The run crosses a block end and ends inside a chunk (so inside a
         # block too).
-        chunk = simulate._CHUNK_STEPS
-        assert cfg.n_steps > simulate._BLOCK_STEPS and cfg.n_steps % chunk
+        chunk, block = simulate._CHUNK_STEPS, simulate._BLOCK_STEPS
+        assert cfg.n_steps > block and cfg.n_steps % chunk
+        burn = cfg.burn_steps
+        mid = burn + (cfg.n_steps - burn) // 2
         if cfg.burn_in == 0.024:
             # Burn-in ends inside the first chunk; the window splits on the
             # edge between two chunks.
-            burn = cfg.burn_steps
-            mid = burn + (cfg.n_steps - burn) // 2
             assert burn % chunk and mid % chunk == 0
+        elif cfg.burn_in == 0.4096:
+            # Burn-in ends on the first block end; the window splits inside
+            # a chunk.
+            assert burn == block and mid % chunk
+        elif cfg.burn_in == 1096 / 3000:
+            # Burn-in ends inside a chunk; the window splits on the first
+            # block end.
+            assert burn % chunk and mid == block
         ids = list(range(cfg.n_paths))
         got = simulate._run_paths(cfg, ids)
         want = oracles.step_paths(cfg, ids)
@@ -448,6 +460,10 @@ class TestConfigValidation:
     def test_rejects_bad_fields(self, problem0, sol0):
         with pytest.raises(InputDomainError):
             SimConfig(problem=problem0, beta=-1.0, x0=0.5)
+        # beta obeys the problem's one domain rule, 0 < beta <= x_max.
+        for beta in (2.0 * problem0.x_max, 1e6):
+            with pytest.raises(InputDomainError, match="'beta'"):
+                SimConfig(problem=problem0, beta=beta, x0=0.5)
         with pytest.raises(InputDomainError):
             SimConfig(problem=problem0, beta=1.0, x0=0.5, dt=2.0, horizon=1.0)
         with pytest.raises(InputDomainError):
