@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputDomainError, MissingInputError
 from .model import AmbiguityProblem, is_number
-from .shooting import PotentialGrid, ThresholdSolution
+from .shooting import N_GRID_LEFT, PotentialGrid, ThresholdSolution
 
 SOLUTION_CSV = "solution.csv"
 FD_CSV = "vprime_fd.csv"
@@ -126,10 +126,12 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     ``PotentialGrid.from_slopes`` assembles the potential from them as the
     solve does, so the reload is the solve's potential bit for bit and its
     ``solution_block`` is the solve's; only the probe trace is not kept.
-    A missing or malformed file, or a ``solution`` value that breaks its
-    ``_SOLUTION_RULES`` entry, raises ``MissingInputError``, and a run
-    whose ``problem`` block is not ``problem_block(problem)`` (solved at
-    another level or for another model) raises ``InputDomainError``.
+    A missing or malformed file, a ``solution`` value that breaks its
+    ``_SOLUTION_RULES`` entry, a ``beta_eps`` that is not the last of the
+    ``N_GRID_LEFT`` left grid nodes of ``solution.csv``, or an ``ell_eps``
+    other than the drift at ``beta_eps`` raises ``MissingInputError``, and
+    a run whose ``problem`` block is not ``problem_block(problem)`` (solved
+    at another level or for another model) raises ``InputDomainError``.
     """
     run = Path(run_dir)
     summary_path = run / SUMMARY_JSON
@@ -155,8 +157,18 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     xs, _, vps = _read_csv(run / SOLUTION_CSV, ["x", "v", "vprime"])
     fd_x, fd_h, fd_lo, fd_hi = _read_csv(
         run / FD_CSV, ["x", "h", "vprime_minus", "vprime_plus"])
+    # The solve's left grid ends at beta, and ell is the drift there.
     threshold = float(block["beta_eps"])
     left = xs <= threshold
+    if np.count_nonzero(left) != N_GRID_LEFT or xs[left].max() != threshold:
+        raise MissingInputError(
+            f"{summary_path} holds beta_eps {threshold!r}, not the last of "
+            f"the {N_GRID_LEFT} left grid nodes of {run / SOLUTION_CSV}")
+    ell = float(problem.drift(threshold))
+    if block["ell_eps"] != ell:
+        raise MissingInputError(
+            f"{summary_path} holds ell_eps {block['ell_eps']!r}, not the "
+            f"drift {ell!r} at beta_eps")
     known = ((xs[left], vps[left]), (fd_x - fd_h, fd_lo), (fd_x + fd_h, fd_hi))
     nodes_x = np.unique(np.concatenate([x for x, _ in known]))
     nodes_slope = np.empty_like(nodes_x)
@@ -166,7 +178,7 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
                                      xs[left], xs[~left], fd_x, fd_h)
     return ThresholdSolution(
         problem=problem, threshold=threshold,
-        long_run_yield=float(block["ell_eps"]), grid=grid, bisection_trace=(),
+        long_run_yield=ell, grid=grid, bisection_trace=(),
         iterations=block["iterations"],
         beta_tolerance=float(block["beta_tolerance"]), regime=block["regime"])
 

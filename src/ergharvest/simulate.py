@@ -29,17 +29,22 @@ path id may run from several starts in one batch.
 
 At a few hundred lanes per process each numpy call costs about the same
 whatever its width, so the step loop runs only the recurrence
-x_k -> x_{k+1}: sigma(x), the mean proposal (the cell's line, or the
-reference drift), the proposal (written into the noise row it consumed)
-and the projection onto [0, beta].  Each lane draws a block's noise into
-its own contiguous row.  Once per chunk of ``_CHUNK_STEPS`` steps the noise
-is scaled into (steps, lanes) rows, and the harvest max(P - beta, 0), the
-KL increments (from the stored cells and states), the negative-proposal
-and floor-clamp counts, the running maximum and the strided occupation
-histogram (one ``bincount`` over lane * N_BINS + bin) are computed over
-the chunk's buffers.  Chunks also end at the burn-in and mid-window steps,
-so each lies wholly before or wholly inside the retained window and settles
-whole.
+x_k -> x_{k+1}, in as few calls as it can, each given its operands as
+lane-width arrays.  Each lane draws a block's noise into its own
+contiguous row, and the block is scaled in place once, so that a step
+reads its noise w as a column of the draws.  For a model whose noise is
+sigma_bar x (``GeneralLogistic``) the worst-case proposal is the cell's
+line fused with the noise, a + x (b + w) with w = sigma_bar sqrt(dt) Z, in
+nine calls.  Otherwise w = sqrt(dt) Z and the proposal is the mean (the
+cell's line, or the reference x + x mu(x) dt) plus sigma(x) w.  The step
+writes its proposal into a (steps, lanes) row and projects it onto
+[0, beta].  Once per chunk of ``_CHUNK_STEPS`` steps the harvest
+max(P - beta, 0), the KL increments (from the stored cells and states),
+the negative-proposal and floor-clamp counts, the running maximum and the
+strided occupation histogram (one ``bincount`` over lane * N_BINS + bin)
+are computed over the chunk's buffers.  Chunks also end at the burn-in and
+mid-window steps, so each lies wholly before or wholly inside the retained
+window and settles whole.
 
 The settled sums stay bit-identical to adding one step at a time: each
 sum is ``np.add.reduce(rows, axis=0)`` over C-ordered (steps, lanes) rows
@@ -60,7 +65,7 @@ import numpy as np
 
 from .errors import InputDomainError, SimulationAbortError
 from .hjb import minimizing_kernel
-from .model import AmbiguityProblem, is_number
+from .model import AmbiguityProblem, GeneralLogistic, is_number
 from .shooting import ThresholdSolution
 
 __all__ = [
@@ -105,15 +110,6 @@ def require_seed(seed) -> int:
         raise InputDomainError(
             f"'seed' must be an integer in [0, 2**64), got {seed!r}")
     return seed
-
-
-def _project(proposed, beta, out):
-    """Write ``proposed`` projected onto [0, beta] into ``out``.
-
-    A negative proposal goes to zero unharvested: zero is unattainable.
-    """
-    np.minimum(proposed, beta, out=out)
-    return np.maximum(out, 0.0, out=out)
 
 
 # Steps per block: noise is drawn, and non-finite paths are quarantined,
@@ -230,7 +226,8 @@ def require_settings(sim, where=""):
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """Monte Carlo configuration for one threshold policy from ``x0``
-    (default ``beta``), its settings normalized by ``require_settings``.
+    (default ``beta``), its settings normalized by ``require_settings``;
+    ``beta`` and ``x0`` obey the problem's domain rule ``validate_x``.
 
     ``measure`` selects the simulated drift: the reference dynamics or the
     worst-case change of measure, whose step table is built from the slope
@@ -256,6 +253,7 @@ class SimConfig:
         settings = require_settings(vars(self))
         settings["beta"] = float(self.beta)
         settings["x0"] = settings["x0"] or settings["beta"]
+        self.problem.validate_x(settings["x0"], "'x0'")
         for name, value in settings.items():
             object.__setattr__(self, name, value)
         require_seed(self.seed)
@@ -310,11 +308,11 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     ``x0`` gives each lane's starting point (default ``cfg.x0`` for all).
     """
     problem = cfg.problem
-    mu = problem.model.mu
-    sigma = problem.model.sigma
+    model = problem.model
+    mu = model.mu
+    sigma = model.sigma
     beta = cfg.beta
     dt = cfg.dt
-    sqdt = math.sqrt(dt)
     n_out = len(path_ids)
     ids = list(path_ids)
     x0 = np.full(n_out, cfg.x0) if x0 is None else np.array(x0, dtype=float)
@@ -328,10 +326,16 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     mid = burn + retained // 2
     table = (_WorstCaseStep(problem, cfg.solution, beta, dt)
              if cfg.measure == "worstcase" and problem.epsilon > 0.0 else None)
+    # With sigma(x) = sigma_bar x the worst-case proposal is a + x (b + w)
+    # for the noise w = sigma_bar sqrt(dt) Z; otherwise w = sqrt(dt) Z.
+    fused = table is not None and isinstance(model, GeneralLogistic)
+    sqdt = math.sqrt(dt)
+    noise_scale = model.sigma_bar * sqdt if fused else sqdt
 
     chunk = _CHUNK_STEPS
     states = np.empty((chunk + 1, n))  # row r: the state before chunk step r
     states[0] = np.minimum(x0, beta)
+    proposals = np.empty((chunk, n))  # row r: chunk step r's proposal
     Z = np.maximum(x0 - beta, 0.0)  # instant harvest
     KL = np.zeros(n)
     neg = np.zeros(n, dtype=np.int64)
@@ -347,13 +351,19 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
     Z_burn = Z.copy() if burn > 0 else np.zeros(n)
 
     gens = [path_rng(cfg.seed, int(pid)) for pid in ids]
-    drawn = np.empty((n, _BLOCK_STEPS))  # row j: lane j's draws for a block
-    noise = np.empty((chunk, n))
-    noise_rows = list(noise)
-    state_rows = list(states)
+    # Row j: lane j's draws for a block.  The rows are padded by one cache
+    # line so that a column's reads do not all fall in one L1 set.
+    drawn = np.empty((n, _BLOCK_STEPS + 8))[:, :_BLOCK_STEPS]
+    noise_cols = list(drawn.T)  # column k: every lane's noise at block step k
+    state_rows, proposal_rows = list(states), list(proposals)
+    # Operands as lane-width arrays: numpy takes them faster than scalars.
+    # A negative proposal goes to zero unharvested: zero is unattainable.
+    upper, lower = np.full(n, beta), np.zeros(n)
     if table is not None:
         cells = np.empty((chunk, n), dtype=np.int64)
         cell_rows, bit_rows = list(cells), list(states.view(np.int64))
+        shift, base = np.full(n, _CELL_SHIFT), np.full(n, table.base)
+        mean_a, mean_b, term = table.mean_a, table.mean_b, np.empty(n)
     done = 0
     # NaN/inf paths are quarantined at block boundaries; silence the float
     # warnings their garbage values would emit in the meantime.
@@ -362,38 +372,48 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
             m = min(_BLOCK_STEPS, n_steps - done)
             for j, gen in enumerate(gens):
                 drawn[j, :m] = gen.standard_normal(m)
+            drawn[:, :m] *= noise_scale
             c0 = 0
             while c0 < m:
                 k0 = done + c0
                 rows = min(chunk, m - c0,
                            *(k - k0 for k in (burn, mid) if k > k0))
-                np.multiply(drawn[:, c0:c0 + rows].T, sqdt, out=noise[:rows])
                 for r in range(rows):
                     x = state_rows[r]
-                    sig = sigma(x)
+                    w = noise_cols[c0 + r]
+                    proposed = proposal_rows[r]
                     if table is not None:
                         cell = cell_rows[r]
-                        np.right_shift(bit_rows[r], _CELL_SHIFT, out=cell)
-                        cell -= table.base
-                        mean = table.mean_at(cell, x)
+                        np.right_shift(bit_rows[r], shift, out=cell)
+                        np.subtract(cell, base, out=cell)
+                    if fused:
+                        mean_b.take(cell, mode="clip", out=proposed)
+                        np.add(proposed, w, out=proposed)
+                        np.multiply(proposed, x, out=proposed)
+                        mean_a.take(cell, mode="clip", out=term)
+                        np.add(proposed, term, out=proposed)
                     else:
-                        mean = x * mu(x)
-                        mean *= dt
-                        mean += x
-                    proposed = noise_rows[r]
-                    proposed *= sig
-                    proposed += mean
-                    _project(proposed, beta, state_rows[r + 1])
+                        sig = sigma(x)
+                        if table is not None:
+                            mean = table.mean_at(cell, x)
+                        else:
+                            mean = x * mu(x)
+                            mean *= dt
+                            mean += x
+                        np.multiply(w, sig, out=proposed)
+                        np.add(proposed, mean, out=proposed)
+                    x_next = state_rows[r + 1]
+                    np.minimum(proposed, upper, out=x_next)
+                    np.maximum(x_next, lower, out=x_next)
 
                 # Settle the chunk: step k = k0 + r moved states[r] to
-                # states[r + 1] through the proposal noise[r].  The chunk
-                # lies wholly before the retained window or wholly in it.
+                # states[r + 1] through proposals[r].  The chunk lies wholly
+                # before the retained window or wholly in it.
                 after = states[1:rows + 1]
                 np.maximum(max_x, after.max(axis=0), out=max_x)
                 if k0 >= burn:
-                    proposals = noise[:rows]
-                    neg += np.count_nonzero(proposals < 0.0, axis=0)
-                    harvest = proposals - beta
+                    neg += np.count_nonzero(proposals[:rows] < 0.0, axis=0)
+                    harvest = proposals[:rows] - beta
                     np.maximum(harvest, 0.0, out=harvest)
                     Z = _ordered_sum(Z, harvest)
                     if table is not None:

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from ergharvest import simulate
+from ergharvest import GeneralLogistic, simulate
 from ergharvest.simulate import PathStats
 
 
@@ -265,6 +265,10 @@ def step_paths(cfg, path_ids):
     mid = burn + retained // 2
     table = (simulate._WorstCaseStep(problem, cfg.solution, beta, dt)
              if cfg.measure == "worstcase" and eps > 0.0 else None)
+    # The engine's worst-case proposal for sigma(x) = sigma_bar x, with the
+    # noise scaled by sigma_bar sqrt(dt): (w + b) x + a, a and b the cell's.
+    fused = table is not None and isinstance(problem.model, GeneralLogistic)
+    scale = problem.model.sigma_bar * sqdt if fused else sqdt
 
     x = np.full(n, min(cfg.x0, beta), dtype=float)
     Z = np.full(n, max(cfg.x0 - beta, 0.0), dtype=float)  # instant harvest
@@ -291,18 +295,21 @@ def step_paths(cfg, path_ids):
             m = min(block, n_steps - done)
             for j, gen in enumerate(gens):
                 noise[:m, j] = gen.standard_normal(m)
-            noise[:m] *= sqdt
+            noise[:m] *= scale
             for i in range(m):
                 k = done + i
-                sig = sigma(x)
                 if table is not None:
                     cell, low = table.lookup(x)
-                    proposed = table.mean_at(cell, x) + sig * noise[i]
+                    if fused:
+                        proposed = ((noise[i] + table.mean_b[cell]) * x
+                                    + table.mean_a[cell])
+                    else:
+                        proposed = table.mean_at(cell, x) + sigma(x) * noise[i]
                     if k >= burn:
                         KL += table.kl_at(cell, x)
                         clamps += low
                 else:
-                    proposed = x + x * mu(x) * dt + sig * noise[i]
+                    proposed = x + x * mu(x) * dt + sigma(x) * noise[i]
                 over = proposed - beta
                 np.maximum(over, 0.0, out=over)
                 if k >= burn:

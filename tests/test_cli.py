@@ -807,8 +807,12 @@ class TestVerify:
         ("summary.json", _set_solution("iterations", -4)),
         ("summary.json", _set_solution("regime", 5)),
         ("summary.json", _set_solution("beta_tolerance", True)),
+        ("summary.json", _set_solution("beta_eps", 0.3)),
+        ("summary.json", _set_solution("beta_eps", 1000.0)),
+        ("summary.json", _set_solution("ell_eps", 0.5)),
     ], ids=["header_only_fd", "non_numeric_cell", "fractional_iterations",
-            "negative_iterations", "numeric_regime", "boolean_tolerance"])
+            "negative_iterations", "numeric_regime", "boolean_tolerance",
+            "beta_off_the_grid", "beta_beyond_the_grid", "ell_not_the_drift"])
     def test_malformed_artifact_is_missing_input(self, tmp_path, capsys,
                                                  name, edit):
         cfg = write_cfg(tmp_path)

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from ergharvest import (AmbiguityProblem, InputDomainError, SimConfig,
-                        SimulationAbortError, estimate_payoff,
-                        minimizing_kernel, path_rng, simulate_path,
-                        solve_threshold, x0_independence_check)
+from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
+                        SimConfig, SimulationAbortError, TabulatedModel,
+                        estimate_payoff, minimizing_kernel, path_rng,
+                        simulate_path, solve_threshold, x0_independence_check)
 from ergharvest import simulate
 
 import oracles
@@ -29,6 +29,28 @@ class TestWorstCaseKernel:
         psi = minimizing_kernel(problem1, sol1.vprime, xs)
         bound = problem1.epsilon * problem1.model.sigma(sol1.threshold)
         assert np.max(np.abs(psi)) <= bound * (1.0 + 1e-8)
+
+
+@pytest.fixture(scope="module")
+def tabulated1():
+    """The unit logistic as a table (mu = 1 - x, sigma = x) at eps = 1.
+
+    Its noise is not known to be sigma_bar x, so the worst-case engine
+    keeps the generic step mean + sigma(x) w.
+    """
+    xs = np.geomspace(1e-4, 3.0, 200)
+    problem = AmbiguityProblem.build(
+        TabulatedModel(xs=xs, mu_values=1.0 - xs, sigma_values=xs), 1.0)
+    return problem, solve_threshold(problem)
+
+
+@pytest.fixture(scope="module")
+def scaled_noise1():
+    """A general logistic with sigma_bar 0.8 at eps = 1: its worst-case
+    noise w = Z (sigma_bar sqrt(dt)) differs from sqrt(dt) Z."""
+    problem = AmbiguityProblem.build(
+        GeneralLogistic(mu_bar=1.0, sigma_bar=0.8, theta=2.0), 1.0)
+    return problem, solve_threshold(problem)
 
 
 class TestWorstCaseTable:
@@ -121,6 +143,30 @@ class TestWorstCaseTable:
             assert a.payoff_estimate == b.payoff_estimate
         rest = np.array([s.payoff_estimate for s in est.per_path[1:]])
         assert est.mean == float(np.mean(rest))
+
+
+    @pytest.mark.parametrize("scaled", [False, True],
+                             ids=["vp", "sigma_bar_0.8"])
+    def test_fused_proposal_bounded_by_textbook_form(self, scaled, problem1,
+                                                     sol1, scaled_noise1):
+        # For sigma(x) = sigma_bar x the engine forms the worst-case proposal
+        # as a + x (b + w) with w = Z (sigma_bar sqrt(dt)).  It differs from
+        # mean + sigma(x) sqrt(dt) Z only by rounding: a few ulps of the
+        # magnitudes the two forms add.
+        problem, sol = scaled_noise1 if scaled else (problem1, sol1)
+        beta, dt = sol.threshold, 2e-3
+        table = simulate._WorstCaseStep(problem, sol, beta, dt)
+        x = np.concatenate(([0.0], np.geomspace(1e-12, beta, 200000)))
+        z = np.random.default_rng(5).standard_normal(x.size)
+        cell, _ = table.lookup(x)
+        a, b = table.mean_a[cell], table.mean_b[cell]
+        w = z * (problem.model.sigma_bar * math.sqrt(dt))
+        fused = (w + b) * x + a
+        textbook = (table.mean_at(cell, x)
+                    + problem.model.sigma(x) * (math.sqrt(dt) * z))
+        scale = np.abs(a) + x * (np.abs(b) + np.abs(w))
+        assert np.all(np.abs(fused - textbook)
+                      <= 4.0 * np.finfo(float).eps * scale)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,18 +317,25 @@ class TestChunkedSettlement:
         dict(n_paths=1),
         dict(horizon=10.0, burn_in=0.4096, stride=3),
         dict(horizon=6.0, burn_in=1096 / 3000, stride=3),
+        dict(model="tabulated"),
+        dict(model="scaled_noise"),
     ], ids=["no_burn_in", "mid_on_chunk_edge", "x0_above_beta", "one_lane",
-            "burn_on_block_edge", "mid_on_block_edge"])
+            "burn_on_block_edge", "mid_on_block_edge", "tabulated",
+            "sigma_bar_0.8"])
     def test_matches_step_by_step_oracle(self, kw, measure, problem1, sol1,
+                                         tabulated1, scaled_noise1,
                                          monkeypatch):
         kw = dict(kw)
+        problem, sol = {"tabulated": tabulated1,
+                        "scaled_noise": scaled_noise1,
+                        None: (problem1, sol1)}[kw.pop("model", None)]
         monkeypatch.setattr(simulate, "OCCUPATION_STRIDE",
                             kw.pop("stride", simulate.OCCUPATION_STRIDE))
-        x0 = kw.pop("x0", 1.0) * sol1.threshold
-        cfg = _small_cfg(problem1, sol1, x0=x0, dt=2e-3,
+        x0 = kw.pop("x0", 1.0) * sol.threshold
+        cfg = _small_cfg(problem, sol, x0=x0, dt=2e-3,
                          horizon=kw.pop("horizon", 5.0),
                          n_paths=kw.pop("n_paths", 4), measure=measure,
-                         solution=sol1, **kw)
+                         solution=sol, **kw)
         # The run crosses a block end and ends inside a chunk (so inside a
         # block too).
         chunk, block = simulate._CHUNK_STEPS, simulate._BLOCK_STEPS
@@ -464,6 +517,10 @@ class TestConfigValidation:
         for beta in (2.0 * problem0.x_max, 1e6):
             with pytest.raises(InputDomainError, match="'beta'"):
                 SimConfig(problem=problem0, beta=beta, x0=0.5)
+        # So does x0.
+        for x0 in (2.0 * problem0.x_max, 1e300):
+            with pytest.raises(InputDomainError, match="'x0'"):
+                SimConfig(problem=problem0, beta=1.0, x0=x0)
         with pytest.raises(InputDomainError):
             SimConfig(problem=problem0, beta=1.0, x0=0.5, dt=2.0, horizon=1.0)
         with pytest.raises(InputDomainError):

@@ -59,7 +59,8 @@ def _phases(run_paths):
             step = None
         if step is not None:
             phase[first + i] = "step"
-        elif "standard_normal" in code or "sqdt" in code or (
+        elif any(mark in code for mark in (
+                "standard_normal", "sqdt", "noise_scale")) or (
                 code.startswith("for j, gen in")):
             phase[first + i] = "noise"
         else:
