@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import traceback
@@ -58,7 +59,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser():
+def _cpus():
+    """The CPUs this process may use: ``--jobs``' default."""
+    # sched_getaffinity exists on Linux only.
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _build_parser(cpus=None):
+    """The parser; ``--jobs`` defaults to ``cpus`` (``_cpus()`` if None)."""
     parser = _Parser(
         prog="ergharvest",
         description="Robust ergodic harvesting: solve, verify, simulate.")
@@ -81,10 +90,8 @@ def _build_parser():
     command("solve", cmd_solve, "solve the threshold problem")
     p_sim = command("simulate", cmd_simulate,
                     "Monte Carlo value confirmation")
-    # sched_getaffinity exists on Linux only.
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    p_sim.add_argument("--jobs", type=_positive_int, default=cpus,
+    p_sim.add_argument("--jobs", type=_positive_int,
+                       default=_cpus() if cpus is None else cpus,
                        help="worker processes for path batches (default: the "
                             "CPUs this process may use; results do not "
                             "depend on it)")
@@ -98,6 +105,10 @@ def _build_parser():
     command("sweep", cmd_sweep, "sweep the ambiguity level")
     command("verify", cmd_verify, "re-audit a persisted solution")
     return parser
+
+
+# One parser per ``--jobs`` default: the affinity can change between calls.
+_cached_parser = functools.cache(_build_parser)
 
 
 def _load(args) -> RunConfig:
@@ -120,6 +131,18 @@ def _epsilon(cfg: RunConfig) -> float:
     return grid[0]
 
 
+def _sim_problem(cfg: RunConfig) -> AmbiguityProblem:
+    """The problem, with ``sim.x0`` held to the rule ``SimConfig`` applies.
+
+    ``check`` and ``simulate`` refuse a start outside (0, x_max] before any
+    solve writes a file.
+    """
+    problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
+    if cfg.sim["x0"] is not None:
+        problem.validate_x(cfg.sim["x0"], "'x0'")
+    return problem
+
+
 def _outdir(cfg: RunConfig, *, make=True) -> Path:
     out = Path(cfg.output_dir) if cfg.output_dir else Path(".")
     try:
@@ -137,7 +160,7 @@ def _summary(cfg: RunConfig, **blocks) -> dict:
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
-    problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
+    problem = _sim_problem(cfg)
     report = check_assumptions(problem)
     print(f"model: {cfg.model.family}  epsilon: {problem.epsilon}")
     print(f"scale anchor: {report.scale_anchor!r}  "
@@ -189,7 +212,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
-    problem = AmbiguityProblem.build(cfg.model, _epsilon(cfg))
+    problem = _sim_problem(cfg)
     out = _outdir(cfg, make=not args.no_inline_solve)
     if args.no_inline_solve:
         sol = artifacts.load_solution(out, problem)
@@ -283,8 +306,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _cached_parser(_cpus()).parse_args(argv)
     try:
         return args.func(args, _load(args))
     except ConfigError as exc:

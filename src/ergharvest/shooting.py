@@ -250,19 +250,30 @@ def extinction_level(problem: AmbiguityProblem):
     return c_star, b_star
 
 
-def _psi_rhs(s, y, level, eps_level, model):
-    """``tail_coefficient``'s linear form in s = log x; y = (psi, psi_s)."""
+def _psi_rhs(s, y, level, eps_level, model, out):
+    """``tail_coefficient``'s linear form in s = log x; y = (psi, psi_s).
+
+    LSODA's callback: the state comes in as Python floats and the derivative
+    goes into ``out``, the run's own 2-slot buffer, which is returned.  LSODA
+    copies it before the next call, so one buffer serves a whole run.
+    """
+    psi, psi_s = y.tolist()
     x = math.exp(s)
     q = model.sigma(x) / x
-    return (y[1], y[1] + 2.0 * (level - eps_level * y[0] - model.mu(x) * y[1])
-            / (q * q))
+    out[0] = psi_s
+    out[1] = psi_s + 2.0 * (level - eps_level * psi - model.mu(x) * psi_s) / (
+        q * q)
+    return out
 
 
 def _linear_rows(problem: AmbiguityProblem, boundary: float, xs_descending):
     """(psi, psi_s) of the linear form at lam(boundary) on descending nodes.
 
     One compiled LSODA run (``odeint``, rtol 1e-13, atol 1e-15) with log x
-    as output times; the first, log(boundary), is the initial point.  Raises
+    as output times; the first, log(boundary), is the initial point.  The
+    run allocates one 2-slot buffer for ``_psi_rhs`` to write into, passed
+    through ``odeint``'s ``args``; a module-level buffer would not be
+    re-entrant.  Raises
     ``SingularIntegrationError`` when LSODA reports a failure (``last_x`` is
     the boundary: a failed run leaves its later rows unset) or a row is not
     finite (``last_x`` is the smallest node whose row is).
@@ -273,7 +284,7 @@ def _linear_rows(problem: AmbiguityProblem, boundary: float, xs_descending):
         warnings.simplefilter("ignore", ODEintWarning)
         rows, info = odeint(_psi_rhs, (0.0, boundary), np.log(xs_descending),
                             args=(level, problem.epsilon * level,
-                                  problem.model),
+                                  problem.model, np.empty(2)),
                             tfirst=True, rtol=POTENTIAL_RTOL,
                             atol=POTENTIAL_ATOL, full_output=True)
     if info["message"] != "Integration successful.":
@@ -313,7 +324,7 @@ def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
     y = _linear_rows(problem, boundary, xs)[:, -1]
     s_min = math.log(floor)
     ddpsi = _psi_rhs(s_min, y, level, problem.epsilon * level,
-                     problem.model)[1]
+                     problem.model, np.empty(2))[1]
     return float((ddpsi - r_plus * y[1]) * math.exp(-r_minus * s_min))
 
 

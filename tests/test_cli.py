@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ergharvest import (AmbiguityProblem, SimConfig, VerhulstPearl,
-                        artifacts, cli, config, estimate_payoff, simulate,
-                        solve_threshold, verify_solution)
+from ergharvest import (AmbiguityProblem, InputDomainError, SimConfig,
+                        VerhulstPearl, artifacts, cli, config,
+                        estimate_payoff, simulate, solve_threshold,
+                        verify_solution)
 from ergharvest.cli import main
 
 from bad_settings import BAD_SETTINGS, IDS
@@ -291,6 +292,28 @@ class TestSimRanges:
         assert rc == 64
         assert "'sim.measure' must be one of" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_x0_beyond_x_max_refused_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, problem1, sol1, command):
+        # The message is SimConfig's own, and no solution file is written.
+        with pytest.raises(InputDomainError) as refused:
+            SimConfig(problem=problem1, beta=sol1.threshold, x0=1e300)
+        monkeypatch.setattr(cli, "solve_threshold", _no_solve)
+        cfg = write_cfg(tmp_path, epsilon=1.0,
+                        sim={"x0": 1e300, "dt": 1e-3, "horizon": 5.0})
+        rc = main([command, "--config", str(cfg)])
+        assert rc == 64
+        assert capsys.readouterr().err == f"input error: {refused.value}\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [["check"], ["simulate", "--jobs", "1"]],
+                             ids=["check", "simulate"])
+    def test_x0_at_x_max_accepted(self, tmp_path, problem1, argv):
+        cfg = write_cfg(tmp_path, epsilon=1.0,
+                        sim={"x0": problem1.x_max, "dt": 1e-3,
+                             "horizon": 5.0, "n_paths": 8})
+        assert main([*argv, "--config", str(cfg)]) == 0
+
     def test_config_keys_are_the_sim_fields(self):
         run_supplied = {"problem", "beta", "solution", "seed"}
         fields = {f.name for f in dataclasses.fields(SimConfig)}
@@ -362,6 +385,36 @@ class TestJobsDefault:
         assert exc.value.code == 0
         assert main(["solve", "--config", str(write_cfg(tmp_path))]) == 0
         assert "verdict        pass" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """``main`` builds one parser per ``--jobs`` default and reuses it."""
+
+    def test_jobs_default_follows_the_affinity(self, tmp_path, monkeypatch):
+        passed = []
+
+        def recorder(simcfg, *, jobs):
+            passed.append(jobs)
+            return estimate_payoff(simcfg, jobs=1)
+
+        monkeypatch.setattr(cli, "estimate_payoff", recorder)
+        cfg = str(write_cfg(tmp_path))
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)))
+            assert main(["simulate", "--config", cfg]) == 0
+        assert passed == [1, 3]
+
+    def test_usage_after_an_earlier_call(self, tmp_path, capsys):
+        assert main(["check", "--config", str(write_cfg(tmp_path))]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: ergharvest" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--config", "c.json", "--bogus"])
+        assert exc.value.code == 64
+        assert "--bogus" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -491,12 +544,19 @@ class TestSolve:
         assert 1.0 / 3.0 < beta < 2.0 / 3.0
         assert summary["problem"]["x_eps"] == pytest.approx(1.0 / 3.0)
 
-    def test_deterministic_artifacts(self, tmp_path):
-        cfg = write_cfg(tmp_path)
-        assert main(["solve", "--config", str(cfg)]) == 0
-        first = (tmp_path / "run" / "solution.csv").read_bytes()
-        assert main(["solve", "--config", str(cfg)]) == 0
-        assert (tmp_path / "run" / "solution.csv").read_bytes() == first
+    def test_deterministic_artifacts(self, tmp_path, capsys):
+        # Two solves in one process: the second reuses main's parser.
+        cfg = str(write_cfg(tmp_path))
+        runs = []
+        for _ in range(2):
+            assert main(["solve", "--config", cfg]) == 0
+            files = {p.name: p.read_bytes()
+                     for p in (tmp_path / "run").iterdir()}
+            runs.append((files, capsys.readouterr()))
+        assert set(runs[0][0]) == {
+            "solution.csv", "vprime_fd.csv", "summary.json",
+            "resolved_config.json"}
+        assert runs[0] == runs[1]
 
     def test_eps_flag_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
                         MonotonicityViolationError, SingularIntegrationError,
-                        TransformBreakdownError, VerhulstPearl,
+                        TabulatedModel, TransformBreakdownError, VerhulstPearl,
                         build_truncated, classify_boundary, cole_hopf_slope,
                         integrate_slope, ivp, shooting, solve_threshold,
                         tail_coefficient)
@@ -319,6 +319,50 @@ class TestTailCoefficient:
         retained = sum(d.size_diff for d in after.compare_to(before,
                                                              "filename"))
         assert retained < 64 * 1024
+
+    @pytest.mark.parametrize("name, eps", [
+        ("vp", 0.0), ("vp", 1.0), ("gl2", 1.0), ("table", 0.0),
+        ("table", 1.0)])
+    def test_callback_is_bit_identical_to_the_tuple_form(self, name, eps):
+        # _psi_rhs writes into a per-run buffer from Python floats; LSODA
+        # driven by the oracle's tuple-returning form of the same expression
+        # must take the same steps to the same bits.
+        if name == "table":
+            xs = np.geomspace(1e-4, 3.0, 200)
+            model = TabulatedModel(xs=xs, mu_values=1.0 - xs,
+                                   sigma_values=xs)
+        else:
+            model = _model(name)
+        problem = AmbiguityProblem.build(model, eps)
+        mu_bar, sigma_bar, _ = model.near_zero_constants()
+        s2 = sigma_bar * sigma_bar
+        a = mu_bar - 0.5 * s2
+        floor = shooting.TAIL_FLOOR * problem.drift_peak
+        s_min = math.log(floor)
+        projected = 0
+        for frac in (0.25, 0.5, 0.9, 1.0):
+            b = problem.drift_peak + frac * (problem.drift_zero
+                                             - problem.drift_peak)
+            nodes = np.geomspace(b, floor,
+                                 2 + math.ceil(math.log10(b / floor)))
+            rhs = oracles._linear_form(problem, b)
+            rows = scipy.integrate.odeint(
+                rhs, (0.0, b), np.log(nodes), tfirst=True,
+                rtol=shooting.POTENTIAL_RTOL, atol=shooting.POTENTIAL_ATOL)
+            assert np.array_equal(shooting._linear_rows(problem, b, nodes),
+                                  rows.T), b
+            disc = a * a - 2.0 * s2 * eps * float(problem.drift(b))
+            if disc < 0.0:
+                assert tail_coefficient(problem, b) == math.inf
+                continue
+            psi, dpsi = rows[-1]
+            r_plus = (-a + math.sqrt(disc)) / s2
+            r_minus = (-a - math.sqrt(disc)) / s2
+            ddpsi = rhs(s_min, (psi, dpsi))[1]
+            assert tail_coefficient(problem, b) == float(
+                (ddpsi - r_plus * dpsi) * math.exp(-r_minus * s_min)), b
+            projected += 1
+        assert projected
 
     def test_failed_probe_raises_with_last_x(self, problem1):
         broken = AmbiguityProblem.build(NanBelow(), 1.0)

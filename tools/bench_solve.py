@@ -14,7 +14,9 @@ cases (``perfbench/workloads.solve_cases``) once to warm up and then
 assumption check, the tail-coefficient probes, ``build_potential``,
 ``verify_solution``, each CSV writer and the JSON writer.  ``other`` is
 the rest of a solve (config, model build, bracket, stdout).  A worker's
-figure for a phase and case is its median over the timed passes.
+figure for a phase and case is its median over the timed passes.  The
+worker also counts each case's probes (``_tail`` calls), and the summary
+gives the probe phase per probe, ``ms_per_probe``, beside the phase times.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ PHASES = {
 FIGURES = (*PHASES, "other", "total")
 
 
-def _timed(module, name, acc, phase):
+def _timed(module, name, acc, calls, phase):
     fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
+        calls[phase] += 1
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
@@ -65,16 +68,18 @@ def _timed(module, name, acc, phase):
 
 
 def worker():
-    """Per-case phase times (ms, median over the timed passes)."""
+    """Per-case phase times (ms, median over the timed passes), probes."""
     sys.path.insert(0, PERFBENCH)
     import workloads
     from ergharvest import artifacts, cli, shooting
     modules = {"shooting": shooting, "cli": cli, "artifacts": artifacts}
     acc = dict.fromkeys(PHASES, 0.0)
+    calls = dict.fromkeys(PHASES, 0)
     for phase, (module, name) in PHASES.items():
-        _timed(modules[module], name, acc, phase)
+        _timed(modules[module], name, acc, calls, phase)
     cases = workloads.solve_cases()
     times = {case.label: {f: [] for f in FIGURES} for case in cases}
+    probes = {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in cases:
             os.makedirs(os.path.join(tmp, case.label))
@@ -88,6 +93,7 @@ def worker():
                 out = os.path.join(tmp, case.label)
                 for phase in acc:
                     acc[phase] = 0.0
+                    calls[phase] = 0
                 with contextlib.redirect_stdout(io.StringIO()):
                     t0 = time.perf_counter()
                     rc = cli.main(["solve", "--config",
@@ -102,9 +108,11 @@ def worker():
                         row[phase].append(1e3 * seconds)
                     row["total"].append(1e3 * total)
                     row["other"].append(1e3 * (total - sum(acc.values())))
+                    probes[case.label] = calls["probes"]
     return {
         "cases_ms": {label: {f: statistics.median(v) for f, v in row.items()}
                      for label, row in times.items()},
+        "probes": probes,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
     }
@@ -117,10 +125,21 @@ def _run_worker(src, cpu):
     return json.loads(out.stdout)
 
 
+def _ms_per_probe(run, labels):
+    """The probe phase per probe over ``labels``, in one run."""
+    return (sum(run["cases_ms"][c]["probes"] for c in labels)
+            / sum(run["probes"][c] for c in labels))
+
+
 def _summary(runs):
     """Median and quartiles over the runs of one tree."""
     labels = list(runs[0]["cases_ms"])
     return {
+        "probes_per_solve": runs[0]["probes"],
+        "ms_per_probe": stats([_ms_per_probe(r, labels) for r in runs]),
+        "ms_per_probe_by_case": {
+            c: statistics.median(_ms_per_probe(r, [c]) for r in runs)
+            for c in labels},
         "phases_ms": {
             f: stats([sum(r["cases_ms"][c][f] for c in labels)
                       for r in runs]) for f in FIGURES},
@@ -136,6 +155,8 @@ def _summary(runs):
 def _wins(parent, change, figure, labels):
     """Pairs in which the change's summed ``figure`` is below the parent's."""
     def summed(r):
+        if figure == "ms_per_probe":
+            return _ms_per_probe(r, labels)
         return sum(r["cases_ms"][c][figure] for c in labels)
     return sum(summed(c) < summed(p) for p, c in zip(parent, change))
 
@@ -165,6 +186,9 @@ def main(argv=None):
             "order": "alternating: pair i runs the parent first when i is "
                      "even",
             "phases": {p: ".".join(where) for p, where in PHASES.items()},
+            "probes": "probes_per_solve counts _tail calls in one solve of "
+                      "each case; ms_per_probe divides the probe phase, "
+                      "summed over the cases, by the summed count",
             "figures": "cases_ms is a worker's median over its passes, "
                        "then the median over pairs; phases_ms sums a "
                        "worker's cases, then takes median and quartiles "
@@ -179,12 +203,17 @@ def main(argv=None):
                 f: summary["change"]["phases_ms"][f]["median"]
                 / summary["parent"]["phases_ms"][f]["median"]
                 for f in FIGURES},
+            "ms_per_probe_median_ratio":
+                summary["change"]["ms_per_probe"]["median"]
+                / summary["parent"]["ms_per_probe"]["median"],
+            "same_probes": all(r["probes"] == runs["parent"][0]["probes"]
+                               for side in runs for r in runs[side]),
             "potential_speedup_per_case": {
                 c: summary["parent"]["cases_ms"][c]["potential"]
                 / summary["change"]["cases_ms"][c]["potential"]
                 for c in labels},
             "pairs_won": {f: _wins(runs["parent"], runs["change"], f, labels)
-                          for f in FIGURES},
+                          for f in (*FIGURES, "ms_per_probe")},
         },
     }
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
