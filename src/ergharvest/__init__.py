@@ -10,15 +10,14 @@ population process under the worst-case drift.
 from .errors import (AssumptionViolationError, ConfigError, ErgharvestError,
                      InputDomainError, MissingInputError,
                      MonotonicityViolationError, NumericsError,
-                     QuadratureError, SimulationAbortError,
-                     SingularIntegrationError, TransformBreakdownError)
+                     SimulationAbortError, SingularIntegrationError,
+                     TransformBreakdownError)
 from .hjb import (HjbReport, TruncatedPotential, apply_operator,
                   build_truncated, minimizing_kernel, verify_solution,
                   violation_delta)
 from .model import (AmbiguityProblem, AssumptionCheck, AssumptionReport,
                     GeneralLogistic, TabulatedModel, VerhulstPearl,
-                    bracket_points, check_assumptions, model_from_config,
-                    scale_density)
+                    bracket_points, check_assumptions, model_from_config)
 from .shooting import (BoundaryClass, PotentialGrid, ThresholdSolution,
                        build_potential, classify_boundary, cole_hopf_slope,
                        integrate_slope, solve_threshold, tail_coefficient)

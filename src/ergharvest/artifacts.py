@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputDomainError, MissingInputError
 from .model import AmbiguityProblem, is_number
-from .shooting import N_GRID_LEFT, PotentialGrid, ThresholdSolution
+from .shooting import PotentialGrid, ThresholdSolution, node_layout
 
 SOLUTION_CSV = "solution.csv"
 FD_CSV = "vprime_fd.csv"
@@ -108,7 +108,7 @@ def _read_csv(path, columns):
 
 # What ``load_solution`` accepts in each key of the ``solution`` block.
 _SOLUTION_RULES = {
-    "beta_eps": is_number,
+    "beta_eps": lambda v: is_number(v) and v > 0.0,
     "ell_eps": is_number,
     "iterations": lambda v: (is_number(v) and isinstance(v, numbers.Integral)
                              and v >= 1),
@@ -121,17 +121,17 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     """Rebuild the solution that ``write_solution`` and ``solution_block``
     persisted in ``run_dir``.
 
-    The solve's nodes are the grid of ``solution.csv`` and the companions
-    x +/- h of ``vprime_fd.csv``, with their slopes, and
+    The nodes are the solve's ``node_layout(problem, beta_eps)``, with the
+    slopes of ``solution.csv`` and ``vprime_fd.csv``, and
     ``PotentialGrid.from_slopes`` assembles the potential from them as the
     solve does, so the reload is the solve's potential bit for bit and its
     ``solution_block`` is the solve's; only the probe trace is not kept.
     A missing or malformed file, a ``solution`` value that breaks its
-    ``_SOLUTION_RULES`` entry, a ``beta_eps`` that is not the last of the
-    ``N_GRID_LEFT`` left grid nodes of ``solution.csv``, or an ``ell_eps``
-    other than the drift at ``beta_eps`` raises ``MissingInputError``, and
-    a run whose ``problem`` block is not ``problem_block(problem)`` (solved
-    at another level or for another model) raises ``InputDomainError``.
+    ``_SOLUTION_RULES`` entry, ``x`` or ``h`` columns that are not exactly
+    the layout's, or an ``ell_eps`` other than the drift at ``beta_eps``
+    raises ``MissingInputError``, and a run whose ``problem`` block is not
+    ``problem_block(problem)`` (solved at another level or for another
+    model) raises ``InputDomainError``.
     """
     run = Path(run_dir)
     summary_path = run / SUMMARY_JSON
@@ -157,25 +157,24 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     xs, _, vps = _read_csv(run / SOLUTION_CSV, ["x", "v", "vprime"])
     fd_x, fd_h, fd_lo, fd_hi = _read_csv(
         run / FD_CSV, ["x", "h", "vprime_minus", "vprime_plus"])
-    # The solve's left grid ends at beta, and ell is the drift there.
     threshold = float(block["beta_eps"])
-    left = xs <= threshold
-    if np.count_nonzero(left) != N_GRID_LEFT or xs[left].max() != threshold:
+    layout = node_layout(problem, threshold)
+    grids = np.concatenate((layout.grid_x, layout.grid_right_x))
+    if not (np.array_equal(xs, grids) and np.array_equal(fd_x, layout.fd_x)
+            and np.array_equal(fd_h, layout.fd_h)):
         raise MissingInputError(
-            f"{summary_path} holds beta_eps {threshold!r}, not the last of "
-            f"the {N_GRID_LEFT} left grid nodes of {run / SOLUTION_CSV}")
+            f"{run / SOLUTION_CSV} and {run / FD_CSV} do not hold the nodes "
+            f"laid out for beta_eps {threshold!r} in {summary_path}")
     ell = float(problem.drift(threshold))
     if block["ell_eps"] != ell:
         raise MissingInputError(
             f"{summary_path} holds ell_eps {block['ell_eps']!r}, not the "
             f"drift {ell!r} at beta_eps")
-    known = ((xs[left], vps[left]), (fd_x - fd_h, fd_lo), (fd_x + fd_h, fd_hi))
-    nodes_x = np.unique(np.concatenate([x for x, _ in known]))
-    nodes_slope = np.empty_like(nodes_x)
-    for x, slope in known:
-        nodes_slope[np.searchsorted(nodes_x, x)] = slope
-    grid = PotentialGrid.from_slopes(problem, threshold, nodes_x, nodes_slope,
-                                     xs[left], xs[~left], fd_x, fd_h)
+    nodes_slope = np.empty_like(layout.nodes_x)
+    for x, slope in ((layout.grid_x, vps[:layout.grid_x.size]),
+                     (fd_x - fd_h, fd_lo), (fd_x + fd_h, fd_hi)):
+        nodes_slope[np.searchsorted(layout.nodes_x, x)] = slope
+    grid = PotentialGrid.from_slopes(problem, threshold, layout, nodes_slope)
     return ThresholdSolution(
         problem=problem, threshold=threshold,
         long_run_yield=ell, grid=grid, bisection_trace=(),

@@ -60,14 +60,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cpus():
-    """The CPUs this process may use: ``--jobs``' default."""
+    """The CPUs this process may use now: ``--jobs``' default."""
     # sched_getaffinity exists on Linux only.
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-def _build_parser(cpus=None):
-    """The parser; ``--jobs`` defaults to ``cpus`` (``_cpus()`` if None)."""
+def _build_parser():
     parser = _Parser(
         prog="ergharvest",
         description="Robust ergodic harvesting: solve, verify, simulate.")
@@ -90,8 +89,7 @@ def _build_parser(cpus=None):
     command("solve", cmd_solve, "solve the threshold problem")
     p_sim = command("simulate", cmd_simulate,
                     "Monte Carlo value confirmation")
-    p_sim.add_argument("--jobs", type=_positive_int,
-                       default=_cpus() if cpus is None else cpus,
+    p_sim.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes for path batches (default: the "
                             "CPUs this process may use; results do not "
                             "depend on it)")
@@ -107,7 +105,7 @@ def _build_parser(cpus=None):
     return parser
 
 
-# One parser per ``--jobs`` default: the affinity can change between calls.
+# Built on the first call of ``main`` and reused by every later one.
 _cached_parser = functools.cache(_build_parser)
 
 
@@ -221,7 +219,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         artifacts.write_solution(out, sol)
     simcfg = SimConfig(problem=problem, beta=sol.threshold, solution=sol,
                        seed=cfg.seed, **cfg.sim)
-    est = estimate_payoff(simcfg, jobs=args.jobs)
+    est = estimate_payoff(simcfg, jobs=args.jobs or _cpus())
     # Aborted paths stay out of every aggregate; paths.csv flags them.
     kept = [s for s in est.per_path if not s.aborted]
     artifacts.write_json(out / artifacts.CONFIG_ECHO_JSON, cfg.resolved)
@@ -306,7 +304,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = _cached_parser(_cpus()).parse_args(argv)
+    args = _cached_parser().parse_args(argv)
     try:
         return args.func(args, _load(args))
     except ConfigError as exc:

@@ -22,11 +22,7 @@ class AssumptionViolationError(ErgharvestError, RuntimeError):
 
 
 class NumericsError(ErgharvestError, RuntimeError):
-    """Base class for numerical failures (integration, quadrature, roots)."""
-
-
-class QuadratureError(NumericsError):
-    """Adaptive quadrature did not converge; the message gives the estimate."""
+    """Base class for numerical failures (integration, root finding)."""
 
 
 class SingularIntegrationError(NumericsError):

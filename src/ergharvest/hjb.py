@@ -238,18 +238,17 @@ def violation_delta(problem: AmbiguityProblem, tp: TruncatedPotential, *,
                     grid_floor=1e-6) -> float:
     """Supremum of L v - yield_ref over the linear piece under the dip.
 
-    The linear piece has slope ``slope_at_dip`` and constant curvature, so
-    the generator evaluates in closed form on the grid.  The grid is
-    log-spaced on (grid_floor * dip_x, dip_x] and includes the dip point:
-    L v is continuous there (the extension is C1 with matching curvature),
-    so the supremum over the open interval is attained in the closure; an
-    open grid under-resolves the steep boundary layer at the dip once the
-    linear slope is large.  Refining the floor is a convergence diagnostic,
-    the integrand extends continuously to zero.
+    L v is ``apply_operator`` on the potential's own ``vprime`` and
+    ``vsecond``, which under the dip are the linear piece and its constant
+    curvature.  The grid is log-spaced on (grid_floor * dip_x, dip_x] and
+    includes the dip point, where the shooting slope is one and its
+    curvature the piece's: L v is continuous there (the extension is C1
+    with matching curvature), so the supremum over the open interval is
+    attained in the closure; an open grid under-resolves the steep boundary
+    layer at the dip once the linear slope is large.  Refining the floor is
+    a convergence diagnostic, the integrand extends continuously to zero.
     """
-    alpha = tp.dip_x
-    s = tp.slope_at_dip
-    xs = np.geomspace(grid_floor * alpha, alpha, 2000)
-    lv = apply_operator(problem, lambda x: s * (x - alpha) + 1.0,
-                        lambda x: np.full_like(x, s), xs)
+    xs = np.geomspace(grid_floor * tp.dip_x, tp.dip_x, 2000)
+    lv = apply_operator(problem, tp.vprime, lambda x: tp.vsecond(problem, x),
+                        xs)
     return float(np.max(lv) - tp.yield_ref)

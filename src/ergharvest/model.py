@@ -10,25 +10,26 @@ For an ambiguity level ``epsilon`` the solver works with the adjusted drift
     lam(x) = x mu(x) - (epsilon / 2) sigma(x)^2,
 
 whose maximizer ``drift_peak`` and first zero to its right ``drift_zero``
-bracket the optimal harvesting threshold.  This module also hosts the scale
-function density and the structural assumption checks (positive recurrence
-near 0, coefficient regularity, unimodal adjusted drift).
+bracket the optimal harvesting threshold.  This module also hosts the
+structural assumption checks: positive recurrence near 0 (the scale
+function diverging at both ends, analytic for the parametric families and a
+trapezoid heuristic on the tabulated one), coefficient regularity and a
+unimodal adjusted drift.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import AssumptionViolationError, InputDomainError, QuadratureError
+from .errors import AssumptionViolationError, InputDomainError
 
 __all__ = [
     "VerhulstPearl",
@@ -38,7 +39,6 @@ __all__ = [
     "AssumptionCheck",
     "AssumptionReport",
     "bracket_points",
-    "scale_density",
     "check_assumptions",
     "is_number",
     "model_from_config",
@@ -351,28 +351,6 @@ def _scale_rate(model, y):
     """2 mu(y) y / sigma(y)^2, the rate of the scale density's exponent."""
     s = model.sigma(y)
     return 2.0 * model.mu(y) * y / (s * s)
-
-
-def scale_density(problem: AmbiguityProblem, x, anchor=None):
-    """Scale-function density S'(x) = exp(-int_anchor^x 2 mu(y) y / sigma(y)^2 dy).
-
-    ``anchor`` defaults to the drift peak.  The exponent integral is computed
-    by adaptive quadrature; non-convergence raises ``QuadratureError`` with
-    the estimate and its error bound in the message.
-    """
-    if anchor is None:
-        anchor = problem.drift_peak
-    problem.validate_x(x)
-    problem.validate_x(anchor)
-    if x == anchor:
-        return 1.0
-    value, err = quad(lambda y: _scale_rate(problem.model, y), anchor, x,
-                      epsabs=1e-13, epsrel=1e-12, limit=400)
-    if not math.isfinite(value) or err > max(1e-7, 1e-5 * abs(value)):
-        raise QuadratureError(
-            f"scale-density exponent quadrature did not converge on "
-            f"[{anchor}, {x}]: estimate {value}, error bound {err}")
-    return math.exp(-value)
 
 
 @dataclass(frozen=True)

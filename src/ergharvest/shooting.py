@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import ODEintWarning, odeint
@@ -71,6 +72,7 @@ __all__ = [
     "solve_threshold",
     "build_potential",
     "cole_hopf_slope",
+    "node_layout",
 ]
 
 DIP_FLOOR = 2e-8           # shooting and potential-grid floor, times drift_peak
@@ -308,6 +310,10 @@ def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
     budget of 500 steps per output interval (GL theta=2, eps 0, b = 0.70).
     """
     problem.validate_x(boundary)
+    floor = TAIL_FLOOR * problem.drift_peak
+    if not boundary > floor:
+        raise InputDomainError(
+            f"boundary {boundary!r} is at or below the tail floor {floor!r}")
     level = float(problem.drift(boundary))
     a, sigma_bar, disc = _tail_modes(problem, level)
     if disc < 0.0:
@@ -318,7 +324,6 @@ def _tail(problem: AmbiguityProblem, boundary: float, *, clamp: bool) -> float:
     root = math.sqrt(disc)
     r_plus = (-a + root) / s2
     r_minus = (-a - root) / s2
-    floor = TAIL_FLOOR * problem.drift_peak
     xs = np.geomspace(boundary, floor,
                       2 + math.ceil(math.log10(boundary / floor)))
     y = _linear_rows(problem, boundary, xs)[:, -1]
@@ -344,6 +349,7 @@ def tail_coefficient(problem: AmbiguityProblem, boundary: float) -> float:
     e^{r- s} coefficient.  F is continuous through D = 0, where the modes
     merge.  When D < 0 (lam(b) > c*) the base function oscillates, the
     boundary is inadmissible, and F is +inf without an integration.  Raises
+    ``InputDomainError`` unless TAIL_FLOOR * drift_peak < b <= x_max,
     ``AssumptionViolationError`` when a <= 0 and
     ``SingularIntegrationError`` when the integration fails (``last_x`` as
     in ``_linear_rows``, on output nodes about a decade apart).
@@ -363,6 +369,37 @@ def _piecewise(x, split, below, above, *, closed=False):
         if np.any(part):
             out[part] = fn(arr[part])
     return out if np.ndim(x) else float(out[0])
+
+
+class NodeLayout(NamedTuple):
+    """Where a threshold's potential is tabulated; see ``node_layout``."""
+
+    grid_x: np.ndarray          # left grid, ascending to the threshold
+    grid_right_x: np.ndarray    # right grid, above the threshold
+    fd_x: np.ndarray            # left nodes that carry companions
+    fd_h: np.ndarray            # their companion offsets
+    nodes_x: np.ndarray         # left grid and companions, ascending
+
+
+def node_layout(problem: AmbiguityProblem, threshold: float) -> NodeLayout:
+    """The potential's nodes for ``threshold``, for a solve and its reload.
+
+    Log-spaced from ``DIP_FLOOR * drift_peak`` to the threshold, linear above
+    it to min(2 drift_zero, x_max), and companions x -/+ h of the left nodes
+    whose companions fall strictly between the floor and the threshold.
+    """
+    x_min = DIP_FLOOR * problem.drift_peak
+    grid_x = np.geomspace(x_min, threshold, N_GRID_LEFT)
+    h = np.minimum(FD_STEP_ABS * threshold, FD_STEP_REL * grid_x)
+    interior = (grid_x - h > x_min) & (grid_x + h < threshold)
+    fd_x = grid_x[interior]
+    fd_h = h[interior]
+    x_plot_max = min(2.0 * problem.drift_zero, problem.x_max)
+    return NodeLayout(
+        grid_x=grid_x,
+        grid_right_x=np.linspace(threshold, x_plot_max, N_GRID_RIGHT + 1)[1:],
+        fd_x=fd_x, fd_h=fd_h,
+        nodes_x=np.unique(np.concatenate([grid_x, fd_x - fd_h, fd_x + fd_h])))
 
 
 @dataclass(frozen=True)
@@ -394,14 +431,15 @@ class PotentialGrid:
 
     @classmethod
     def from_slopes(cls, problem: AmbiguityProblem, threshold: float,
-                    nodes_x, nodes_g, grid_x, grid_right_x, fd_x, fd_h):
-        """The potential from its slopes at ascending nodes ending at beta.
+                    layout: NodeLayout, nodes_g):
+        """The potential from its slopes at ``layout.nodes_x``.
 
         Slope derivatives from the ODE identity; the value a cumulative
         Hermite-corrected trapezoid, zero at the threshold: over [a, b],
         h (g_a + g_b)/2 + h^2 (g'_a - g'_b)/12, exact for cubics; companion
         slopes read off the nodes at fd_x -/+ fd_h; the floor the first node.
         """
+        nodes_x, fd_x, fd_h = layout.nodes_x, layout.fd_x, layout.fd_h
         nodes_dg = _slope_rhs(problem, threshold, 0.0)(nodes_x, nodes_g)
         dx = np.diff(nodes_x)
         seg = (dx * (nodes_g[:-1] + nodes_g[1:]) / 2.0
@@ -411,8 +449,8 @@ class PotentialGrid:
         return cls(
             threshold=threshold, x_min=float(nodes_x[0]), nodes_x=nodes_x,
             nodes_slope=nodes_g, nodes_slope_deriv=nodes_dg,
-            nodes_value=value, grid_x=grid_x, grid_right_x=grid_right_x,
-            fd_x=fd_x, fd_h=fd_h,
+            nodes_value=value, grid_x=layout.grid_x,
+            grid_right_x=layout.grid_right_x, fd_x=fd_x, fd_h=fd_h,
             fd_slope_minus=nodes_g[np.searchsorted(nodes_x, fd_x - fd_h)],
             fd_slope_plus=nodes_g[np.searchsorted(nodes_x, fd_x + fd_h)])
 
@@ -438,9 +476,9 @@ def build_potential(problem: AmbiguityProblem,
     """Tabulate the potential for an admissible threshold.
 
     The slope is ``cole_hopf_slope`` from the threshold down to the floor
-    ``DIP_FLOOR * drift_peak``, one ``_linear_rows`` run with the nodes as
-    output times: a log-spaced grid plus finite-difference companion nodes
-    (g = 1 at the threshold).  Above the threshold g is one.
+    ``DIP_FLOOR * drift_peak``, one ``_linear_rows`` run with the
+    ``node_layout`` nodes as output times (g = 1 at the threshold).  Above
+    the threshold g is one.
     ``PotentialGrid.from_slopes`` integrates the value from
     value(threshold) = 0; it is linear above.
 
@@ -451,16 +489,10 @@ def build_potential(problem: AmbiguityProblem,
     dives through it to -infinity.
     """
     problem.validate_x(threshold)
-    x_min = DIP_FLOOR * problem.drift_peak
-    grid_x = np.geomspace(x_min, threshold, N_GRID_LEFT)
-    h = np.minimum(FD_STEP_ABS * threshold, FD_STEP_REL * grid_x)
-    interior = (grid_x - h > x_min) & (grid_x + h < threshold)
-    fd_x = grid_x[interior]
-    fd_h = h[interior]
-    nodes_x = np.unique(np.concatenate([grid_x, fd_x - fd_h, fd_x + fd_h]))
-
+    layout = node_layout(problem, threshold)
+    nodes_x = layout.nodes_x
     try:
-        nodes_g = cole_hopf_slope(problem, threshold, x_min,
+        nodes_g = cole_hopf_slope(problem, threshold, float(nodes_x[0]),
                                   eval_xs=nodes_x).ys[::-1]
         dips = nodes_x[nodes_g < 1.0 - DIP_TOLERANCE]
     except TransformBreakdownError as exc:
@@ -471,11 +503,7 @@ def build_potential(problem: AmbiguityProblem,
         raise InputDomainError(
             f"threshold {threshold!r} is not admissible: slope dipped "
             f"below one near x={float(dips[-1])!r}")
-
-    x_plot_max = min(2.0 * problem.drift_zero, problem.x_max)
-    right = np.linspace(threshold, x_plot_max, N_GRID_RIGHT + 1)[1:]
-    return PotentialGrid.from_slopes(problem, threshold, nodes_x, nodes_g,
-                                     grid_x, right, fd_x, fd_h)
+    return PotentialGrid.from_slopes(problem, threshold, layout, nodes_g)
 
 
 @dataclass(frozen=True)

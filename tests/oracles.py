@@ -237,8 +237,6 @@ def dip_crossing(problem, b, floor):
 BETA0 = 0.7968121300200202
 ELL0 = 0.16190255947297866
 G_AT_HALF_B09 = 1.2575842708219978   # slope_closed_form(0.5, b=0.9)
-SCALE_E2_OVER_4 = 1.8472640247326626          # exp(2) / 4
-SCALE_4_OVER_E = 1.4715177646857693           # 4 / e
 V_DIFF_01_04 = -0.5647953840226321   # -integral of optimal slope on [0.1, 0.4]
 
 

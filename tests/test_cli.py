@@ -39,7 +39,7 @@ class _NanStream:
 
 def _set_solution(key, value):
     """An edit of ``summary.json`` text that sets one ``solution`` value."""
-    def edit(text):
+    def edit(text, beta):
         summary = json.loads(text)
         summary["solution"][key] = value
         return json.dumps(summary)
@@ -355,6 +355,18 @@ class TestTableWriter:
                 == (tmp_path / "reference.csv").read_bytes())
 
 
+def _record_jobs(monkeypatch):
+    """The ``jobs`` of every ``estimate_payoff`` call ``main`` makes."""
+    passed = []
+
+    def recorder(simcfg, *, jobs):
+        passed.append(jobs)
+        return estimate_payoff(simcfg, jobs=1)
+
+    monkeypatch.setattr(cli, "estimate_payoff", recorder)
+    return passed
+
+
 class TestJobsDefault:
     def test_jobs_only_on_simulate(self, capsys):
         parser = cli._build_parser()
@@ -376,34 +388,31 @@ class TestJobsDefault:
 
     def test_works_without_sched_getaffinity(self, tmp_path, capsys,
                                              monkeypatch):
+        passed = _record_jobs(monkeypatch)
         monkeypatch.delattr(os, "sched_getaffinity")
-        args = cli._build_parser().parse_args(
-            ["simulate", "--config", "cfg.json"])
-        assert args.jobs == (os.cpu_count() or 1)
+        cfg = str(write_cfg(tmp_path))
+        assert main(["simulate", "--config", cfg]) == 0
+        assert passed == [os.cpu_count() or 1]
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
-        assert main(["solve", "--config", str(write_cfg(tmp_path))]) == 0
+        assert main(["solve", "--config", cfg]) == 0
         assert "verdict        pass" in capsys.readouterr().out
 
 
 class TestParserReuse:
-    """``main`` builds one parser per ``--jobs`` default and reuses it."""
+    """``main`` builds one parser; ``--jobs``' default resolves per run."""
 
     def test_jobs_default_follows_the_affinity(self, tmp_path, monkeypatch):
-        passed = []
-
-        def recorder(simcfg, *, jobs):
-            passed.append(jobs)
-            return estimate_payoff(simcfg, jobs=1)
-
-        monkeypatch.setattr(cli, "estimate_payoff", recorder)
+        passed = _record_jobs(monkeypatch)
         cfg = str(write_cfg(tmp_path))
         for cpus in (1, 3):
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, n=cpus: set(range(n)))
             assert main(["simulate", "--config", cfg]) == 0
-        assert passed == [1, 3]
+        assert main(["simulate", "--config", cfg, "--jobs", "2"]) == 0
+        assert passed == [1, 3, 2]
+        assert cli._cached_parser() is cli._cached_parser()
 
     def test_usage_after_an_earlier_call(self, tmp_path, capsys):
         assert main(["check", "--config", str(write_cfg(tmp_path))]) == 0
@@ -861,8 +870,8 @@ class TestVerify:
         assert "verdict" not in captured.out
 
     @pytest.mark.parametrize("name, edit", [
-        ("vprime_fd.csv", lambda text: text.splitlines(True)[0]),
-        ("solution.csv", lambda text: text.replace("\n", "\nabc", 1)),
+        ("vprime_fd.csv", lambda text, beta: text.splitlines(True)[0]),
+        ("solution.csv", lambda text, beta: text.replace("\n", "\nabc", 1)),
         ("summary.json", _set_solution("iterations", 3.7)),
         ("summary.json", _set_solution("iterations", -4)),
         ("summary.json", _set_solution("regime", 5)),
@@ -870,15 +879,22 @@ class TestVerify:
         ("summary.json", _set_solution("beta_eps", 0.3)),
         ("summary.json", _set_solution("beta_eps", 1000.0)),
         ("summary.json", _set_solution("ell_eps", 0.5)),
+        # A companion the solve did not make: its nodes would move v.
+        ("vprime_fd.csv",
+         lambda text, beta: text + f"{beta!r},0.01,1.0,1.0\n"),
     ], ids=["header_only_fd", "non_numeric_cell", "fractional_iterations",
             "negative_iterations", "numeric_regime", "boolean_tolerance",
-            "beta_off_the_grid", "beta_beyond_the_grid", "ell_not_the_drift"])
+            "beta_off_the_grid", "beta_beyond_the_grid", "ell_not_the_drift",
+            "tampered_companion"])
     def test_malformed_artifact_is_missing_input(self, tmp_path, capsys,
                                                  name, edit):
         cfg = write_cfg(tmp_path)
         assert main(["solve", "--config", str(cfg)]) == 0
-        path = tmp_path / "run" / name
-        path.write_text(edit(path.read_text()))
+        run = tmp_path / "run"
+        beta = json.loads((run / "summary.json").read_text())[
+            "solution"]["beta_eps"]
+        path = run / name
+        path.write_text(edit(path.read_text(), beta))
         capsys.readouterr()
         assert main(["verify", "--config", str(cfg)]) == 66
         err = capsys.readouterr().err

@@ -6,9 +6,7 @@ import pytest
 
 from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
                         TabulatedModel, VerhulstPearl, bracket_points,
-                        check_assumptions, model_from_config, scale_density)
-
-import oracles
+                        check_assumptions, model_from_config)
 
 
 class TestAdjustedDrift:
@@ -30,8 +28,6 @@ class TestAdjustedDrift:
                   [0.5, math.nan, 0.7], [math.nan, math.nan]):
             with pytest.raises(InputDomainError):
                 problem0.validate_x(x)
-        with pytest.raises(InputDomainError):
-            scale_density(problem0, math.nan)
 
     def test_nonincreasing_in_ambiguity(self, vp_model):
         xs = np.geomspace(0.01, 2.0, 64)
@@ -92,25 +88,6 @@ class TestBrackets:
     def test_non_finite_epsilon_rejected(self, vp_model, eps):
         with pytest.raises(InputDomainError, match="'epsilon' must be"):
             AmbiguityProblem.build(vp_model, eps)
-
-
-class TestScaleDensity:
-    def test_anchor_is_exactly_one(self, problem0):
-        assert scale_density(problem0, 0.7, 0.7) == 1.0
-
-    def test_closed_form_right_of_anchor(self, problem0):
-        val = scale_density(problem0, 2.0, 1.0)
-        assert val == pytest.approx(oracles.SCALE_E2_OVER_4, rel=1e-10)
-        assert val == pytest.approx(math.exp(2.0) / 4.0, rel=1e-12)
-
-    def test_closed_form_left_of_anchor(self, problem0):
-        val = scale_density(problem0, 0.5, 1.0)
-        assert val == pytest.approx(oracles.SCALE_4_OVER_E, rel=1e-10)
-        assert val == pytest.approx(4.0 / math.exp(1.0), rel=1e-12)
-
-    def test_default_anchor_is_drift_peak(self, problem0):
-        assert (scale_density(problem0, 0.9)
-                == scale_density(problem0, 0.9, problem0.drift_peak))
 
 
 def _tabulated(sigma_fn, mu_fn=lambda x: 1.0 - x, n=200):

@@ -301,6 +301,15 @@ class TestTailCoefficient:
             else:
                 assert abs(got - ref) <= 5e-14, b
 
+    @pytest.mark.parametrize("fraction", [1.0, 0.5, 0.2, 0.05, 1e-3])
+    def test_boundary_at_or_below_the_tail_floor_raises(self, problem1,
+                                                        fraction):
+        # The integration runs from b down to the floor: below it, it
+        # would run up, and at it, it has no span.
+        floor = shooting.TAIL_FLOOR * problem1.drift_peak
+        with pytest.raises(InputDomainError, match="tail floor"):
+            tail_coefficient(problem1, fraction * floor)
+
     def test_probes_retain_no_memory(self, problem1):
         # A probe builds its nodes and LSODA's work arrays afresh; none of
         # them may outlive it.

@@ -8,22 +8,23 @@ package, such as a checkout's ``src``) and prints a BENCH json document:
 Every measurement runs in a fresh interpreter pinned to one CPU, with one
 tree on ``sys.path``; each of ``PAIRS`` pairs of measurements runs both
 trees, and the tree that goes first alternates from pair to pair.  A
-worker runs ``cli.main(["solve", ...])`` on the eight perfbench ``solve``
-cases (``perfbench/workloads.solve_cases``) once to warm up and then
-``PASSES`` more times, with a wall-clock timer around each phase: the
-assumption check, the tail-coefficient probes, ``build_potential``,
+worker runs perfbench's own ``solve`` op: ``workloads.SolveWorkload``'s
+``setup`` writes the eight cases' configs, and each op is its ``prepare``
+(untimed, as in perfbench) and its ``op``, one in-process ``ergharvest
+solve``.  The worker runs every case once to warm up and then ``PASSES``
+more times, with a wall-clock timer around each phase: the assumption
+check, the tail-coefficient probes, ``build_potential``,
 ``verify_solution``, each CSV writer and the JSON writer.  ``other`` is
-the rest of a solve (config, model build, bracket, stdout).  A worker's
-figure for a phase and case is its median over the timed passes.  The
-worker also counts each case's probes (``_tail`` calls), and the summary
-gives the probe phase per probe, ``ms_per_probe``, beside the phase times.
+the rest of an op (parser, config, model build, bracket, stdout).  A
+worker's figure for a phase and case is its median over the timed
+passes.  The worker also counts each case's probes (``_tail`` calls), and
+the summary gives the probe phase per probe, ``ms_per_probe``, beside the
+phase times.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import platform
@@ -77,31 +78,23 @@ def worker():
     calls = dict.fromkeys(PHASES, 0)
     for phase, (module, name) in PHASES.items():
         _timed(modules[module], name, acc, calls, phase)
-    cases = workloads.solve_cases()
-    times = {case.label: {f: [] for f in FIGURES} for case in cases}
-    probes = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for case in cases:
-            os.makedirs(os.path.join(tmp, case.label))
-            with open(os.path.join(tmp, case.label, "config.json"),
-                      "w") as fh:
-                json.dump({"model": {"family": case.family,
-                                     "params": case.params},
-                           "epsilon": case.eps}, fh)
+        load = workloads.SolveWorkload("solve", workloads.solve_cases(), tmp)
+        load.setup(0)
+        times = {case.label: {f: [] for f in FIGURES} for case in load.cases}
+        probes = {}
         for timed in [False] + [True] * PASSES:
-            for case in cases:
-                out = os.path.join(tmp, case.label)
+            for case in load.cases:
                 for phase in acc:
                     acc[phase] = 0.0
                     calls[phase] = 0
-                with contextlib.redirect_stdout(io.StringIO()):
-                    t0 = time.perf_counter()
-                    rc = cli.main(["solve", "--config",
-                                   os.path.join(out, "config.json"),
-                                   "--output-dir", out])
-                    total = time.perf_counter() - t0
+                load.prepare(case)
+                t0 = time.perf_counter()
+                rc, text = load.op(case)
+                total = time.perf_counter() - t0
                 if rc != 0:
-                    raise SystemExit(f"{case.label}: solve exited {rc}")
+                    raise SystemExit(f"{case.label}: solve exited {rc}\n"
+                                     f"{text}")
                 if timed:
                     row = times[case.label]
                     for phase, seconds in acc.items():
@@ -179,8 +172,8 @@ def main(argv=None):
     summary = {side: _summary(runs[side]) for side in sides}
     result = {
         "setup": {
-            "what": "cli.main(['solve', ...]) on the eight perfbench solve "
-                    "cases, one pinned CPU, one warm-up pass then "
+            "what": "perfbench's SolveWorkload.op on the eight perfbench "
+                    "solve cases, one pinned CPU, one warm-up pass then "
                     f"{PASSES} timed passes per worker",
             "pairs": PAIRS, "passes": PASSES, "cases": labels,
             "order": "alternating: pair i runs the parent first when i is "
