@@ -10,8 +10,7 @@ population process under the worst-case drift.
 from .errors import (AssumptionViolationError, ConfigError, ErgharvestError,
                      InputDomainError, MissingInputError,
                      MonotonicityViolationError, NumericsError,
-                     SimulationAbortError, SingularIntegrationError,
-                     TransformBreakdownError)
+                     SimulationAbortError, SingularIntegrationError)
 from .hjb import (HjbReport, TruncatedPotential, apply_operator,
                   build_truncated, minimizing_kernel, verify_solution,
                   violation_delta)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InputDomainError, MissingInputError
 from .model import AmbiguityProblem, is_number
-from .shooting import PotentialGrid, ThresholdSolution, node_layout
+from .shooting import (BETA_RTOL, PotentialGrid, ThresholdSolution,
+                       extinction_level, node_layout)
 
 SOLUTION_CSV = "solution.csv"
 FD_CSV = "vprime_fd.csv"
@@ -109,11 +110,8 @@ def _read_csv(path, columns):
 # What ``load_solution`` accepts in each key of the ``solution`` block.
 _SOLUTION_RULES = {
     "beta_eps": lambda v: is_number(v) and v > 0.0,
-    "ell_eps": is_number,
     "iterations": lambda v: (is_number(v) and isinstance(v, numbers.Integral)
                              and v >= 1),
-    "beta_tolerance": is_number,
-    "regime": lambda v: v in ("interior", "extinction_bound"),
 }
 
 
@@ -128,10 +126,12 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     ``solution_block`` is the solve's; only the probe trace is not kept.
     A missing or malformed file, a ``solution`` value that breaks its
     ``_SOLUTION_RULES`` entry, ``x`` or ``h`` columns that are not exactly
-    the layout's, or an ``ell_eps`` other than the drift at ``beta_eps``
-    raises ``MissingInputError``, and a run whose ``problem`` block is not
-    ``problem_block(problem)`` (solved at another level or for another
-    model) raises ``InputDomainError``.
+    the layout's, or a derived value other than the solve's (``ell_eps``
+    the drift at ``beta_eps``, ``beta_tolerance`` ``BETA_RTOL * drift_zero``
+    and ``regime`` ``"extinction_bound"`` exactly when ``beta_eps`` is the
+    b* of ``extinction_level``) raises ``MissingInputError``, and a run
+    whose ``problem`` block is not ``problem_block(problem)`` (solved at
+    another level or for another model) raises ``InputDomainError``.
     """
     run = Path(run_dir)
     summary_path = run / SUMMARY_JSON
@@ -165,11 +165,17 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
         raise MissingInputError(
             f"{run / SOLUTION_CSV} and {run / FD_CSV} do not hold the nodes "
             f"laid out for beta_eps {threshold!r} in {summary_path}")
-    ell = float(problem.drift(threshold))
-    if block["ell_eps"] != ell:
-        raise MissingInputError(
-            f"{summary_path} holds ell_eps {block['ell_eps']!r}, not the "
-            f"drift {ell!r} at beta_eps")
+    derived = {
+        "ell_eps": float(problem.drift(threshold)),
+        "beta_tolerance": BETA_RTOL * problem.drift_zero,
+        "regime": ("extinction_bound"
+                   if threshold == extinction_level(problem)[1]
+                   else "interior")}
+    for key, value in derived.items():
+        if block.get(key) != value:
+            raise MissingInputError(
+                f"{summary_path} holds {key} {block.get(key)!r}, not the "
+                f"solve's {value!r} at beta_eps")
     nodes_slope = np.empty_like(layout.nodes_x)
     for x, slope in ((layout.grid_x, vps[:layout.grid_x.size]),
                      (fd_x - fd_h, fd_lo), (fd_x + fd_h, fd_hi)):
@@ -177,9 +183,9 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     grid = PotentialGrid.from_slopes(problem, threshold, layout, nodes_slope)
     return ThresholdSolution(
         problem=problem, threshold=threshold,
-        long_run_yield=ell, grid=grid, bisection_trace=(),
+        long_run_yield=derived["ell_eps"], grid=grid, bisection_trace=(),
         iterations=block["iterations"],
-        beta_tolerance=float(block["beta_tolerance"]), regime=block["regime"])
+        beta_tolerance=derived["beta_tolerance"], regime=derived["regime"])
 
 
 def write_paths_csv(path, per_path):

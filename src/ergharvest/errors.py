@@ -37,19 +37,6 @@ class SingularIntegrationError(NumericsError):
         self.last_y = last_y
 
 
-class TransformBreakdownError(NumericsError):
-    """The Cole-Hopf base function crossed zero before the target point.
-
-    ``derivative_sign`` is the sign of the derivative at the crossing, which
-    disambiguates a dip to -inf (positive) from a blow-up to +inf (negative).
-    """
-
-    def __init__(self, message, crossing_x=None, derivative_sign=None):
-        super().__init__(message)
-        self.crossing_x = crossing_x
-        self.derivative_sign = derivative_sign
-
-
 class MonotonicityViolationError(NumericsError):
     """The probe trace is inconsistent (a member below a non-member)."""
 

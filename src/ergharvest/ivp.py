@@ -35,7 +35,10 @@ class IntegrationResult:
     ``status`` is one of ``reached`` (hit x_end), ``dip`` (solution fell
     below the dip level) or ``guard`` (left the guard band).  On a dip stop,
     ``crossing_x`` is where the solution first crossed ``crossing_level``,
-    and (crossing_x, crossing_level) is one of the nodes.
+    and (crossing_x, crossing_level) is one of the nodes.  A table of
+    ``shooting.cole_hopf_slope`` (the linear form) that ends in a dip has as
+    ``crossing_x`` the first output node at or below the zero of the base
+    function; it is not a row of the table.
     """
 
     xs: np.ndarray

@@ -37,11 +37,14 @@ potential grid among them.  Every boundary must pass
 ``AmbiguityProblem.validate_x``, 0 < b <= x_max.
 The independent cross-check, ``integrate_slope``, shoots the quadratic
 equation with DOP853 stepped through ``ivp.integrate``, down from the
-boundary toward zero or up from it toward ``x_max``; every slope table, from
-either formulation, is an ``ivp.IntegrationResult``.  ``classify_boundary``
-keeps its dip verdict down to a fixed floor: a dip below one is
-inadmissible, and growth past the overflow guard counts as admissible with
-a warning.
+boundary toward zero or up from it toward ``x_max``.  Every slope table,
+from either formulation, is an ``ivp.IntegrationResult`` and ends the same
+way: status ``"dip"``, with ``crossing_x``, when the slope falls through
+one (the linear form's base function 1 - eps psi reaches zero only in such
+a dive to -infinity), ``"guard"`` past the overflow guard (``integrate_slope``
+only) and ``"reached"`` otherwise.  ``classify_boundary`` keeps its dip
+verdict down to a fixed floor: a dip below one is inadmissible, and growth
+past the overflow guard counts as admissible with a warning.
 """
 
 from __future__ import annotations
@@ -57,8 +60,7 @@ from scipy.optimize import brentq
 
 from . import ivp
 from .errors import (AssumptionViolationError, InputDomainError,
-                     MonotonicityViolationError, SingularIntegrationError,
-                     TransformBreakdownError)
+                     MonotonicityViolationError, SingularIntegrationError)
 from .model import AmbiguityProblem, check_assumptions
 
 __all__ = [
@@ -141,12 +143,12 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
     at every eps >= 0 (phi is one at eps = 0), and ``_linear_rows`` gives
     psi, psi_s = x psi' at ``eval_xs`` (default 400 log-spaced nodes; any
     order, as ``ivp.integrate``'s forced nodes), tabulated descending from b
-    to x_min, so g = psi_s / x / phi and g(b) = 1.  Where phi is not
-    positive the slope has blown up: ``TransformBreakdownError`` gives the
-    first such node down from b (0.015668 against phi's root 0.015700 at VP
-    eps 1, b = 1.02 drift_peak, x_min = 1e-4) and the sign of phi' there,
-    -sign(psi_s): positive is a dip to -infinity, negative admissible growth
-    to +infinity.
+    to x_min, so g = psi_s / x / phi and g(b) = 1 (status ``"reached"``).
+    Going down from b, phi first reaches zero where psi has risen to 1/eps,
+    so psi' < 0 there and the slope dives through one to -infinity: the
+    table then ends above the first node where phi is not positive, with
+    status ``"dip"`` and that node as ``crossing_x`` (0.015668 against
+    phi's root 0.015700 at VP eps 1, b = 1.02 drift_peak, x_min = 1e-4).
     """
     problem.validate_x((x_min, boundary))
     if not x_min < boundary:
@@ -161,17 +163,13 @@ def cole_hopf_slope(problem: AmbiguityProblem, boundary: float, x_min: float,
     psi, dpsi = _linear_rows(problem, boundary, eval_xs)
     phi = 1.0 - problem.epsilon * psi
     down = np.flatnonzero(phi <= 0.0)
-    if down.size:
-        x_cross = float(eval_xs[down[0]])
-        dphi_sign = -float(np.sign(dpsi[down[0]]))
-        raise TransformBreakdownError(
-            f"base function is not positive at x={x_cross} above "
-            f"x_min={x_min}; slope blew up toward "
-            f"{'-inf' if dphi_sign > 0 else '+inf'}",
-            crossing_x=x_cross, derivative_sign=dphi_sign)
-    slopes = dpsi / eval_xs / phi
-    derivs = _slope_rhs(problem, boundary, 0.0)(eval_xs, slopes)
-    return ivp.IntegrationResult(eval_xs, slopes, derivs, "reached")
+    keep = down[0] if down.size else eval_xs.size
+    xs = eval_xs[:keep]
+    slopes = dpsi[:keep] / xs / phi[:keep]
+    derivs = _slope_rhs(problem, boundary, 0.0)(xs, slopes)
+    return ivp.IntegrationResult(
+        xs, slopes, derivs, "dip" if down.size else "reached",
+        float(eval_xs[keep]) if down.size else None)
 
 
 @dataclass(frozen=True)
@@ -483,22 +481,19 @@ def build_potential(problem: AmbiguityProblem,
     value(threshold) = 0; it is linear above.
 
     Raises ``SingularIntegrationError`` when the LSODA run fails (see
-    ``_linear_rows``), ``TransformBreakdownError`` when the slope grows to
-    +infinity above the floor, and ``InputDomainError`` when the threshold
-    lies outside (0, x_max] or is inadmissible: the slope dips below one, or
-    dives through it to -infinity.
+    ``_linear_rows``), and ``InputDomainError`` when the threshold lies
+    outside (0, x_max] or is inadmissible: the table ends in a ``"dip"``
+    (the slope dives through one to -infinity above the floor), or a slope
+    lies below ``1 - DIP_TOLERANCE``.
     """
     problem.validate_x(threshold)
     layout = node_layout(problem, threshold)
     nodes_x = layout.nodes_x
-    try:
-        nodes_g = cole_hopf_slope(problem, threshold, float(nodes_x[0]),
-                                  eval_xs=nodes_x).ys[::-1]
-        dips = nodes_x[nodes_g < 1.0 - DIP_TOLERANCE]
-    except TransformBreakdownError as exc:
-        if not exc.derivative_sign > 0.0:
-            raise
-        dips = [exc.crossing_x]   # the slope dived through one to -inf
+    table = cole_hopf_slope(problem, threshold, float(nodes_x[0]),
+                            eval_xs=nodes_x)
+    nodes_g = table.ys[::-1]
+    dips = ([table.crossing_x] if table.status == "dip"
+            else nodes_x[nodes_g < 1.0 - DIP_TOLERANCE])
     if len(dips):
         raise InputDomainError(
             f"threshold {threshold!r} is not admissible: slope dipped "

@@ -276,7 +276,12 @@ class SimConfig:
 
 @dataclass
 class PathStats:
-    """Accumulators of one simulated trajectory (retained window only)."""
+    """Accumulators of one simulated trajectory.
+
+    Every accumulator covers the retained window only, except ``max_x``:
+    the largest state of the whole path from min(x0, beta), burn-in
+    included.
+    """
 
     path_id: int
     harvest_total: float

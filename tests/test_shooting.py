@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 
 from ergharvest import (AmbiguityProblem, GeneralLogistic, InputDomainError,
                         MonotonicityViolationError, SingularIntegrationError,
-                        TabulatedModel, TransformBreakdownError, VerhulstPearl,
+                        TabulatedModel, VerhulstPearl,
                         build_truncated, classify_boundary, cole_hopf_slope,
                         integrate_slope, ivp, shooting, solve_threshold,
                         tail_coefficient)
@@ -548,27 +548,57 @@ class TestColeHopf:
 
     def test_breakdown_on_inadmissible_boundary(self, problem1):
         # Just above the peak the slope dives to -inf; the linear form's base
-        # function crosses zero and the sign of its derivative says so.
-        with pytest.raises(TransformBreakdownError) as err:
-            cole_hopf_slope(problem1, problem1.drift_peak * 1.02, 1e-4)
-        assert err.value.crossing_x is not None
-        assert err.value.derivative_sign > 0.0
+        # function crosses zero and the table ends there in a dip.
+        grid = cole_hopf_slope(problem1, problem1.drift_peak * 1.02, 1e-4)
+        assert grid.status == "dip"
+        assert grid.crossing_x < grid.xs[-1]
+        assert np.isfinite(grid.ys).all()
 
     def test_breakdown_is_located_to_a_node(self, problem1):
         # The crossing is the first node below the zero of the base
         # function, so a tenfold finer grid moves it up by less than one
-        # coarse node ratio.
+        # coarse node ratio; the table keeps exactly the nodes above it.
         b = problem1.drift_peak * 1.02
         crossings = []
         for n in (400, 4000):
             eval_xs = np.geomspace(b, 1e-4, n)
-            with pytest.raises(TransformBreakdownError) as err:
-                cole_hopf_slope(problem1, b, 1e-4, eval_xs=eval_xs)
-            assert err.value.crossing_x in eval_xs
-            assert err.value.derivative_sign > 0.0
-            crossings.append(err.value.crossing_x)
+            grid = cole_hopf_slope(problem1, b, 1e-4, eval_xs=eval_xs)
+            assert grid.status == "dip"
+            assert grid.crossing_x in eval_xs
+            assert np.array_equal(grid.xs, eval_xs[eval_xs > grid.crossing_x])
+            crossings.append(grid.crossing_x)
         coarse, fine = crossings
         assert 0.0 <= math.log(fine / coarse) < math.log(b / 1e-4) / 399
+
+    @pytest.mark.parametrize("name, eps", [
+        *[(name, eps) for name in ("vp", "gl2") for eps in (0.5, 1.0, 2.0,
+                                                             3.0)],
+        ("table", 1.0)])
+    def test_linear_form_only_dives(self, name, eps):
+        # phi = 1 - eps psi starts at one and first reaches zero where psi
+        # has risen to 1/eps going down, so psi_s < 0 there: every table
+        # that ends ends in a dive to -inf, never in growth to +inf.
+        if name == "table":
+            xs = np.geomspace(1e-4, 3.0, 200)
+            model = TabulatedModel(xs=xs, mu_values=1.0 - xs,
+                                   sigma_values=xs)
+        else:
+            model = _model(name)
+        problem = AmbiguityProblem.build(model, eps)
+        x_min = shooting.DIP_FLOOR * problem.drift_peak
+        dives = 0
+        for b in np.geomspace(1.0001 * problem.drift_peak,
+                              problem.drift_zero, 8):
+            nodes = np.geomspace(b, x_min, 400)
+            grid = cole_hopf_slope(problem, b, x_min, eval_xs=nodes)
+            if grid.status != "dip":
+                assert grid.status == "reached"
+                continue
+            dives += 1
+            _, psi_s = shooting._linear_rows(problem, b, nodes)
+            assert psi_s[np.flatnonzero(nodes == grid.crossing_x)[0]] < 0.0
+            assert np.isfinite(grid.ys).all()
+        assert dives
 
 
 # Candidate boundaries outside the working domain (0, x_max]; None stands for
