@@ -127,9 +127,10 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     A missing or malformed file, a ``solution`` value that breaks its
     ``_SOLUTION_RULES`` entry, ``x`` or ``h`` columns that are not exactly
     the layout's, or a derived value other than the solve's (``ell_eps``
-    the drift at ``beta_eps``, ``beta_tolerance`` ``BETA_RTOL * drift_zero``
-    and ``regime`` ``"extinction_bound"`` exactly when ``beta_eps`` is the
-    b* of ``extinction_level``) raises ``MissingInputError``, and a run
+    the drift at ``beta_eps``, ``beta_tolerance`` ``BETA_RTOL * drift_zero``,
+    ``x_min`` the layout's first node and ``regime`` ``"extinction_bound"``
+    exactly when ``beta_eps`` is the b* of ``extinction_level``) raises
+    ``MissingInputError``, and a run
     whose ``problem`` block is not ``problem_block(problem)`` (solved at
     another level or for another model) raises ``InputDomainError``.
     """
@@ -168,6 +169,7 @@ def load_solution(run_dir, problem: AmbiguityProblem) -> ThresholdSolution:
     derived = {
         "ell_eps": float(problem.drift(threshold)),
         "beta_tolerance": BETA_RTOL * problem.drift_zero,
+        "x_min": float(layout.nodes_x[0]),
         "regime": ("extinction_bound"
                    if threshold == extinction_level(problem)[1]
                    else "interior")}

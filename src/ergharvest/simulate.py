@@ -34,17 +34,30 @@ lane-width arrays.  Each lane draws a block's noise into its own
 contiguous row, and the block is scaled in place once, so that a step
 reads its noise w as a column of the draws.  For a model whose noise is
 sigma_bar x (``GeneralLogistic``) the worst-case proposal is the cell's
-line fused with the noise, a + x (b + w) with w = sigma_bar sqrt(dt) Z, in
-nine calls.  Otherwise w = sqrt(dt) Z and the proposal is the mean (the
-cell's line, or the reference x + x mu(x) dt) plus sigma(x) w.  The step
-writes its proposal into a (steps, lanes) row and projects it onto
-[0, beta].  Once per chunk of ``_CHUNK_STEPS`` steps the harvest
-max(P - beta, 0), the KL increments (from the stored cells and states),
-the negative-proposal and floor-clamp counts, the running maximum and the
-strided occupation histogram (one ``bincount`` over lane * N_BINS + bin)
-are computed over the chunk's buffers.  Chunks also end at the burn-in and
-mid-window steps, so each lies wholly before or wholly inside the retained
-window and settles whole.
+line fused with the noise, a + x (b + w) with w = sigma_bar sqrt(dt) Z:
+two calls find the cell and five form the proposal.  Otherwise
+w = sqrt(dt) Z and the proposal is the mean (the cell's line, or the
+reference x + x mu(x) dt) plus sigma(x) w.  The step writes its proposal P
+into a (steps, lanes) row and projects it with one call, min(P, beta).
+
+The projection onto [0, beta] also sends a negative proposal to zero, but
+at a fine dt one is rare, so it is settled by exception.  Once per chunk
+of ``_CHUNK_STEPS`` steps one NaN-ignoring ``fmin`` over the chunk's
+proposals looks for a negative one; if there is one, the chunk is replayed
+from its start row with max(., 0) after each min, and only then are the
+negative proposals counted.  The replay reproduces the projected path
+exactly because a chunk's start row and its noise are not touched until
+it settles: the noise is drawn once per block, and the start row is
+overwritten only by the settled chunk's last state.  With no negative
+proposal each state is min(P, beta), so the harvest max(P - beta, 0) is
+P less the state, exactly: the difference is P - beta when P > beta and
+zero otherwise.  One ``fmin`` over the chunk's states likewise decides
+whether any lies below the table floor before the floor clamps are
+counted.  The chunk's KL increments (lines read from the stored cells and
+states into preallocated buffers), running maximum and strided occupation
+histogram (one ``bincount`` over lane * N_BINS + bin) complete its settle.
+Chunks also end at the burn-in and mid-window steps, so each lies wholly
+before or wholly inside the retained window and settles whole.
 
 The settled sums stay bit-identical to adding one step at a time: each
 sum is ``np.add.reduce(rows, axis=0)`` over C-ordered (steps, lanes) rows
@@ -117,8 +130,10 @@ def require_seed(seed) -> int:
 _BLOCK_STEPS = 2048
 
 # Steps per chunk at most; each chunk settles its harvest, KL, counters and
-# occupation at once.  Chunks end at block ends (the quarantine sees settled
-# totals) and at the burn-in and mid-window steps; 128 is as fast as 256.
+# occupation at once, and is replayed whole when a proposal went negative.
+# Chunks end at block ends (the quarantine sees settled totals, and a
+# replay finds its block's noise) and at the burn-in and mid-window steps;
+# 128 is as fast as 64 or 256.
 _CHUNK_STEPS = 128
 
 # The worst-case table's nodes are the doubles whose low _CELL_SHIFT bits are
@@ -128,11 +143,13 @@ _CHUNK_STEPS = 128
 _CELL_SHIFT = 44
 
 
-def _line(a, b, cell, x):
-    """a[cell] + b[cell] x, with cells outside the table read at its ends."""
-    out = b.take(cell, mode="clip")
+def _line(a, b, cell, x, out=None, term=None):
+    """a[cell] + b[cell] x, with cells outside the table read at its ends;
+    ``out`` and ``term``, if given, are buffers of ``cell``'s shape for the
+    result and for a[cell]."""
+    out = b.take(cell, None, out, "clip")
     out *= x
-    out += a.take(cell, mode="clip")
+    out += a.take(cell, None, term, "clip")
     return out
 
 
@@ -182,8 +199,8 @@ class _WorstCaseStep:
     def mean_at(self, cell, x):
         return _line(self.mean_a, self.mean_b, cell, x)
 
-    def kl_at(self, cell, x):
-        return _line(self.kl_a, self.kl_b, cell, x)
+    def kl_at(self, cell, x, out=None, term=None):
+        return _line(self.kl_a, self.kl_b, cell, x, out, term)
 
 
 def _step_counts(sim):
@@ -369,6 +386,7 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
         cell_rows, bit_rows = list(cells), list(states.view(np.int64))
         shift, base = np.full(n, _CELL_SHIFT), np.full(n, table.base)
         mean_a, mean_b, term = table.mean_a, table.mean_b, np.empty(n)
+        kl_lines, kl_terms = np.empty((chunk, n)), np.empty((chunk, n))
     done = 0
     # NaN/inf paths are quarantined at block boundaries; silence the float
     # warnings their garbage values would emit in the meantime.
@@ -383,49 +401,73 @@ def _run_paths(cfg: SimConfig, path_ids, x0=None) -> list[PathStats]:
                 k0 = done + c0
                 rows = min(chunk, m - c0,
                            *(k - k0 for k in (burn, mid) if k > k0))
-                for r in range(rows):
-                    x = state_rows[r]
-                    w = noise_cols[c0 + r]
-                    proposed = proposal_rows[r]
-                    if table is not None:
-                        cell = cell_rows[r]
-                        np.right_shift(bit_rows[r], shift, out=cell)
-                        np.subtract(cell, base, out=cell)
+                # Project onto (-inf, beta]; a chunk with a negative
+                # proposal is replayed from its start row, projecting onto
+                # [0, beta].
+                for floor in (False, True):
                     if fused:
-                        mean_b.take(cell, mode="clip", out=proposed)
-                        np.add(proposed, w, out=proposed)
-                        np.multiply(proposed, x, out=proposed)
-                        mean_a.take(cell, mode="clip", out=term)
-                        np.add(proposed, term, out=proposed)
+                        for x, bits, w, cell, proposed, x_next in zip(
+                                state_rows[:rows], bit_rows,
+                                noise_cols[c0:c0 + rows], cell_rows,
+                                proposal_rows, state_rows[1:]):
+                            np.right_shift(bits, shift, cell)
+                            np.subtract(cell, base, cell)
+                            mean_b.take(cell, None, proposed, "clip")
+                            np.add(proposed, w, proposed)
+                            np.multiply(proposed, x, proposed)
+                            mean_a.take(cell, None, term, "clip")
+                            np.add(proposed, term, proposed)
+                            np.minimum(proposed, upper, out=x_next)
+                            if floor:
+                                np.maximum(x_next, lower, out=x_next)
                     else:
-                        sig = sigma(x)
-                        if table is not None:
-                            mean = table.mean_at(cell, x)
-                        else:
-                            mean = x * mu(x)
-                            mean *= dt
-                            mean += x
-                        np.multiply(w, sig, out=proposed)
-                        np.add(proposed, mean, out=proposed)
-                    x_next = state_rows[r + 1]
-                    np.minimum(proposed, upper, out=x_next)
-                    np.maximum(x_next, lower, out=x_next)
+                        for r in range(rows):
+                            x = state_rows[r]
+                            if table is not None:
+                                cell = cell_rows[r]
+                                np.right_shift(bit_rows[r], shift, out=cell)
+                                np.subtract(cell, base, out=cell)
+                                mean = table.mean_at(cell, x)
+                            else:
+                                mean = x * mu(x)
+                                mean *= dt
+                                mean += x
+                            proposed = proposal_rows[r]
+                            np.multiply(noise_cols[c0 + r], sigma(x),
+                                        out=proposed)
+                            np.add(proposed, mean, out=proposed)
+                            x_next = state_rows[r + 1]
+                            np.minimum(proposed, upper, out=x_next)
+                            if floor:
+                                np.maximum(x_next, lower, out=x_next)
+                    if floor or not np.fmin.reduce(
+                            proposals[:rows], axis=None) < 0.0:
+                        break
 
                 # Settle the chunk: step k = k0 + r moved states[r] to
                 # states[r + 1] through proposals[r].  The chunk lies wholly
                 # before the retained window or wholly in it.
-                after = states[1:rows + 1]
+                before, after = states[:rows], states[1:rows + 1]
                 np.maximum(max_x, after.max(axis=0), out=max_x)
                 if k0 >= burn:
-                    neg += np.count_nonzero(proposals[:rows] < 0.0, axis=0)
-                    harvest = proposals[:rows] - beta
-                    np.maximum(harvest, 0.0, out=harvest)
+                    if floor:
+                        neg += np.count_nonzero(proposals[:rows] < 0.0,
+                                                axis=0)
+                        harvest = proposals[:rows] - beta
+                        np.maximum(harvest, 0.0, out=harvest)
+                    else:
+                        # Each state is min(P, beta), so P less it is the
+                        # harvest max(P - beta, 0) exactly.
+                        harvest = np.subtract(proposals[:rows], after,
+                                              out=proposals[:rows])
                     Z = _ordered_sum(Z, harvest)
                     if table is not None:
-                        clamps += np.count_nonzero(states[:rows] < table.lo,
-                                                   axis=0)
-                        KL = _ordered_sum(
-                            KL, table.kl_at(cells[:rows], states[:rows]))
+                        if np.fmin.reduce(before, axis=None) < table.lo:
+                            clamps += np.count_nonzero(before < table.lo,
+                                                       axis=0)
+                        KL = _ordered_sum(KL, table.kl_at(
+                            cells[:rows], before, kl_lines[:rows],
+                            kl_terms[:rows]))
                     stride = OCCUPATION_STRIDE
                     sample = after[(burn - k0) % stride::stride]
                     # Clip from below too: a NaN state casts to INT64_MIN.

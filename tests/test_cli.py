@@ -881,6 +881,7 @@ class TestVerify:
         ("summary.json", _set_solution("ell_eps", 0.5)),
         ("summary.json", _set_solution("beta_tolerance", -7.5)),
         ("summary.json", _set_solution("regime", "extinction_bound")),
+        ("summary.json", _set_solution("x_min", -7.5)),
         # A companion the solve did not make: its nodes would move v.
         ("vprime_fd.csv",
          lambda text, beta: text + f"{beta!r},0.01,1.0,1.0\n"),
@@ -888,7 +889,7 @@ class TestVerify:
             "negative_iterations", "numeric_regime", "boolean_tolerance",
             "beta_off_the_grid", "beta_beyond_the_grid", "ell_not_the_drift",
             "tolerance_not_derived", "regime_not_derived",
-            "tampered_companion"])
+            "floor_not_derived", "tampered_companion"])
     def test_malformed_artifact_is_missing_input(self, tmp_path, capsys,
                                                  name, edit):
         cfg = write_cfg(tmp_path)

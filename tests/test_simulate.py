@@ -319,9 +319,10 @@ class TestChunkedSettlement:
         dict(horizon=6.0, burn_in=1096 / 3000, stride=3),
         dict(model="tabulated"),
         dict(model="scaled_noise"),
+        dict(dt=0.25, horizon=600.0, burn_in=0.0),
     ], ids=["no_burn_in", "mid_on_chunk_edge", "x0_above_beta", "one_lane",
             "burn_on_block_edge", "mid_on_block_edge", "tabulated",
-            "sigma_bar_0.8"])
+            "sigma_bar_0.8", "coarse_dt"])
     def test_matches_step_by_step_oracle(self, kw, measure, problem1, sol1,
                                          tabulated1, scaled_noise1,
                                          monkeypatch):
@@ -332,7 +333,8 @@ class TestChunkedSettlement:
         monkeypatch.setattr(simulate, "OCCUPATION_STRIDE",
                             kw.pop("stride", simulate.OCCUPATION_STRIDE))
         x0 = kw.pop("x0", 1.0) * sol.threshold
-        cfg = _small_cfg(problem, sol, x0=x0, dt=2e-3,
+        coarse = "dt" in kw
+        cfg = _small_cfg(problem, sol, x0=x0, dt=kw.pop("dt", 2e-3),
                          horizon=kw.pop("horizon", 5.0),
                          n_paths=kw.pop("n_paths", 4), measure=measure,
                          solution=sol, **kw)
@@ -360,6 +362,13 @@ class TestChunkedSettlement:
         assert len(got) == len(want) == cfg.n_paths
         for a, b in zip(got, want):
             _assert_same_stats(a, b)
+        if coarse:
+            # Proposals go negative, so chunks are replayed and counted;
+            # worst-case paths also fall below the table floor (reference
+            # runs have no table).
+            assert sum(s.negative_proposals for s in got) > 0
+            assert (sum(s.floor_clamps for s in got) > 0) == (
+                measure == "worstcase")
 
     @pytest.mark.parametrize("measure", simulate.MEASURES)
     def test_nan_lane_matches_oracle(self, measure, problem1, sol1,

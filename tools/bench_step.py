@@ -21,6 +21,7 @@ worker's peak RSS is ``ru_maxrss`` after both runs.
 from __future__ import annotations
 
 import argparse
+import ast
 import collections
 import dataclasses
 import inspect
@@ -31,6 +32,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -42,32 +44,36 @@ SAMPLE_S = 2e-4
 
 
 def _phases(run_paths):
-    """Map each line of ``run_paths``'s block loop to its phase."""
+    """Map each line of ``run_paths``'s block loop to its phase.
+
+    The block loop is the ``while`` loop over ``done`` and the chunk loop
+    the ``while`` loop inside it.  Every line of an innermost ``for`` loop
+    of the chunk loop is "step": those loops run the recurrence, one pass
+    per step.  The block loop's ``for`` loops and statements on ``drawn``
+    before the chunk loop are "noise".  Every other line, the chunk's
+    replay check included, is "settle".
+    """
     lines, first = inspect.getsourcelines(run_paths)
-    indent = [len(s) - len(s.lstrip()) for s in lines]
-    phase = {}
-    loop = step = None
-    for i, text in enumerate(lines):
-        code = text.strip()
-        if loop is None:
-            if code.startswith("while done < n_steps"):
-                loop = indent[i]
-            continue
-        if code and indent[i] <= loop:
-            break
-        if step is not None and code and indent[i] <= step:
-            step = None
-        if step is not None:
-            phase[first + i] = "step"
-        elif any(mark in code for mark in (
-                "standard_normal", "sqdt", "noise_scale")) or (
-                code.startswith("for j, gen in")):
-            phase[first + i] = "noise"
-        else:
-            phase[first + i] = "settle"
-        if code.startswith("for r in range(rows)"):
-            step = indent[i]
-            phase[first + i] = "step"
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    block = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.While)
+                 and ast.unparse(node.test) == "done < n_steps")
+    chunk = next(node for node in ast.walk(block)
+                 if isinstance(node, ast.While) and node is not block)
+
+    def span(node):
+        return range(first + node.lineno - 1, first + node.end_lineno)
+
+    phase = dict.fromkeys(span(block), "settle")
+    for stmt in block.body[:block.body.index(chunk)]:
+        if isinstance(stmt, ast.For) or "drawn" in {
+                name.id for name in ast.walk(stmt)
+                if isinstance(name, ast.Name)}:
+            phase.update(dict.fromkeys(span(stmt), "noise"))
+    for loop in ast.walk(chunk):
+        if isinstance(loop, ast.For) and sum(
+                isinstance(node, ast.For) for node in ast.walk(loop)) == 1:
+            phase.update(dict.fromkeys(span(loop), "step"))
     return phase
 
 

@@ -9,8 +9,9 @@ Each tree runs in a fresh interpreter with that tree on ``PYTHONPATH``.
 The worker writes the configs of perfbench's ``workloads.solve_cases()``
 and ``tabulated_cases()`` with ``SolveWorkload.setup`` (perfbench is
 imported read-only, as ``tools/bench_solve.py`` does), and runs ``solve``
-and then ``verify`` on each, and one short ``simulate --no-inline-solve
---measure reference --jobs 1`` on the solved ``SIM_CASE``.  After each
+and then ``verify`` on each, and the short ``simulate --no-inline-solve
+--jobs 1`` runs of ``SIMS`` on the solved ``SIM_CASE``: one under the
+reference measure and two under the worst case.  After each
 command it records the exit code, stdout and stderr (the output path
 masked) and the SHA-256 of every file in the case's directory.  Both trees
 run in the same output path, so the artifacts that echo it compare as
@@ -35,8 +36,18 @@ import tempfile
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
 SIM_CASE = "vp-eps1"
-SIM = {"dt": 1e-3, "horizon": 2.0, "n_paths": 8, "burn_in": 0.1}
-SIM_ARGS = ["--no-inline-solve", "--measure", "reference", "--jobs", "1"]
+# Command label -> (sim block, measure) of each reload simulate: one under
+# the reference measure, and two under the worst case, at the default dt
+# and at a dt coarse enough for negative proposals and floor clamps.
+SIMS = {
+    "simulate": ({"dt": 1e-3, "horizon": 2.0, "n_paths": 8, "burn_in": 0.1},
+                 "reference"),
+    "simulate-worstcase": ({"horizon": 2.0, "n_paths": 8, "burn_in": 0.1},
+                           "worstcase"),
+    "simulate-worstcase-dt0.25": (
+        {"dt": 0.25, "horizon": 50.0, "n_paths": 8, "burn_in": 0.1},
+        "worstcase"),
+}
 MASK = "<out>"
 
 
@@ -60,9 +71,11 @@ def commands(load):
     if SIM_CASE not in [case.label for case in load.cases]:
         raise SystemExit(f"no case {SIM_CASE!r} among the solve cases")
     out = os.path.join(root, SIM_CASE)
-    runs.append((out, f"{SIM_CASE}/simulate",
-                 ["simulate", "--config", os.path.join(out, "simulate.json"),
-                  "--output-dir", out, *SIM_ARGS]))
+    for name, (_, measure) in SIMS.items():
+        runs.append((out, f"{SIM_CASE}/{name}",
+                     ["simulate", "--config", os.path.join(out, f"{name}.json"),
+                      "--output-dir", out, "--no-inline-solve", "--measure",
+                      measure, "--jobs", "1"]))
     return runs
 
 
@@ -72,9 +85,10 @@ def worker(root):
     load = _workload(root)
     load.setup(0)
     with open(os.path.join(root, SIM_CASE, "config.json")) as fh:
-        sim_cfg = dict(json.load(fh), sim=SIM)
-    with open(os.path.join(root, SIM_CASE, "simulate.json"), "w") as fh:
-        json.dump(sim_cfg, fh)
+        cfg = json.load(fh)
+    for name, (sim, _) in SIMS.items():
+        with open(os.path.join(root, SIM_CASE, f"{name}.json"), "w") as fh:
+            json.dump(dict(cfg, sim=sim), fh)
     record = {}
     for out, label, argv in commands(load):
         stdout, stderr = io.StringIO(), io.StringIO()
